@@ -125,7 +125,7 @@ _STATS_CACHE: dict[tuple, TensorStats] = {}
 
 def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     """Dataset statistics at a cut, shared by client and server."""
-    key = (model.config.seed, cut, n_images)
+    key = (model.config, cut, n_images)
     if key not in _STATS_CACHE:
         tensors = [
             model.forward_client(model.generate_input(i), cut)

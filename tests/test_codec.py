@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitstream import (FeatureTensor, QuantizedTensor, QuantizerSpec,
@@ -11,7 +11,10 @@ from splitstream.codec import (BASE_TABLE, FTCB_HEADER, BadMagicError,
                                decode, decode_prefix, encode, encode_to_target,
                                quality_table, rate_fidelity_curve, stream_info,
                                undecoded_plane_mask)
-from splitstream.codec import _UNZIGZAG, _ZIGZAG, _Reader, _leb128s_encode
+from splitstream.codec import _MAX_SYMBOL, _UNZIGZAG, _ZIGZAG
+
+import ftcb_reference as reference
+from ftcb_reference import _Reader, _leb128s_encode
 
 
 def _plane_from_symbols(symbols, levels=256):
@@ -238,6 +241,49 @@ class TestDecodeErrors:
         with pytest.raises(CodecError, match="overflow"):
             decode(header + body)
 
+    def test_overlong_leb128_is_a_codec_error(self):
+        header = FTCB_HEADER.pack(b"FTCB", 1, 50, 8, 8, 1, 1, 8, 8, 1, 256)
+        # the second stream's last two value bytes would read as 8064, but
+        # the third byte is the error
+        for body in (b"\xff" * 12 + b"\x00\xff", b"\x00\x00\x80\x80\x3f\xff"):
+            with pytest.raises(CodecError, match="LEB128"):
+                decode(header + body)
+            with pytest.raises(CodecError, match="LEB128"):
+                decode_prefix(header + body)
+
+    def test_symbol_bounds(self):
+        header = FTCB_HEADER.pack(b"FTCB", 1, 100, 8, 8, 1, 1, 8, 8, 1, 256)
+
+        def leb(v):
+            out = bytearray()
+            _leb128s_encode(v, out)
+            return bytes(out)
+
+        for v in (_MAX_SYMBOL, -_MAX_SYMBOL):
+            decode(header + leb(v) + b"\xff")
+            decode(header + b"\x00\x00" + leb(v) + b"\xff")
+        for v in (_MAX_SYMBOL + 1, -_MAX_SYMBOL - 1):
+            with pytest.raises(CodecError, match="DC coefficient out of range"):
+                decode(header + leb(v) + b"\xff")
+            with pytest.raises(CodecError, match="AC coefficient out of range"):
+                decode_prefix(header + b"\x00\x00" + leb(v) + b"\xff")
+
+    def test_bound_is_reached_by_extreme_planes(self):
+        # all-black blocks give DC -1024 at quality 100; they still decode
+        for value in (0, 255):
+            p = _const_plane(value)
+            back = decode(encode(p, 100))
+            assert np.array_equal(back.bytes, p.bytes)
+        dc = _Reader(encode(_const_plane(0), 100), FTCB_HEADER.size).leb128s()
+        assert dc == -_MAX_SYMBOL
+
+    def test_block_count_checked_against_stream_length_first(self):
+        # a 65535 x 65535 plane would need a 34 GB symbol array
+        header = FTCB_HEADER.pack(b"FTCB", 1, 50, 65535, 65535, 1, 1,
+                                  65535, 65535, 1, 256)
+        with pytest.raises(TruncatedStreamError, match="cannot hold"):
+            decode(header + b"\x00\xff")
+
 
 class TestDecodePrefix:
     def test_complete_stream(self):
@@ -316,3 +362,145 @@ class TestRateFidelityCurve:
             assert r["mean_bytes"] > 0
             assert 0.0 <= r["agreement"] <= 1.0
         assert rows[1]["agreement"] >= rows[0]["agreement"]
+
+
+def _outcome(fn, data: bytes, messages: bool = True):
+    """What a decoder makes of a stream: the plane and block counts, or the
+    class (and message) of what it raised."""
+    try:
+        result = fn(data)
+    except Exception as exc:  # the reference can raise OverflowError
+        return (type(exc), str(exc)) if messages else type(exc)
+    plane, *counts = result if isinstance(result, tuple) else (result,)
+    return plane.bytes.tobytes(), plane.layout, plane.levels, tuple(counts)
+
+
+class _BoundedReader(_Reader):
+    """The reference reader with the decoder's bounds, applied as each byte
+    is read: LEB128 values of at most two bytes, |DC delta| <= 2048 and
+    |symbol| <= 1024."""
+
+    def __init__(self, data, pos=0):
+        super().__init__(data, pos)
+        self.leb_bytes = None       # bytes read of the LEB128 value in progress
+        self.dc_next = True
+        self.dc = 0
+
+    def u8(self):
+        if self.leb_bytes is None:          # a run byte or END
+            b = super().u8()
+            self.dc_next = b == 255
+            return b
+        if self.leb_bytes == 2 and self.pos < len(self.data):
+            raise CodecError("LEB128 value longer than 2 bytes")
+        self.leb_bytes += 1
+        return super().u8()
+
+    def leb128s(self):
+        self.leb_bytes = 0
+        try:
+            v = super().leb128s()
+        finally:
+            self.leb_bytes = None
+        if self.dc_next:
+            self.dc_next = False
+            self.dc += v
+            if abs(v) > 2 * _MAX_SYMBOL or abs(self.dc) > _MAX_SYMBOL:
+                raise CodecError("DC coefficient out of range")
+        elif abs(v) > _MAX_SYMBOL:
+            raise CodecError("AC coefficient out of range")
+        return v
+
+
+def _bounded(fn):
+    return lambda data: fn(data, _BoundedReader)
+
+
+_planes = st.one_of(
+    st.builds(lambda h, w, c, seed: _plane_from_symbols(
+        np.random.default_rng(seed).integers(0, 256, size=(h, w, c))),
+        st.integers(1, 12), st.integers(1, 12), st.integers(1, 5),
+        st.integers(0, 2 ** 32 - 1)),
+    st.builds(lambda h, w, c, seed: _smooth_plane(seed, h, w, c),
+              st.integers(2, 12), st.integers(2, 12), st.integers(1, 5),
+              st.integers(0, 2 ** 32 - 1)))
+
+
+class TestReferenceEquivalence:
+    """The vectorised coder against the per-coefficient reference."""
+
+    @given(_planes, st.integers(1, 100))
+    def test_encode_matches_reference(self, p, quality):
+        assert encode(p, quality) == reference.encode(p, quality)
+
+    def test_encode_matches_reference_at_every_quality(self):
+        # 13 x 11 tiles of 3 channels: a 26 x 22 plane, padded in both axes
+        planes = [_smooth_plane(seed=9, h=13, w=11, c=3),
+                  _plane_from_symbols(np.random.default_rng(9)
+                                      .integers(0, 256, size=(13, 11, 3)))]
+        for q in range(1, 101):
+            for p in planes:
+                assert encode(p, q) == reference.encode(p, q)
+
+    @given(_planes, st.integers(1, 100))
+    def test_encode_to_target_matches_reference_sizes(self, p, quality):
+        target = len(reference.encode(p, quality))
+        data, q = encode_to_target(p, target)
+        assert data == reference.encode(p, q)
+        assert q >= quality
+
+    @settings(max_examples=10)
+    @given(_planes, st.integers(1, 100))
+    def test_decoders_agree_on_every_truncation(self, p, quality):
+        data = encode(p, quality)
+        for end in range(len(data) + 1):
+            cut = data[:end]
+            assert (_outcome(decode_prefix, cut)
+                    == _outcome(reference.decode_prefix, cut))
+            # strict decode rejects a short body before parsing it, with
+            # its own message
+            assert (_outcome(decode, cut, messages=False)
+                    == _outcome(reference.decode, cut, messages=False))
+
+    @settings(max_examples=200)
+    @given(_planes, st.integers(1, 100), st.data())
+    def test_decoders_agree_on_single_byte_body_mutations(self, p, quality, data):
+        stream = bytearray(encode(p, quality))
+        pos = data.draw(st.integers(FTCB_HEADER.size, len(stream) - 1))
+        stream[pos] = data.draw(st.integers(0, 255))
+        stream = bytes(stream)
+        for new, ref in ((decode, reference.decode),
+                         (decode_prefix, reference.decode_prefix)):
+            got = _outcome(new, stream)
+            assert got == _outcome(_bounded(ref), stream)
+            if not isinstance(got[0], type):
+                # a stream within the bounds decodes as the unbounded
+                # reference decodes it
+                assert got == _outcome(ref, stream)
+
+
+class TestFuzz:
+    @given(_planes, st.integers(1, 100),
+           st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
+                    min_size=1, max_size=8),
+           st.integers(0, 10 ** 6))
+    def test_mutated_streams_raise_only_codec_errors(self, p, quality, edits, keep):
+        stream = bytearray(encode(p, quality))
+        body = len(stream) - FTCB_HEADER.size
+        for pos, value in edits:
+            stream[FTCB_HEADER.size + pos % body] = value
+        for data in (bytes(stream), bytes(stream[:FTCB_HEADER.size + keep % body])):
+            for fn in (decode, decode_prefix):
+                try:
+                    fn(data)
+                except CodecError:
+                    pass
+
+    @given(st.binary(max_size=300))
+    def test_random_bodies_raise_only_codec_errors(self, body):
+        header = FTCB_HEADER.pack(b"FTCB", 1, 50, 16, 16, 1, 1, 16, 16, 1, 256)
+        for fn in (decode, decode_prefix):
+            try:
+                fn(header + body)
+            except CodecError:
+                pass

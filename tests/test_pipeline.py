@@ -221,6 +221,14 @@ class TestCorpusStats:
         assert small is not corpus_stats(model, "stage2", 64)
         assert small.sample_count == 8
 
+    def test_keyed_by_whole_model_config(self, model):
+        from splitstream import SplitModel, StubModelConfig
+        small_input = SplitModel(StubModelConfig(seed=model.config.seed, input_size=32))
+        stats = corpus_stats(small_input, "stage2", 4)
+        assert stats is not corpus_stats(model, "stage2", 4)
+        want = small_input.forward_client(small_input.generate_input(0), "stage2")
+        assert stats.per_neuron_mean.shape == want.data.shape == (8, 8, 32)
+
 
 class TestMeasureProfiles:
     def test_needs_twenty_frames(self, model):

@@ -32,13 +32,11 @@ from .protocol import (DEFAULT_MSS, FLAG_END_OF_TENSOR, WIRE_HEADER,
 from .rng import Xorshift64Star, bulk_u64, bulk_uniform, derive
 from .quantizer import (QuantizedTensor, QuantizerSpec, bits_per_element,
                         compression_ratio, dequantize, quantize, sweep)
-from .strategy import (HysteresisSelector, NetworkConditions, StrategyProfile,
-                       best_strategy, crossover_bandwidth, latency_regions,
-                       total_latency)
+from .strategy import (NetworkConditions, StrategyProfile, best_strategy,
+                       crossover_bandwidth, latency_regions, total_latency)
 from .tensor import (FTSR_HEADER, FTSR_MAGIC, DistortionReport, FeatureTensor,
                      TensorStats, collect_stats, empirical_entropy, mse, psnr,
                      read_tensor, write_tensor)
-from .tiling import (TiledPlane, TileLayout, channel_distance, detile,
-                     layout_for, tile, write_pgm)
+from .tiling import TiledPlane, TileLayout, detile, layout_for, tile, write_pgm
 
 __version__ = "0.1.0"

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import CodecError, decode, encode, encode_to_target
+from .codec import (CodecError, decode, encode, encode_to_target,
+                    rate_fidelity_curve)
 from .concealment import STRATEGIES, loss_sweep
 from .model import SplitModel, StubModelConfig
 from .motion import estimate_global_translation, predict, scale_to_tensor
@@ -30,7 +31,6 @@ from .quantizer import QuantizerSpec, dequantize, quantize, sweep
 from .strategy import StrategyProfile, latency_regions
 from .tensor import TensorStats, mse, psnr, read_tensor, write_tensor
 from .tiling import detile, tile, write_pgm
-from .codec import rate_fidelity_curve
 
 __all__ = ["main"]
 

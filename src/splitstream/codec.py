@@ -49,7 +49,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tiling import TileLayout, TiledPlane
+from .quantizer import QuantizerSpec, dequantize, quantize
+from .tiling import TileLayout, TiledPlane, detile, tile
 
 __all__ = [
     "CodecError",
@@ -528,31 +529,26 @@ def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
 
     Each image runs the full compression path (256-level quantize, tile,
     encode, decode, detile, dequantize) before the server-side forward;
-    the transform half of encode runs once per image, for every quality.
+    the transform half of encode runs once per image, for every quality,
+    and one quality's images are decoded one at a time.
     """
-    from .quantizer import QuantizerSpec, dequantize, quantize
-    from .tiling import detile, tile
-
     spec = QuantizerSpec(levels=levels, clip_width=clip_width, mode="aggregate")
-    ids = list(image_ids)
-    tensors = [model.forward_client(model.generate_input(i), cut) for i in ids]
-    clean = [int(np.argmax(model.forward_server(t, cut))) for t in tensors]
+    tensors = model.corpus(image_ids, cut)
+    clean = model.argmaxes(tensors, cut)
     transformed = [_transform(tile(quantize(t, spec, stats))) for t in tensors]
 
     rows = []
     for q in qualities:
-        total = 0
-        match = 0
-        for coefs, c in zip(transformed, clean):
-            bits = _entropy(coefs, int(q))
-            total += len(bits)
-            t_hat = dequantize(detile(decode(bits), spec, stats.label), stats)
-            match += int(int(np.argmax(model.forward_server(t_hat, cut))) == c)
+        streams = [_entropy(coefs, int(q)) for coefs in transformed]
+        decoded = (
+            dequantize(detile(decode(bits), spec, stats.label), stats)
+            for bits in streams
+        )
         rows.append(
             {
                 "quality": int(q),
-                "mean_bytes": total / len(ids),
-                "agreement": match / len(ids),
+                "mean_bytes": sum(map(len, streams)) / len(tensors),
+                "agreement": model.matches(clean, decoded, cut) / len(tensors),
             }
         )
     return rows

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Xorshift64Star, bulk_uniform, derive
-from .tensor import FeatureTensor, TensorStats
+from .tensor import FeatureTensor, TensorStats, mse
 
 __all__ = [
     "LossMask",
@@ -153,11 +153,9 @@ def loss_sweep(model, image_ids, cut, kinds, rates, strategies,
     Masks are drawn per image from seeds derived off the sweep seed, so a
     given (kind, rate) pair sees identical damage under every strategy.
     """
-    from .tensor import mse as tensor_mse
-
     ids = list(image_ids)
-    tensors = [model.forward_client(model.generate_input(i), cut) for i in ids]
-    clean = [int(np.argmax(model.forward_server(t, cut))) for t in tensors]
+    tensors = model.corpus(ids, cut)
+    clean = model.argmaxes(tensors, cut)
     sides = [side_channel_means(t) for t in tensors]
 
     rows = []
@@ -169,21 +167,17 @@ def loss_sweep(model, image_ids, cut, kinds, rates, strategies,
             ]
             damaged = [apply_mask(t, m) for t, m in zip(tensors, masks)]
             for strategy in strategies:
-                match = 0
-                err = 0.0
-                for t, d, m, s, c in zip(tensors, damaged, masks, sides, clean):
-                    healed = conceal(d, m, strategy, stats=stats, side=s)
-                    err += tensor_mse(t, healed)
-                    match += int(
-                        int(np.argmax(model.forward_server(healed, cut))) == c
-                    )
+                healed = [
+                    conceal(d, m, strategy, stats=stats, side=s)
+                    for d, m, s in zip(damaged, masks, sides)
+                ]
                 rows.append(
                     {
                         "kind": kind,
                         "rate": float(rate),
                         "strategy": strategy,
-                        "agreement": match / len(ids),
-                        "mse": err / len(ids),
+                        "agreement": model.matches(clean, healed, cut) / len(ids),
+                        "mse": sum(map(mse, tensors, healed)) / len(ids),
                     }
                 )
     return rows

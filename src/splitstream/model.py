@@ -253,9 +253,6 @@ class SplitModel:
             c_in = c_out
         return cuts
 
-    def profile_cuts(self) -> list[CutPoint]:
-        return self.cut_points()
-
     def manifest(self) -> dict:
         """models.json-style description consumed by the pipeline and CLI."""
         cfg = self.config
@@ -302,17 +299,28 @@ class SplitModel:
 
     # ------------------------------------------------------------------ metrics
 
+    def corpus(self, image_ids, cut) -> list[FeatureTensor]:
+        """Cut tensors of the images, in id order: the one corpus every
+        sweep and the dataset statistics are computed over."""
+        tensors = [self.forward_client(self.generate_input(i), cut) for i in image_ids]
+        if not tensors:
+            raise ValueError("empty corpus")
+        return tensors
+
+    def argmaxes(self, tensors, cut) -> list[int]:
+        """Server-side argmax class of each cut tensor."""
+        return [int(np.argmax(self.forward_server(t, cut))) for t in tensors]
+
+    def matches(self, clean, degraded, cut) -> int:
+        """How many degraded cut tensors keep their clean argmax.
+
+        ``degraded`` may be a generator; it is consumed one tensor at a time.
+        """
+        return sum(c == d for c, d in zip(clean, self.argmaxes(degraded, cut)))
+
     def agreement(self, image_ids, cut, degrade=None) -> float:
         """Fraction of images whose argmax survives ``degrade`` applied to the
         cut tensor.  ``degrade=None`` is the identity (agreement 1.0)."""
-        ids = list(image_ids)
-        if not ids:
-            raise ValueError("empty corpus")
-        matches = 0
-        for i in ids:
-            t = self.forward_client(self.generate_input(i), cut)
-            clean = int(np.argmax(self.forward_server(t, cut)))
-            td = degrade(t) if degrade is not None else t
-            got = int(np.argmax(self.forward_server(td, cut)))
-            matches += int(clean == got)
-        return matches / len(ids)
+        tensors = self.corpus(image_ids, cut)
+        degraded = tensors if degrade is None else map(degrade, tensors)
+        return self.matches(self.argmaxes(tensors, cut), degraded, cut) / len(tensors)

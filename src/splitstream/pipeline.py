@@ -32,6 +32,7 @@ reproduces its report byte for byte.
 
 from __future__ import annotations
 
+import functools
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -52,7 +53,8 @@ from .protocol import (FLAG_END_OF_TENSOR, BandwidthEstimator, Confirmation,
 from .quantizer import QuantizerSpec, dequantize, quantize
 from .strategy import StrategyProfile
 from .tensor import TensorStats, collect_stats
-from .tiling import TileLayout, TiledPlane, detile, layout_for, tile
+from .tiling import (TileLayout, TiledPlane, channel_tiles, detile,
+                     layout_for, tile)
 
 __all__ = [
     "LinkScenario",
@@ -127,22 +129,9 @@ def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     """Dataset statistics at a cut, shared by client and server."""
     key = (model.config, cut, n_images)
     if key not in _STATS_CACHE:
-        tensors = [
-            model.forward_client(model.generate_input(i), cut)
-            for i in range(n_images)
-        ]
-        _STATS_CACHE[key] = collect_stats(tensors, label=f"{cut}-{n_images}")
+        _STATS_CACHE[key] = collect_stats(
+            model.corpus(range(n_images), cut), label=f"{cut}-{n_images}")
     return _STATS_CACHE[key]
-
-
-def _detile_mask(plane_mask: np.ndarray, layout: TileLayout) -> np.ndarray:
-    """Map a plane-domain boolean mask back to tensor elements."""
-    h, w = layout.tile_h, layout.tile_w
-    out = np.zeros((h, w, layout.channels), dtype=bool)
-    for ch in range(layout.channels):
-        r, col = divmod(ch, layout.grid_cols)
-        out[:, :, ch] = plane_mask[r * h:(r + 1) * h, col * w:(col + 1) * w]
-    return out
 
 
 def _confirm_message(conf: Confirmation) -> WireMessage:
@@ -170,7 +159,7 @@ class _Client:
         self.stats = stats
         self.uplink = uplink
         self.spec = QuantizerSpec(cfg.levels, cfg.clip_width, cfg.quant_mode)
-        self.est = BandwidthEstimator(rtt_us=cfg.link.rtt_us, mss=cfg.mss)
+        self.est = BandwidthEstimator(rtt_us=cfg.link.rtt_us)
         self.buffer = SendBuffer()
         self.ready = False
         self.failed: str | None = None
@@ -355,7 +344,7 @@ class _Server:
         self.session: dict | None = None
         self.spec: QuantizerSpec | None = None
         self.layout: TileLayout | None = None
-        self.est = BandwidthEstimator(rtt_us=cfg.link.rtt_us, mss=cfg.mss)
+        self.est = BandwidthEstimator(rtt_us=cfg.link.rtt_us)
         self.assemblers: dict[int, FrameAssembler] = {}
         self.last_arrival: dict[int, int] = {}
         self.processed: set[int] = set()
@@ -429,7 +418,7 @@ class _Server:
         plane, mask_plane = self._decode_with_gaps(data, gaps)
         t_hat = dequantize(detile(plane, self.spec), self.stats)
         if mask_plane.any():
-            elem_mask = _detile_mask(mask_plane, plane.layout)
+            elem_mask = channel_tiles(mask_plane, plane.layout)
             mask = LossMask(elem_mask, "by_element", float(elem_mask.mean()))
             t_final = conceal(apply_mask(t_hat, mask), mask, self.cfg.conceal,
                               stats=self.stats, side=self.side_store.get(fid))
@@ -577,58 +566,42 @@ def measure_profiles(model: SplitModel | None = None, frames: int = 20,
     inputs = [model.generate_input(i) for i in range(frames)]
     med = statistics.median
 
-    profiles = []
+    def timed(samples: list, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        samples.append(time.perf_counter() - t0)
+        return out
 
     t_full = []
     for x in inputs:
-        t0 = time.perf_counter()
-        model.predict(x)
-        t_full.append(time.perf_counter() - t0)
-    profiles.append(StrategyProfile(
+        timed(t_full, model.predict, x)
+    profiles = [StrategyProfile(
         name="client_only", kind="client_only", client_infer_s=med(t_full),
-    ))
+    )]
 
-    # server_only ships the raw input through the same compression path
-    input_stats = collect_stats(inputs, label="inputs")
-    enc_t, dec_t, inf_t, sizes = [], [], [], []
-    for x in inputs:
-        t0 = time.perf_counter()
-        bits = encode(tile(quantize(x, spec, input_stats)), quality)
-        enc_t.append(time.perf_counter() - t0)
-        sizes.append(len(bits))
-        t0 = time.perf_counter()
-        x_hat = dequantize(detile(decode(bits), spec), input_stats)
-        dec_t.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        model.predict(x_hat)
-        inf_t.append(time.perf_counter() - t0)
-    profiles.append(StrategyProfile(
-        name="server_only", kind="server_only",
-        client_encode_s=med(enc_t), server_decode_s=med(dec_t),
-        server_infer_s=med(inf_t), payload_bytes=float(med(sizes)),
-    ))
-
-    for cut in model.cut_points():
-        stats = corpus_stats(model, cut.name, 64)
+    # server_only ships the raw input through the same compression path as
+    # a split cut ships its tensor, with no client-side stages before it
+    for cut in [None] + [c.name for c in model.cut_points()]:
+        if cut is None:
+            stats = collect_stats(inputs, label="inputs")
+            infer = model.predict
+        else:
+            stats = corpus_stats(model, cut, 64)
+            infer = functools.partial(model.forward_server, cut=cut)
         cli_t, enc_t, dec_t, inf_t, sizes = [], [], [], [], []
         for x in inputs:
-            t0 = time.perf_counter()
-            t = model.forward_client(x, cut.name)
-            cli_t.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            bits = encode(tile(quantize(t, spec, stats)), quality)
-            enc_t.append(time.perf_counter() - t0)
+            t = x if cut is None else timed(cli_t, model.forward_client, x, cut)
+            bits = timed(enc_t, lambda: encode(tile(quantize(t, spec, stats)),
+                                               quality))
             sizes.append(len(bits))
-            t0 = time.perf_counter()
-            t_hat = dequantize(detile(decode(bits), spec), stats)
-            dec_t.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            model.forward_server(t_hat, cut.name)
-            inf_t.append(time.perf_counter() - t0)
+            t_hat = timed(dec_t, lambda: dequantize(detile(decode(bits), spec),
+                                                    stats))
+            timed(inf_t, infer, t_hat)
         profiles.append(StrategyProfile(
-            name=f"split_{cut.name}", kind="split", cut=cut.name,
-            client_infer_s=med(cli_t), client_encode_s=med(enc_t),
-            server_decode_s=med(dec_t), server_infer_s=med(inf_t),
-            payload_bytes=float(med(sizes)),
+            name="server_only" if cut is None else f"split_{cut}",
+            kind="server_only" if cut is None else "split", cut=cut or "",
+            client_infer_s=med(cli_t) if cli_t else 0.0,
+            client_encode_s=med(enc_t), server_decode_s=med(dec_t),
+            server_infer_s=med(inf_t), payload_bytes=float(med(sizes)),
         ))
     return profiles

@@ -290,11 +290,10 @@ class BandwidthEstimator:
     LOSS_ALPHA = 0.1
     PRESUME_AFTER_RTTS = 2
 
-    def __init__(self, rtt_us: int, mss: int = DEFAULT_MSS):
+    def __init__(self, rtt_us: int):
         if rtt_us < 0:
             raise ValueError("rtt must be non-negative")
         self.rtt_us = rtt_us
-        self.mss = mss
         self.loss_ewma = 1.0
         self.bytes_sent = 0
         self.bytes_confirmed = 0

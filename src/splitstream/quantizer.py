@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .tensor import FeatureTensor, TensorStats
+from .tensor import FeatureTensor, TensorStats, mse
 
 __all__ = [
     "QuantizerSpec",
@@ -143,27 +143,19 @@ def sweep(model, image_ids, cut, level_list, width_list, stats: TensorStats,
 
     Returns one row dict per cell: levels, clip_width, agreement, mse.
     """
-    from .tensor import mse as tensor_mse
-
-    ids = list(image_ids)
-    tensors = [model.forward_client(model.generate_input(i), cut) for i in ids]
-    clean = [int(np.argmax(model.forward_server(t, cut))) for t in tensors]
+    tensors = model.corpus(image_ids, cut)
+    clean = model.argmaxes(tensors, cut)
     rows = []
     for n in level_list:
         for w in width_list:
             spec = QuantizerSpec(levels=int(n), clip_width=float(w), mode=mode)
-            match = 0
-            err = 0.0
-            for t, c in zip(tensors, clean):
-                t_hat = dequantize(quantize(t, spec, stats), stats)
-                err += tensor_mse(t, t_hat)
-                match += int(int(np.argmax(model.forward_server(t_hat, cut))) == c)
+            t_hats = [dequantize(quantize(t, spec, stats), stats) for t in tensors]
             rows.append(
                 {
                     "levels": int(n),
                     "clip_width": float(w),
-                    "agreement": match / len(ids),
-                    "mse": err / len(ids),
+                    "agreement": model.matches(clean, t_hats, cut) / len(tensors),
+                    "mse": sum(map(mse, tensors, t_hats)) / len(tensors),
                 }
             )
     return rows

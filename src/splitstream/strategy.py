@@ -9,8 +9,7 @@ trip RTT is
 
 With several strategies profiled, each bandwidth regime has a latency-
 minimal choice, and adjacent regimes meet at the closed-form crossover
-B* = (D2 - D1) / (b1 - b2).  ``HysteresisSelector`` adds switching
-friction so a live system doesn't flap between near-equal strategies.
+B* = (D2 - D1) / (b1 - b2).
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "best_strategy",
     "crossover_bandwidth",
     "latency_regions",
-    "HysteresisSelector",
 ]
 
 
@@ -135,49 +133,3 @@ def latency_regions(profiles, bandwidths, rtt_s: float = 0.0) -> list[dict]:
             }
         )
     return rows
-
-
-class HysteresisSelector:
-    """Sticky strategy switching.
-
-    A challenger must beat the current choice by a relative margin on M
-    consecutive calls before the switch happens; any call where it fails
-    to, or where a different challenger wins, resets the count.
-    """
-
-    def __init__(self, current: StrategyProfile, margin: float = 0.1,
-                 dwell_calls: int = 3):
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
-        if dwell_calls < 1:
-            raise ValueError("dwell must be >= 1")
-        self.current = current
-        self.margin = margin
-        self.dwell_calls = dwell_calls
-        self._challenger: StrategyProfile | None = None
-        self._streak = 0
-
-    def select(self, profiles, net: NetworkConditions) -> StrategyProfile:
-        best = best_strategy(profiles, net)
-        if best.name == self.current.name:
-            self._challenger = None
-            self._streak = 0
-            return self.current
-        current_latency = total_latency(self.current, net)
-        beats = total_latency(best, net) <= current_latency * (1.0 - self.margin)
-        if math.isinf(current_latency):
-            beats = total_latency(best, net) < current_latency
-        if not beats:
-            self._challenger = None
-            self._streak = 0
-            return self.current
-        if self._challenger is not None and self._challenger.name == best.name:
-            self._streak += 1
-        else:
-            self._challenger = best
-            self._streak = 1
-        if self._streak >= self.dwell_calls:
-            self.current = best
-            self._challenger = None
-            self._streak = 0
-        return self.current

@@ -4,11 +4,10 @@ A C-channel tensor becomes a near-square grid of H x W tiles, channel c at
 grid position (c // cols, c % cols), so standard image tooling (and the
 block codec) can treat the whole tensor as one grayscale picture.  Grid
 cells past the last channel are padding, filled with the mid symbol and
-ignored on the way back.
-
-``channel_distance`` scores how similar two channels look after max-pool
-summarization, checking both polarities; it exists to support channel-
-ordering experiments and is not applied by default anywhere.
+ignored on the way back.  The channel <-> grid-slot mapping is one
+reshape and transpose (``_slot_view``) shared by ``tile``, ``detile`` and
+``channel_tiles``, which maps any plane-shaped array (say, a mask of
+undecoded pixels) onto tensor elements.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantizer import QuantizedTensor, QuantizerSpec
-from .tensor import FeatureTensor
 
 __all__ = [
     "TileLayout",
@@ -27,7 +25,7 @@ __all__ = [
     "layout_for",
     "tile",
     "detile",
-    "channel_distance",
+    "channel_tiles",
     "write_pgm",
 ]
 
@@ -83,84 +81,41 @@ def layout_for(height: int, width: int, channels: int) -> TileLayout:
     )
 
 
-def _check_order(order, channels: int) -> list[int]:
-    perm = [int(i) for i in order]
-    if sorted(perm) != list(range(channels)):
-        raise ValueError(f"order must be a permutation of 0..{channels - 1}")
-    return perm
+def _slot_view(plane: np.ndarray, layout: TileLayout) -> np.ndarray:
+    """tile_h x tile_w x grid_rows x grid_cols view of a plane-shaped array;
+    ``[:, :, r, c]`` is grid slot r * grid_cols + c, which holds that channel."""
+    return plane.reshape(
+        layout.grid_rows, layout.tile_h, layout.grid_cols, layout.tile_w
+    ).transpose(1, 3, 0, 2)
 
 
-def tile(q: QuantizedTensor, order=None) -> TiledPlane:
-    """Lay channels out on the plane; padding tiles get the mid symbol.
+def channel_tiles(plane: np.ndarray, layout: TileLayout) -> np.ndarray:
+    """H x W x C array of the channel tiles of a plane-shaped array of any
+    dtype; padding slots are left out."""
+    h, w = layout.tile_h, layout.tile_w
+    return _slot_view(plane, layout).reshape(h, w, -1)[:, :, : layout.channels]
 
-    ``order``, when given, is a permutation: grid slot i receives channel
-    order[i] (so similar channels can be placed adjacently).  Pass the same
-    permutation to ``detile`` to get the original channel order back.
-    """
+
+def tile(q: QuantizedTensor) -> TiledPlane:
+    """Lay channels out on the plane; padding tiles get the mid symbol."""
     h, w, c = q.shape
     layout = layout_for(h, w, c)
-    perm = list(range(c)) if order is None else _check_order(order, c)
-    plane = np.full(
-        (layout.plane_h, layout.plane_w), q.spec.levels // 2, dtype=np.uint8
+    slots = np.full(
+        (h, w, layout.grid_rows * layout.grid_cols), q.spec.levels // 2,
+        dtype=np.uint8,
     )
-    for slot, ch in enumerate(perm):
-        r, col = divmod(slot, layout.grid_cols)
-        plane[r * h:(r + 1) * h, col * w:(col + 1) * w] = q.symbols[:, :, ch]
+    slots[:, :, :c] = q.symbols
+    plane = np.empty((layout.plane_h, layout.plane_w), dtype=np.uint8)
+    _slot_view(plane, layout)[...] = slots.reshape(
+        h, w, layout.grid_rows, layout.grid_cols)
     return TiledPlane(plane, layout, q.spec.levels)
 
 
-def detile(
-    p: TiledPlane, spec: QuantizerSpec, stats_ref: str = "", order=None
-) -> QuantizedTensor:
+def detile(p: TiledPlane, spec: QuantizerSpec, stats_ref: str = "") -> QuantizedTensor:
     """Inverse of ``tile``; the quantizer spec restores symbol semantics."""
     if spec.levels != p.levels:
         raise ValueError(f"plane carries {p.levels} levels, spec says {spec.levels}")
-    layout = p.layout
-    h, w = layout.tile_h, layout.tile_w
-    perm = (
-        list(range(layout.channels))
-        if order is None
-        else _check_order(order, layout.channels)
-    )
-    symbols = np.empty((h, w, layout.channels), dtype=np.uint8)
-    for slot, ch in enumerate(perm):
-        r, col = divmod(slot, layout.grid_cols)
-        symbols[:, :, ch] = p.bytes[r * h:(r + 1) * h, col * w:(col + 1) * w]
-    return QuantizedTensor(symbols, spec, stats_ref)
-
-
-def _maxpool(x: np.ndarray, stride: int) -> np.ndarray:
-    """Non-overlapping max pool; ragged edges are padded with -inf."""
-    h, w = x.shape
-    ph = -(-h // stride) * stride
-    pw = -(-w // stride) * stride
-    padded = np.full((ph, pw), -np.inf)
-    padded[:h, :w] = x
-    return padded.reshape(ph // stride, stride, pw // stride, stride).max(axis=(1, 3))
-
-
-def _normalized_channel(t: FeatureTensor, c: int) -> np.ndarray:
-    ch = t.data[:, :, c].astype(np.float64)
-    std = ch.std()
-    if std == 0.0:
-        return np.zeros_like(ch)
-    return (ch - ch.mean()) / std
-
-
-def channel_distance(t: FeatureTensor, c: int, c2: int, pool_stride: int = 2) -> float:
-    """Polarity-insensitive L2 distance between max-pooled, normalized
-    channel maps."""
-    if not (0 <= c < t.channels and 0 <= c2 < t.channels):
-        raise ValueError("channel index out of range")
-    if pool_stride < 1:
-        raise ValueError("pool stride must be >= 1")
-    a = _normalized_channel(t, c)
-    b = _normalized_channel(t, c2)
-    # Pooling does not commute with negation, so the sign flip must be tried
-    # on either channel (and both) for the distance to come out symmetric.
-    pa = (_maxpool(a, pool_stride), _maxpool(-a, pool_stride))
-    pb = (_maxpool(b, pool_stride), _maxpool(-b, pool_stride))
-    return min(float(np.linalg.norm(x - y)) for x in pa for y in pb)
+    return QuantizedTensor(channel_tiles(p.bytes, p.layout), spec, stats_ref)
 
 
 def write_pgm(p: TiledPlane, path) -> None:

@@ -198,6 +198,13 @@ class TestLossSweep:
             if row["rate"] == 0.0:
                 assert row["agreement"] == 1.0
                 assert row["mse"] == 0.0
+        # exact rows, so a refactor of the sweep loop cannot move a value
+        assert rows[2:] == [
+            {"kind": "by_element", "rate": 0.4, "strategy": "zero",
+             "agreement": 0.5, "mse": 0.16298531922567214},
+            {"kind": "by_element", "rate": 0.4, "strategy": "dataset_mean",
+             "agreement": 0.75, "mse": 0.10924447233003247},
+        ]
 
     def test_deterministic(self, model, corpus_at):
         _, stats = corpus_at("stage2", 32)

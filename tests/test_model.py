@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from splitstream import (CLASS_NAMES, EQUIVARIANCE_BORDER, FeatureTensor,
-                         SplitModel, StubModelConfig)
+                         SplitModel, StubModelConfig, loss_sweep,
+                         rate_fidelity_curve, sweep)
 
 
 def test_class_names_and_border():
@@ -20,7 +21,6 @@ def test_cut_geometry(model):
     macs = [c.cumulative_macs for c in cuts]
     assert macs[0] < macs[1] < macs[2]
     assert macs[0] == 64 * 64 * 9 * 3 * 16
-    assert model.profile_cuts() == cuts
 
 
 def test_forward_shapes(model):
@@ -128,12 +128,27 @@ def test_agreement_identity_and_zeroing(model):
     def wipe(t):
         return FeatureTensor(np.zeros_like(t.data))
 
-    assert model.agreement(ids, "stage2", degrade=wipe) == expected
+    assert model.agreement(ids, "stage2", degrade=wipe) == expected == 0.25
+
+    def drop_half(t):
+        d = np.array(t.data)
+        d[:, :, :16] = 0.0
+        return FeatureTensor(d)
+
+    # exact value, so a refactor of the agreement loop cannot move it
+    assert model.agreement(ids, "stage2", degrade=drop_half) == 4 / 12
 
 
 def test_agreement_empty_corpus(model):
     with pytest.raises(ValueError):
         model.agreement([], "stage2")
+    # the sweeps build their corpus the same way, so they reject it alike
+    with pytest.raises(ValueError, match="empty corpus"):
+        sweep(model, [], "stage2", [4], [2.0], None)
+    with pytest.raises(ValueError, match="empty corpus"):
+        loss_sweep(model, [], "stage2", ["by_element"], [0.1], ["zero"], None, 0)
+    with pytest.raises(ValueError, match="empty corpus"):
+        rate_fidelity_curve(model, [], "stage2", [50], None)
 
 
 def test_calibration_contract(model):

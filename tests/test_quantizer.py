@@ -202,3 +202,14 @@ def test_sweep_grid(model, corpus_at):
     # finer quantization should not hurt reconstruction at fixed width
     by_cell = {(r["levels"], r["clip_width"]): r["mse"] for r in rows}
     assert by_cell[(16, 3.0)] <= by_cell[(4, 3.0)]
+    # exact rows, so a refactor of the sweep loop cannot move a value
+    assert rows == [
+        {"levels": 4, "clip_width": 2.0, "agreement": 0.6666666666666666,
+         "mse": 0.04893678652241502},
+        {"levels": 4, "clip_width": 3.0, "agreement": 0.5,
+         "mse": 0.04184275771231664},
+        {"levels": 16, "clip_width": 2.0, "agreement": 1.0,
+         "mse": 0.026446834508209897},
+        {"levels": 16, "clip_width": 3.0, "agreement": 1.0,
+         "mse": 0.008936600294365793},
+    ]

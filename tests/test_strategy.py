@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from splitstream import (HysteresisSelector, NetworkConditions,
-                         StrategyProfile, best_strategy, crossover_bandwidth,
-                         latency_regions, total_latency)
+from splitstream import (NetworkConditions, StrategyProfile, best_strategy,
+                         crossover_bandwidth, latency_regions, total_latency)
 
 CLIENT = StrategyProfile(name="client", kind="client_only", client_infer_s=0.30)
 SPLIT = StrategyProfile(name="split2", kind="split", client_infer_s=0.04,
@@ -166,76 +165,3 @@ class TestLatencyRegions:
         assert rows[0]["latency"] == total_latency(
             best_strategy([CLIENT, SPLIT], _net(1e6, rtt=0.01)),
             _net(1e6, rtt=0.01))
-
-
-class TestHysteresis:
-    def _client(self, infer=0.2):
-        return StrategyProfile(name="client", kind="client_only",
-                               client_infer_s=infer)
-
-    def _split(self, b=0.1, d=1e6):
-        return StrategyProfile(name="split", kind="split", client_infer_s=b,
-                               payload_bytes=d)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="margin"):
-            HysteresisSelector(CLIENT, margin=-0.1)
-        with pytest.raises(ValueError, match="dwell"):
-            HysteresisSelector(CLIENT, dwell_calls=0)
-
-    def test_switches_on_dwell_boundary(self):
-        client, split = self._client(), self._split()
-        sel = HysteresisSelector(client, margin=0.1, dwell_calls=3)
-        fast = _net(1e9)  # split latency ~0.101, beats 0.2 by far
-        picks = [sel.select([client, split], fast).name for _ in range(4)]
-        assert picks == ["client", "client", "split", "split"]
-
-    def test_margin_is_inclusive(self):
-        client, split = self._client(0.2), self._split(b=0.1, d=1e6)
-        sel = HysteresisSelector(client, margin=0.1, dwell_calls=2)
-        at_margin = _net(1.25e7)  # split exactly 0.18 = 0.2 * (1 - margin)
-        picks = [sel.select([client, split], at_margin).name for _ in range(2)]
-        assert picks == ["client", "split"]
-
-    def test_small_improvements_never_switch(self):
-        client, split = self._client(0.2), self._split(b=0.1, d=1e6)
-        sel = HysteresisSelector(client, margin=0.1, dwell_calls=2)
-        near = _net(1e7)  # split 0.19, inside the 10% band
-        for _ in range(6):
-            assert sel.select([client, split], near).name == "client"
-
-    def test_alternating_conditions_reset_streak(self):
-        client, split = self._client(), self._split()
-        sel = HysteresisSelector(client, margin=0.1, dwell_calls=2)
-        good, bad = _net(1e9), _net(1e4)
-        for i in range(8):
-            picked = sel.select([client, split], good if i % 2 == 0 else bad)
-            assert picked.name == "client"
-
-    def test_challenger_change_resets_streak(self):
-        client = self._client(0.5)
-        s1 = StrategyProfile(name="s1", kind="split", client_infer_s=0.1,
-                             payload_bytes=1e6)
-        s2 = StrategyProfile(name="s2", kind="split", client_infer_s=0.05,
-                             payload_bytes=1e8)
-        sel = HysteresisSelector(client, margin=0.1, dwell_calls=3)
-        favors_s1 = _net(1e7)   # s1: 0.2, s2: 10.05
-        favors_s2 = _net(1e10)  # s2: 0.06, s1: ~0.1001
-        seq = [favors_s1, favors_s2, favors_s1, favors_s1, favors_s1]
-        picks = [sel.select([client, s1, s2], net).name for net in seq]
-        assert picks == ["client", "client", "client", "client", "s1"]
-
-    def test_unreachable_current_replaced_immediately(self):
-        stranded = self._split()
-        client = self._client()
-        sel = HysteresisSelector(stranded, margin=0.1, dwell_calls=1)
-        assert sel.select([stranded, client], _net(0.0)).name == "client"
-
-    def test_settles_after_switch(self):
-        client, split = self._client(), self._split()
-        sel = HysteresisSelector(client, margin=0.1, dwell_calls=2)
-        fast = _net(1e9)
-        for _ in range(5):
-            last = sel.select([client, split], fast).name
-        assert last == "split"
-        assert sel.current.name == "split"

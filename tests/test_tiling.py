@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from splitstream import (FeatureTensor, QuantizedTensor, QuantizerSpec,
-                         TiledPlane, TileLayout, channel_distance, detile,
-                         layout_for, tile, write_pgm)
+from splitstream import (QuantizedTensor, QuantizerSpec, TiledPlane,
+                         TileLayout, detile, layout_for, tile, write_pgm)
+from splitstream.tiling import channel_tiles
 
 
 def _q(symbols, levels=256):
@@ -75,6 +75,15 @@ class TestPlacement:
         q = _random_q(rng, h, w, c)
         back = detile(tile(q), QuantizerSpec(levels=256, clip_width=3.0))
         assert np.array_equal(back.symbols, q.symbols)
+        # a boolean plane (padding slots included) maps onto tensor
+        # elements exactly as detile maps the same plane's bytes
+        lay = layout_for(h, w, c)
+        plane = rng.integers(0, 2, size=(lay.plane_h, lay.plane_w)).astype(bool)
+        as_bytes = detile(TiledPlane(plane.astype(np.uint8), lay, 256),
+                          QuantizerSpec(levels=256, clip_width=3.0))
+        mask = channel_tiles(plane, lay)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, as_bytes.symbols.astype(bool))
 
     def test_padding_bytes_ignored_on_detile(self):
         rng = np.random.default_rng(3)
@@ -90,85 +99,6 @@ class TestPlacement:
         q = _q(np.zeros((2, 2, 1), dtype=np.uint8), levels=16)
         with pytest.raises(ValueError, match="levels"):
             detile(tile(q), QuantizerSpec(levels=32, clip_width=3.0))
-
-
-class TestPermutation:
-    def test_permuted_round_trip(self):
-        rng = np.random.default_rng(4)
-        q = _random_q(rng, 3, 3, 6)
-        order = [5, 3, 1, 0, 2, 4]
-        p = tile(q, order=order)
-        spec = QuantizerSpec(levels=256, clip_width=3.0)
-        assert np.array_equal(detile(p, spec, order=order).symbols, q.symbols)
-        # slot 0 carries channel 5
-        assert np.array_equal(p.bytes[0:3, 0:3], q.symbols[:, :, 5])
-        # dropping the permutation on the way back shuffles channels
-        assert not np.array_equal(detile(p, spec).symbols, q.symbols)
-
-    def test_default_is_identity_order(self):
-        rng = np.random.default_rng(5)
-        q = _random_q(rng, 2, 2, 4)
-        assert np.array_equal(
-            tile(q).bytes, tile(q, order=[0, 1, 2, 3]).bytes)
-
-    def test_invalid_permutations_rejected(self):
-        q = _q(np.zeros((2, 2, 3), dtype=np.uint8))
-        for bad in ([0, 1], [0, 1, 1], [0, 1, 3]):
-            with pytest.raises(ValueError, match="permutation"):
-                tile(q, order=bad)
-        with pytest.raises(ValueError, match="permutation"):
-            detile(tile(q), QuantizerSpec(levels=256, clip_width=3.0),
-                   order=[2, 1])
-
-
-class TestChannelDistance:
-    def _tensor(self, seed=6, shape=(8, 8, 4)):
-        rng = np.random.default_rng(seed)
-        return FeatureTensor(rng.normal(size=shape).astype(np.float32))
-
-    def test_self_distance_zero(self):
-        t = self._tensor()
-        assert channel_distance(t, 2, 2) == 0.0
-
-    def test_polarity_insensitive(self):
-        base = np.random.default_rng(7).normal(size=(8, 8, 1))
-        data = np.concatenate([base, -base], axis=2).astype(np.float32)
-        t = FeatureTensor(data)
-        assert channel_distance(t, 0, 1) == pytest.approx(0.0, abs=1e-6)
-
-    def test_symmetric(self):
-        t = self._tensor()
-        assert channel_distance(t, 0, 3) == pytest.approx(
-            channel_distance(t, 3, 0), rel=1e-12)
-
-    def test_matches_direct_loop(self):
-        t = self._tensor(seed=8, shape=(6, 6, 3))
-        stride = 2
-
-        def norm(c):
-            ch = t.data[:, :, c].astype(np.float64)
-            return (ch - ch.mean()) / ch.std()
-
-        def pool(x):
-            h, w = x.shape
-            out = np.empty((h // stride, w // stride))
-            for i in range(0, h, stride):
-                for j in range(0, w, stride):
-                    out[i // stride, j // stride] = x[i:i + stride, j:j + stride].max()
-            return out
-
-        pa = [pool(norm(0)), pool(-norm(0))]
-        pb = [pool(norm(1)), pool(-norm(1))]
-        want = min(np.linalg.norm(x - y) for x in pa for y in pb)
-        assert channel_distance(t, 0, 1, pool_stride=stride) == pytest.approx(
-            want, rel=1e-5)
-
-    def test_validation(self):
-        t = self._tensor()
-        with pytest.raises(ValueError):
-            channel_distance(t, 0, 9)
-        with pytest.raises(ValueError):
-            channel_distance(t, 0, 1, pool_stride=0)
 
 
 def test_write_pgm(tmp_path):

@@ -39,7 +39,8 @@ Decoding finds the field of every body byte (DC value, run byte or END,
 AC value) with a parallel prefix scan over per-byte state transitions,
 then reads values, block boundaries and AC positions from those fields
 with array operations.  It rejects any symbol beyond what an 8-bit plane
-can produce (see ``_MAX_SYMBOL``) and raises only ``CodecError``.
+can produce (see ``_MAX_SYMBOL``), any plane above ``_MAX_PLANE_PIXELS``
+before allocating it, and raises only ``CodecError``.
 """
 
 from __future__ import annotations
@@ -153,6 +154,14 @@ _LEB128_LIMITS = [1 << (7 * k - 1) for k in range(1, 10)]
 _MAX_SYMBOL = 1024
 _MAX_DC_DELTA = 2 * _MAX_SYMBOL
 
+# Largest plane, in pixels, that a stream may declare (1024 x 1024, 64
+# times the default model's largest cut plane).  It is checked before
+# anything is allocated, because ``decode_prefix`` builds the whole plane
+# whatever the body holds: without a bound, 22 mutated header bytes could
+# ask for a 65535 x 65535 plane (about 34 GB of coefficients).  The encoder
+# refuses the same planes, so every stream it writes decodes.
+_MAX_PLANE_PIXELS = 1 << 20
+
 # Fields a body byte can belong to.  After a DC value comes a run byte or
 # END, after a run byte a value, after a value a run byte or END, after END
 # the next DC; LEB128 bytes with the high bit set continue their field.
@@ -243,6 +252,7 @@ class _Transformed(NamedTuple):
 
 def _transform(p: TiledPlane) -> _Transformed:
     """Pad, level-shift, DCT and snap; shared by every quality."""
+    _check_plane_size(p.layout.plane_w, p.layout.plane_h)
     blocks = _blocks_of(_pad_plane(p.bytes)).astype(np.float64) - 128.0
     coefs = _DCT_M @ blocks @ _DCT_M.T
     coefs = np.rint(coefs * _COEF_SNAP) / _COEF_SNAP
@@ -341,6 +351,12 @@ def _entropy(t: _Transformed, quality: int) -> bytes:
 
 def encode(p: TiledPlane, quality: int) -> bytes:
     return _entropy(_transform(p), quality)
+
+
+def _check_plane_size(plane_w: int, plane_h: int) -> None:
+    if plane_w * plane_h > _MAX_PLANE_PIXELS:
+        raise CodecError(
+            f"plane {plane_w}x{plane_h} exceeds {_MAX_PLANE_PIXELS} pixels")
 
 
 def _parse_header(data: bytes):
@@ -458,6 +474,7 @@ def _decode(data: bytes, strict: bool) -> tuple[TiledPlane, int, int]:
         # every block takes at least a DC byte and its END
         raise TruncatedStreamError(
             f"{len(body)} body bytes cannot hold {n_blocks} blocks")
+    _check_plane_size(layout.plane_w, layout.plane_h)
     zz, done = _decode_blocks(body, n_blocks, strict)
     plane = _reconstruct(zz, quality_table(quality), layout.plane_h, layout.plane_w)
     return TiledPlane(plane, layout, levels), done, n_blocks

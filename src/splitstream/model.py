@@ -80,19 +80,37 @@ class CutPoint:
 def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Same-padded 3x3 convolution, zero fill, fixed tap accumulation order.
 
-    optimize=False keeps einsum on its internal C loop, whose per-element
-    reduction order does not depend on spatial position; that property is
-    what makes shifted windows bitwise-identical.
+    Every output element is computed in one order, whatever its position:
+    each tap is a float32 sum over input channels, taken in channel order
+    from zero with a rounded multiply and a rounded add per channel (no
+    fused multiply-add), and the nine taps are added one by one, in raster
+    order, into an accumulator that starts at zero.  That order is what
+    makes shifted windows bitwise-identical, and what every pinned
+    bitstream depends on.
+
+    The work is laid out channel-major so that each tap is one einsum over
+    rows of ``h * w`` contiguous pixels: ``cols[dx]`` holds the zero-padded
+    input shifted left by ``dx``, so tap (dy, dx) reads a row slice of it.
+    With optimize=False, einsum's C loop adds weight x row into each output
+    row, input channel after input channel, which is the order above.
+    BLAS paths (``np.matmul``, ``np.tensordot``, ``einsum(optimize=True)``)
+    split the channel sum into blocks and change the bits.
     """
-    h, wd = x.shape[:2]
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    out = np.zeros((h, wd, w.shape[3]), dtype=np.float32)
+    h, wd, c_in = x.shape
+    chw = x.transpose(2, 0, 1)
+    cols = np.zeros((3, c_in, h + 2, wd), dtype=np.float32)
+    cols[0, :, 1:-1, 1:] = chw[:, :, :-1]
+    cols[1, :, 1:-1] = chw
+    cols[2, :, 1:-1, :-1] = chw[:, :, 1:]
+    cols = cols.reshape(3, c_in, (h + 2) * wd)
+    out = np.zeros((w.shape[3], h * wd), dtype=np.float32)
     for dy in range(3):
         for dx in range(3):
             out += np.einsum(
-                "hwi,io->hwo", xp[dy:dy + h, dx:dx + wd], w[dy, dx], optimize=False
+                "io,ik->ok", w[dy, dx], cols[dx, :, dy * wd:(dy + h) * wd],
+                optimize=False,
             )
-    return out
+    return np.ascontiguousarray(out.reshape(-1, h, wd).transpose(1, 2, 0))
 
 
 def _avgpool2(x: np.ndarray) -> np.ndarray:

@@ -460,21 +460,21 @@ class FrameAssembler:
         if self.total_len is None:
             raise ReassemblyError("no segments received")
         buf = bytearray(self.total_len)
-        have = bytearray(self.total_len)
+        gaps = []
+        pos = 0  # end of the covered bytes so far
+        # ``add`` rejects overlaps, so in offset order each segment starts
+        # at or after ``pos`` and the gaps are the holes between segments.
+        # An empty segment covers nothing and must not split a gap.
         for off in sorted(self._segments):
             seg = self._segments[off]
-            buf[off:off + len(seg)] = seg
-            have[off:off + len(seg)] = b"\x01" * len(seg)
-        gaps = []
-        pos = 0
-        while pos < self.total_len:
-            if have[pos]:
-                pos += 1
+            if not seg:
                 continue
-            start = pos
-            while pos < self.total_len and not have[pos]:
-                pos += 1
-            gaps.append((start, pos))
+            buf[off:off + len(seg)] = seg
+            if off > pos:
+                gaps.append((pos, off))
+            pos = off + len(seg)
+        if pos < self.total_len:
+            gaps.append((pos, self.total_len))
         return bytes(buf), gaps
 
 

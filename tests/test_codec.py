@@ -11,7 +11,8 @@ from splitstream.codec import (BASE_TABLE, FTCB_HEADER, BadMagicError,
                                decode, decode_prefix, encode, encode_to_target,
                                quality_table, rate_fidelity_curve, stream_info,
                                undecoded_plane_mask)
-from splitstream.codec import _MAX_SYMBOL, _UNZIGZAG, _ZIGZAG
+from splitstream.codec import (_MAX_PLANE_PIXELS, _MAX_SYMBOL, _UNZIGZAG,
+                               _ZIGZAG)
 
 import ftcb_reference as reference
 from ftcb_reference import _Reader, _leb128s_encode
@@ -283,6 +284,33 @@ class TestDecodeErrors:
                                   65535, 65535, 1, 256)
         with pytest.raises(TruncatedStreamError, match="cannot hold"):
             decode(header + b"\x00\xff")
+
+    def test_plane_size_bounded_before_allocation(self):
+        header = FTCB_HEADER.pack(b"FTCB", 1, 50, 65535, 65535, 1, 1,
+                                  65535, 65535, 1, 256)
+        with pytest.raises(CodecError, match="exceeds"):
+            decode_prefix(header)
+        with pytest.raises(CodecError):
+            decode(header)
+        # one row past the bound is refused even when the body could hold
+        # every block; the bound itself decodes, and the encoder agrees
+        side = 1024
+        assert side * side == _MAX_PLANE_PIXELS
+        for h, ok in ((side, True), (side + 1, False)):
+            header = FTCB_HEADER.pack(b"FTCB", 1, 50, side, h, 1, 1,
+                                      side, h, 1, 256)
+            body = b"\x00\xff" * ((side // 8) * -(-h // 8))
+            plane = _plane_from_symbols(np.zeros((h, side, 1), np.uint8))
+            if ok:
+                assert np.all(decode(header + body).bytes == 128)
+                assert decode_prefix(header)[1:] == (0, len(body) // 2)
+                assert len(encode(plane, 50)) == len(header + body)
+            else:
+                for call in (lambda: decode(header + body),
+                             lambda: decode_prefix(header),
+                             lambda: encode(plane, 50)):
+                    with pytest.raises(CodecError, match="exceeds"):
+                        call()
 
 
 class TestDecodePrefix:

@@ -1,9 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import conv_reference
 from splitstream import (CLASS_NAMES, EQUIVARIANCE_BORDER, FeatureTensor,
                          SplitModel, StubModelConfig, loss_sweep,
                          rate_fidelity_curve, sweep)
+from splitstream.model import _conv3x3
 
 
 def test_class_names_and_border():
@@ -185,3 +191,110 @@ def test_manifest(model):
     for entry, cut in zip(m["cuts"], model.cut_points()):
         assert entry["shape"] == [cut.height, cut.width, cut.channels]
         assert entry["raw_bytes"] == cut.raw_bytes
+
+
+# --------------------------------------------------------------- convolution
+
+def _special_float32(rng, shape, lo_exp, hi_exp):
+    """Random float32 values with magnitudes 10**lo_exp..10**hi_exp, plus
+    planted +0.0, -0.0 and subnormals."""
+    mag = 10.0 ** rng.uniform(lo_exp, hi_exp, size=shape)
+    x = np.where(rng.random(shape) < 0.5, -mag, mag).astype(np.float32)
+    kind = rng.integers(0, 8, size=shape)
+    x[kind == 0] = 0.0
+    x[kind == 1] = -0.0
+    x[kind == 2] *= np.float32(1e-39)   # subnormal, or a signed zero
+    return x
+
+
+def _conv_case(seed, x_shape, c_out, lo_exp, hi_exp):
+    """(input, weights) with |x| <= 1e30 and |w| <= 1e4, so that a sum of
+    up to 9 * 33 products (the widest case here) stays finite."""
+    rng = np.random.default_rng(seed)
+    x = _special_float32(rng, x_shape, lo_exp, min(hi_exp, 30))
+    w = _special_float32(rng, (3, 3, x_shape[2], c_out), lo_exp, min(hi_exp, 4))
+    return x, w
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.uint32)
+
+
+def _sequential_conv(x, w):
+    """The order the model's convolution promises, one operation at a time:
+    per tap, a float32 sum over input channels in channel order from zero,
+    with a rounded multiply and a rounded add per channel; the taps added
+    in raster order into an accumulator that starts at zero."""
+    h, wd, c_in = x.shape
+    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+    out = np.zeros((h, wd, w.shape[3]), dtype=np.float32)
+    for dy in range(3):
+        for dx in range(3):
+            tap = np.zeros_like(out)
+            for i in range(c_in):
+                tap = tap + xp[dy:dy + h, dx:dx + wd, i, None] * w[dy, dx, i]
+            out = out + tap
+    return out
+
+
+_EXPONENTS = st.tuples(st.integers(-45, 0), st.integers(0, 30))
+
+
+# c_out starts at 2: with one output channel the reference's weight column
+# is contiguous, and einsum sums the channels with its SIMD dot kernel
+# (several partial sums), which is not the sequential order.  No model
+# stage has one channel; test_conv_is_sequential_float32_sum_over_channels
+# covers that case for the model's convolution.
+@given(st.integers(1, 17), st.integers(1, 17), st.integers(1, 8),
+       st.integers(2, 8), _EXPONENTS, st.integers(0, 2 ** 32 - 1))
+def test_conv_matches_reference_bitwise(h, w, c_in, c_out, exps, seed):
+    x, wt = _conv_case(seed, (h, w, c_in), c_out, *exps)
+    assert np.array_equal(_bits(_conv3x3(x, wt)),
+                          _bits(conv_reference._conv3x3(x, wt)))
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3])
+@settings(max_examples=10)
+@given(_EXPONENTS, st.integers(0, 2 ** 32 - 1))
+def test_conv_matches_reference_on_model_stages(model, stage, exps, seed):
+    wt = model._conv_w[stage - 1]
+    x = model.generate_input(seed % 64).data
+    for s in range(1, stage):
+        x = model._stage(x, s)
+    lo, hi = exps
+    special = _special_float32(np.random.default_rng(seed), x.shape, lo, hi)
+    for inp in (x, special):
+        assert np.array_equal(_bits(_conv3x3(inp, wt)),
+                              _bits(conv_reference._conv3x3(inp, wt)))
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1, 1, 1), (5, 3, 8, 1), (7, 4, 6, 5), (3, 9, 1, 8), (2, 2, 33, 3),
+    (64, 64, 3, 16), (32, 32, 16, 32), (16, 16, 32, 64),
+])
+def test_conv_is_sequential_float32_sum_over_channels(shape):
+    """Fails by name if numpy's einsum kernel changes its order or starts
+    fusing multiply and add, before any pinned bitstream moves."""
+    h, w, c_in, c_out = shape
+    for seed, exps in ((0, (-45, 30)), (1, (-3, 3)), (2, (-45, -30))):
+        x, wt = _conv_case(seed, (h, w, c_in), c_out, *exps)
+        assert np.array_equal(_bits(_conv3x3(x, wt)),
+                              _bits(_sequential_conv(x, wt)))
+
+
+# SHA-256 of the float32 bytes of forward_client on images 0-7, in id
+# order, as computed by the pixel-major convolution in conv_reference
+_CLIENT_SHA256 = {
+    "stage1": "d6d39d469753f8ae80407bc8a7a04f9451f6b44a0f5ef42acc468a28d618fd79",
+    "stage2": "c7e68de87ed6d6c10f507b360548e681511289022578da1efc9abe865fde3179",
+    "stage3": "ea31b7cd162372ed7e9de6646fbe46aa1b252a6eab8013c473a8f9de08467219",
+}
+
+
+@pytest.mark.parametrize("cut", sorted(_CLIENT_SHA256))
+def test_forward_client_bytes_pinned(model, cut):
+    digest = hashlib.sha256()
+    for i in range(8):
+        t = model.forward_client(model.generate_input(i), cut)
+        digest.update(t.data.tobytes())
+    assert digest.hexdigest() == _CLIENT_SHA256[cut]

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from splitstream import (FLAG_END_OF_TENSOR, WIRE_HEADER, BandwidthEstimator,
@@ -18,6 +18,47 @@ def _data_msg(frame_id, offset, payload, total):
     return WireMessage(msg_type=MsgType.DATA, frame_id=frame_id,
                        offset=offset, total_len=total, payload=payload,
                        flags=flags)
+
+
+def _reference_payload(self) -> tuple[bytes, list[tuple[int, int]]]:
+    """``FrameAssembler.payload`` as it was first written, with a per-byte
+    coverage map and gap walk; the oracle for the interval-based version."""
+    if self.total_len is None:
+        raise ReassemblyError("no segments received")
+    buf = bytearray(self.total_len)
+    have = bytearray(self.total_len)
+    for off in sorted(self._segments):
+        seg = self._segments[off]
+        buf[off:off + len(seg)] = seg
+        have[off:off + len(seg)] = b"\x01" * len(seg)
+    gaps = []
+    pos = 0
+    while pos < self.total_len:
+        if have[pos]:
+            pos += 1
+            continue
+        start = pos
+        while pos < self.total_len and not have[pos]:
+            pos += 1
+        gaps.append((start, pos))
+    return bytes(buf), gaps
+
+
+@st.composite
+def _segment_sets(draw):
+    """(total_len, [(offset, payload)]) with no two segments overlapping:
+    the pieces between random cut points, each kept or left as a gap, plus
+    empty segments at cut points where no kept piece starts."""
+    total = draw(st.integers(0, 300))
+    cuts = sorted(set(draw(st.lists(st.integers(0, total), max_size=12)))
+                  | {0, total})
+    segs = [(a, draw(st.binary(min_size=b - a, max_size=b - a)))
+            for a, b in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    starts = {a for a, _ in segs}
+    segs += [(c, b"") for c in cuts if c not in starts and draw(st.booleans())]
+    if not segs:
+        segs = [(0, b"")]
+    return total, draw(st.permutations(segs))
 
 
 class TestWireMessage:
@@ -382,6 +423,19 @@ class TestFrameAssembler:
         assert data[150:200] == b"b" * 50
         assert data[200:] == b"\x00" * 50
         assert not asm.complete
+
+    @given(_segment_sets())
+    @example((10, [(0, b"a" * 10)]))                   # no gap
+    @example((10, [(4, b"b" * 6)]))                    # leading gap
+    @example((10, [(0, b"c" * 4)]))                    # trailing gap
+    @example((10, [(3, b"d" * 2), (7, b""), (9, b"")]))  # empties in a gap
+    @example((0, [(0, b"")]))
+    def test_gaps_match_reference(self, case):
+        total, segs = case
+        asm = FrameAssembler(3)
+        for off, seg in segs:
+            asm.add(_data_msg(3, off, seg, total))
+        assert asm.payload() == _reference_payload(asm)
 
     def test_payload_requires_metadata(self):
         with pytest.raises(ReassemblyError, match="no segments"):

@@ -22,13 +22,12 @@ from .motion import (MotionField, estimate_global_translation, predict,
 from .netsim import Link, LinkConfig, SimulationError, Simulator
 from .pipeline import (LinkScenario, PipelineConfig, SessionError,
                        corpus_stats, measure_profiles, run_session)
-from .protocol import (DEFAULT_MSS, FLAG_END_OF_TENSOR, WIRE_HEADER,
-                       BandwidthEstimator, Confirmation, FrameAssembler,
-                       MsgType, ProtocolError, ReassemblyError, SendBuffer,
-                       WireMessage, decode_message, encode_message,
-                       frame_deadline_us, make_control, may_send,
-                       parse_control, process_send_buffer, reassemble,
-                       should_process_frame)
+from .protocol import (FLAG_END_OF_TENSOR, WIRE_HEADER, BandwidthEstimator,
+                       Confirmation, FrameAssembler, MsgType, ProtocolError,
+                       ReassemblyError, SendBuffer, WireMessage,
+                       decode_message, encode_message, frame_deadline_us,
+                       make_control, may_send, parse_control,
+                       process_send_buffer, reassemble, should_process_frame)
 from .rng import Xorshift64Star, bulk_u64, bulk_uniform, derive
 from .quantizer import (QuantizedTensor, QuantizerSpec, bits_per_element,
                         compression_ratio, dequantize, quantize, sweep)

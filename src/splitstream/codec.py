@@ -557,10 +557,8 @@ def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
     rows = []
     for q in qualities:
         streams = [_entropy(coefs, int(q)) for coefs in transformed]
-        decoded = (
-            dequantize(detile(decode(bits), spec, stats.label), stats)
-            for bits in streams
-        )
+        decoded = (dequantize(detile(decode(bits), spec), stats)
+                   for bits in streams)
         rows.append(
             {
                 "quality": int(q),

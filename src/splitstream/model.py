@@ -230,22 +230,12 @@ class SplitModel:
 
     # ------------------------------------------------------------------ cuts
 
-    def _resolve_cut(self, cut) -> int:
-        n = len(self.config.stage_channels)
-        if isinstance(cut, CutPoint):
-            idx = cut.stage_index
-        elif isinstance(cut, str):
-            try:
-                idx = next(
-                    c.stage_index for c in self.cut_points() if c.name == cut
-                )
-            except StopIteration:
-                raise ValueError(f"unknown cut name {cut!r}") from None
-        else:
-            idx = int(cut)
-        if not 1 <= idx <= n:
-            raise ValueError(f"cut stage must be in 1..{n}, got {idx}")
-        return idx
+    def _resolve_cut(self, cut: str) -> int:
+        """Stage index of the cut point with this name."""
+        for c in self.cut_points():
+            if c.name == cut:
+                return c.stage_index
+        raise ValueError(f"unknown cut name {cut!r}")
 
     def cut_points(self) -> list[CutPoint]:
         cfg = self.config
@@ -293,7 +283,7 @@ class SplitModel:
 
     # ------------------------------------------------------------------ forward
 
-    def forward_client(self, input_tensor: FeatureTensor, cut) -> FeatureTensor:
+    def forward_client(self, input_tensor: FeatureTensor, cut: str) -> FeatureTensor:
         """Run stages 1..cut and return the cut tensor."""
         idx = self._resolve_cut(cut)
         x = input_tensor.data
@@ -301,7 +291,7 @@ class SplitModel:
             x = self._stage(x, stage)
         return FeatureTensor(x)
 
-    def forward_server(self, tensor: FeatureTensor, cut) -> np.ndarray:
+    def forward_server(self, tensor: FeatureTensor, cut: str) -> np.ndarray:
         """Run the remaining stages plus the pooled linear head; returns the
         10 class scores."""
         idx = self._resolve_cut(cut)
@@ -312,7 +302,7 @@ class SplitModel:
         return pooled @ self._head_w + self._head_b
 
     def predict(self, input_tensor: FeatureTensor) -> np.ndarray:
-        last = len(self.config.stage_channels)
+        last = self.cut_points()[-1].name
         return self.forward_server(self.forward_client(input_tensor, last), last)
 
     # ------------------------------------------------------------------ metrics

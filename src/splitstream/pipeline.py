@@ -41,7 +41,7 @@ import numpy as np
 
 from .codec import (CodecError, decode, decode_prefix, encode,
                     encode_to_target, undecoded_plane_mask)
-from .concealment import (LossMask, SideChannelMeans, apply_mask, conceal,
+from .concealment import (STRATEGIES, LossMask, SideChannelMeans, conceal,
                           side_channel_means)
 from .model import CLASS_NAMES, SplitModel, StubModelConfig
 from .netsim import Link, LinkConfig, Simulator
@@ -142,6 +142,15 @@ def _confirm_message(conf: Confirmation) -> WireMessage:
     )
 
 
+def _frame_row(k: int) -> dict:
+    """Report row of a frame that nothing has happened to yet."""
+    return {
+        "frameNumber": k, "sentBytes": 0, "dropped": False,
+        "concealedRanges": 0, "latency_us": None, "agree": None,
+        "status": "incomplete",
+    }
+
+
 def _end_marker(frame_id: int, total_len: int) -> WireMessage:
     # zero-payload DATA at offset == total_len: announces existence + length
     return WireMessage(
@@ -225,11 +234,8 @@ class _Client:
     def _capture(self, k: int):
         now = self.sim.now_us
         self.sim.log_event("frame_capture", k)
-        rec = {
-            "frameNumber": k, "sentBytes": 0, "dropped": False,
-            "concealedRanges": 0, "latency_us": None, "agree": None,
-            "status": "incomplete", "capture_us": now,
-        }
+        rec = _frame_row(k)
+        rec["capture_us"] = now
         self.frames[k] = rec
 
         server_remain = (self.last_request_us + self.cfg.server_rate_limit_us) - now
@@ -380,7 +386,7 @@ class _Server:
         fid = msg.frame_id
         if fid not in self.processed:
             asm = self.assemblers.setdefault(fid, FrameAssembler(fid))
-            added = asm.add(msg, now)
+            added = asm.add(msg)
             self.est.record_received(added, now)
             # progress watchdog: each arrival restarts the gap deadline, so
             # gate-paced trickle on a clean link never times a frame out
@@ -420,7 +426,7 @@ class _Server:
         if mask_plane.any():
             elem_mask = channel_tiles(mask_plane, plane.layout)
             mask = LossMask(elem_mask, "by_element", float(elem_mask.mean()))
-            t_final = conceal(apply_mask(t_hat, mask), mask, self.cfg.conceal,
+            t_final = conceal(t_hat, mask, self.cfg.conceal,
                               stats=self.stats, side=self.side_store.get(fid))
         else:
             t_final = t_hat
@@ -476,11 +482,23 @@ def run_session(config: PipelineConfig,
     serialize with sort_keys for stable bytes.
     """
     cfg = config
+    if cfg.conceal not in STRATEGIES + ("none",):
+        raise SessionError(f"unknown concealment strategy {cfg.conceal!r}")
+    if not isinstance(cfg.link, LinkScenario):
+        raise SessionError(f"link must be a LinkScenario, got {cfg.link!r}")
+    if not 1 <= cfg.quality <= 100:
+        raise SessionError(f"quality must be 1..100, got {cfg.quality}")
+    if cfg.mss < 1:
+        raise SessionError(f"mss must be at least 1, got {cfg.mss}")
+    if cfg.frame_interval_us < 0 or cfg.target_bytes < 0:
+        raise SessionError("frame_interval_us and target_bytes must be "
+                           "non-negative")
+    # a zero period would reschedule at the same simulated instant forever
+    if cfg.pacing_us < 1 or cfg.handshake_retry_us < 1:
+        raise SessionError("pacing_us and handshake_retry_us must be at "
+                           "least 1")
     if model is None:
         model = SplitModel(StubModelConfig(seed=cfg.model_seed))
-    if cfg.conceal not in ("none", "zero", "channel_mean", "dataset_mean",
-                           "hybrid"):
-        raise SessionError(f"unknown concealment strategy {cfg.conceal!r}")
     if not any(c.name == cfg.cut for c in model.cut_points()):
         raise SessionError(f"unknown cut point {cfg.cut!r}")
     stats = corpus_stats(model, cfg.cut, cfg.stats_images)
@@ -518,11 +536,7 @@ def run_session(config: PipelineConfig,
 
     frames = []
     for k in range(cfg.frames):
-        rec = client.frames.get(k, {
-            "frameNumber": k, "sentBytes": 0, "dropped": False,
-            "concealedRanges": 0, "latency_us": None, "agree": None,
-            "status": "incomplete",
-        })
+        rec = client.frames.get(k) or _frame_row(k)
         if k in server.failed_frames:
             rec["status"] = "failed"
         frames.append({key: rec[key] for key in FRAME_ROW_KEYS})
@@ -553,17 +567,13 @@ def run_session(config: PipelineConfig,
     }
 
 
-def measure_profiles(model: SplitModel | None = None, frames: int = 20,
-                     quality: int = 85, levels: int = 256,
-                     clip_width: float = 3.0) -> list[StrategyProfile]:
-    """Wall-clock cost profiles (medians over >= 20 frames) for the
-    client-only, server-only and per-cut split strategies."""
-    if model is None:
-        model = SplitModel()
-    if frames < 20:
-        raise ValueError("need at least 20 frames for stable medians")
-    spec = QuantizerSpec(levels, clip_width, "aggregate")
-    inputs = [model.generate_input(i) for i in range(frames)]
+def measure_profiles(model: SplitModel) -> list[StrategyProfile]:
+    """Wall-clock cost profiles for the client-only, server-only and per-cut
+    split strategies: medians over 20 frames, compressed with the quantizer,
+    quality and dataset statistics of the default ``PipelineConfig``."""
+    cfg = PipelineConfig()
+    spec = QuantizerSpec(cfg.levels, cfg.clip_width, cfg.quant_mode)
+    inputs = [model.generate_input(i) for i in range(20)]
     med = statistics.median
 
     def timed(samples: list, fn, *args):
@@ -586,13 +596,13 @@ def measure_profiles(model: SplitModel | None = None, frames: int = 20,
             stats = collect_stats(inputs, label="inputs")
             infer = model.predict
         else:
-            stats = corpus_stats(model, cut, 64)
+            stats = corpus_stats(model, cut, cfg.stats_images)
             infer = functools.partial(model.forward_server, cut=cut)
         cli_t, enc_t, dec_t, inf_t, sizes = [], [], [], [], []
         for x in inputs:
             t = x if cut is None else timed(cli_t, model.forward_client, x, cut)
             bits = timed(enc_t, lambda: encode(tile(quantize(t, spec, stats)),
-                                               quality))
+                                               cfg.quality))
             sizes.append(len(bits))
             t_hat = timed(dec_t, lambda: dequantize(detile(decode(bits), spec),
                                                     stats))

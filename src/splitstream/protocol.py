@@ -65,7 +65,8 @@ WIRE_HEADER = struct.Struct("<HBBIIIBH")
 CONFIRM_PAYLOAD = struct.Struct("<IIQQ")
 FLAG_END_OF_TENSOR = 0x01
 
-DEFAULT_MSS = 1400
+# slack a receiver adds to two round trips plus the transfer time
+DEADLINE_MARGIN_US = 50_000
 
 
 class MsgType(IntEnum):
@@ -175,10 +176,18 @@ def make_control(msg_type: MsgType, frame_id: int, obj: dict) -> WireMessage:
 
 
 def parse_control(msg: WireMessage) -> dict:
+    """The JSON object a control message carries; any other payload,
+    including one past the parser's depth or digit limits, raises
+    ``ProtocolError``."""
     try:
-        return json.loads(msg.payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = json.loads(msg.payload.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # includes Unicode and JSON errors
         raise ProtocolError(f"bad control payload: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ProtocolError(
+            f"control payload is a JSON {type(obj).__name__}, not an object"
+        )
+    return obj
 
 
 # --------------------------------------------------------------------- sender
@@ -187,82 +196,63 @@ def parse_control(msg: WireMessage) -> dict:
 @dataclass
 class _QueuedFrame:
     frame_id: int
-    data: bytearray
-    end_marked: bool
+    data: bytes
     next_offset: int = 0
 
 
 class SendBuffer:
-    """FIFO of frame bitstreams awaiting packetization."""
+    """FIFO of whole frame bitstreams awaiting packetization.
+
+    A frame is enqueued complete, so the total_len every wire header
+    carries is known up front, and it leaves the queue with its last
+    packet: the head frame always has bytes left to send.
+    """
 
     def __init__(self):
         self._frames: deque[_QueuedFrame] = deque()
 
-    def enqueue(self, frame_id: int, data: bytes, end: bool = True) -> None:
-        """Append bytes for a frame; ``end=True`` marks the tensor boundary.
-
-        Appending to the tail frame is allowed until its boundary is marked.
-        """
-        if self._frames and self._frames[-1].frame_id == frame_id \
-                and not self._frames[-1].end_marked:
-            self._frames[-1].data.extend(data)
-            self._frames[-1].end_marked = end
-        else:
-            self._frames.append(_QueuedFrame(frame_id, bytearray(data), end))
+    def enqueue(self, frame_id: int, data: bytes) -> None:
+        """Queue a frame's whole bitstream behind the frames already queued."""
+        if not data:
+            raise ValueError(f"frame {frame_id} is empty")
+        self._frames.append(_QueuedFrame(frame_id, bytes(data)))
 
     @property
     def pending_bytes(self) -> int:
         return sum(len(f.data) - f.next_offset for f in self._frames)
 
-    def __len__(self) -> int:
-        return len(self._frames)
-
     def peek(self, mss: int) -> tuple[int, int] | None:
         """(frame_id, offset) of the message pop_next would emit, or None."""
         if mss < 1:
             raise ValueError("mss must be positive")
-        for frame in self._frames:
-            if not frame.end_marked:
-                return None
-            if len(frame.data) - frame.next_offset > 0:
-                return frame.frame_id, frame.next_offset
-        return None
+        if not self._frames:
+            return None
+        head = self._frames[0]
+        return head.frame_id, head.next_offset
 
     def pop_next(self, mss: int) -> WireMessage | None:
-        """Next DATA message, or None when nothing is ready to go.
-
-        Full-MSS chunks go out while available; once a frame's boundary is
-        in the buffer, its remainder goes out immediately (sub-MSS, with
-        END_OF_TENSOR).  A frame whose boundary has not been enqueued yet
-        is held back entirely: its final length is not known, and every
-        wire header carries total_len.
-        """
+        """Next DATA message of the head frame, or None when the queue is
+        empty.  Full-MSS chunks go out while available; the remainder goes
+        out sub-MSS, with END_OF_TENSOR."""
         if mss < 1:
             raise ValueError("mss must be positive")
-        while self._frames:
-            frame = self._frames[0]
-            if not frame.end_marked:
-                return None
-            total = len(frame.data)
-            pending = total - frame.next_offset
-            if pending == 0:
-                self._frames.popleft()
-                continue
-            chunk_len = mss if pending >= mss else pending
-            offset = frame.next_offset
-            chunk = bytes(frame.data[offset:offset + chunk_len])
-            frame.next_offset += chunk_len
-            if frame.next_offset == total:
-                self._frames.popleft()
-            return WireMessage(
-                msg_type=MsgType.DATA, frame_id=frame.frame_id, offset=offset,
-                total_len=total, payload=chunk,
-                flags=_flags_for(offset, chunk_len, total),
-            )
-        return None
+        if not self._frames:
+            return None
+        frame = self._frames[0]
+        total = len(frame.data)
+        offset = frame.next_offset
+        chunk = frame.data[offset:offset + mss]
+        frame.next_offset += len(chunk)
+        if frame.next_offset == total:
+            self._frames.popleft()
+        return WireMessage(
+            msg_type=MsgType.DATA, frame_id=frame.frame_id, offset=offset,
+            total_len=total, payload=chunk,
+            flags=_flags_for(offset, len(chunk), total),
+        )
 
 
-def process_send_buffer(buffer: SendBuffer, mss: int = DEFAULT_MSS) -> list[WireMessage]:
+def process_send_buffer(buffer: SendBuffer, mss: int) -> list[WireMessage]:
     """Drain every currently emittable DATA message, in order."""
     out = []
     while (msg := buffer.pop_next(mss)) is not None:
@@ -405,16 +395,18 @@ def should_process_frame(client_remain_us: float, server_remain_us: float,
 
 
 class FrameAssembler:
-    """Order-independent reassembly of one frame's DATA messages."""
+    """Order-independent reassembly of one frame's DATA messages.
+
+    It holds only the declared length and the segments; the receiver keeps
+    its own arrival clock for the frame deadline.
+    """
 
     def __init__(self, frame_id: int):
         self.frame_id = frame_id
         self.total_len: int | None = None
-        self.end_seen = False
-        self.first_arrival_us: int | None = None
         self._segments: dict[int, bytes] = {}
 
-    def add(self, msg: WireMessage, now_us: int | None = None) -> int:
+    def add(self, msg: WireMessage) -> int:
         """Ingest a DATA message; returns the bytes newly added (0 for a
         duplicate).  Conflicting metadata discards the frame via error."""
         if msg.msg_type != MsgType.DATA:
@@ -431,10 +423,6 @@ class FrameAssembler:
             )
         if msg.offset + len(msg.payload) > msg.total_len:
             raise ReassemblyError("segment extends past declared frame length")
-        if self.first_arrival_us is None and now_us is not None:
-            self.first_arrival_us = now_us
-        if msg.end_of_tensor:
-            self.end_seen = True
         existing = self._segments.get(msg.offset)
         if existing is not None:
             if existing != msg.payload:
@@ -492,8 +480,7 @@ def reassemble(messages) -> tuple[bytes, list[tuple[int, int]]]:
     return asm.payload()
 
 
-def frame_deadline_us(total_len: int, est_bw_bps: float, rtt_us: int,
-                      margin_us: int = 50_000) -> int:
+def frame_deadline_us(total_len: int, est_bw_bps: float, rtt_us: int) -> int:
     """How long a receiver waits for stragglers before processing with gaps."""
     transfer_us = int(total_len * 1e6 / max(est_bw_bps, 1.0))
-    return 2 * rtt_us + transfer_us + margin_us
+    return 2 * rtt_us + transfer_us + DEADLINE_MARGIN_US

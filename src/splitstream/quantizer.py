@@ -57,7 +57,6 @@ class QuantizerSpec:
 class QuantizedTensor:
     symbols: np.ndarray           # H x W x C uint8
     spec: QuantizerSpec
-    stats_ref: str = ""
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.symbols, dtype=np.uint8)
@@ -122,7 +121,7 @@ def quantize(t: FeatureTensor, spec: QuantizerSpec, stats: TensorStats) -> Quant
         ]
         u[near] = exact
     q = np.clip(u, 0, spec.levels - 1).astype(np.uint8)
-    return QuantizedTensor(q, spec, stats.label)
+    return QuantizedTensor(q, spec)
 
 
 def dequantize(q: QuantizedTensor, stats: TensorStats) -> FeatureTensor:

@@ -111,11 +111,11 @@ def tile(q: QuantizedTensor) -> TiledPlane:
     return TiledPlane(plane, layout, q.spec.levels)
 
 
-def detile(p: TiledPlane, spec: QuantizerSpec, stats_ref: str = "") -> QuantizedTensor:
+def detile(p: TiledPlane, spec: QuantizerSpec) -> QuantizedTensor:
     """Inverse of ``tile``; the quantizer spec restores symbol semantics."""
     if spec.levels != p.levels:
         raise ValueError(f"plane carries {p.levels} levels, spec says {spec.levels}")
-    return QuantizedTensor(channel_tiles(p.bytes, p.layout), spec, stats_ref)
+    return QuantizedTensor(channel_tiles(p.bytes, p.layout), spec)
 
 
 def write_pgm(p: TiledPlane, path) -> None:

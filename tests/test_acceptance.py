@@ -320,7 +320,7 @@ def test_criterion_09_protocol_conservation():
         for fid in range(1000):
             data = rng.randbytes(rng.randint(1, 4000))
             buf = SendBuffer()
-            buf.enqueue(fid, data, end=True)
+            buf.enqueue(fid, data)
             msgs = process_send_buffer(buf, mss=rng.randint(1, 1400))
             rng.shuffle(msgs)
             out, gaps = reassemble(msgs)

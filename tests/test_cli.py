@@ -210,6 +210,27 @@ class TestErrors:
                             "--out", str(tmp_path / "r.json")],
                            capsys, "malformed config")
 
+    @pytest.mark.parametrize("config, needle", [
+        ({"link": 5}, "LinkScenario"),
+        ({"quality": 500}, "quality"),
+        ({"quality": 0}, "quality"),
+        ({"mss": 0}, "mss"),
+        ({"frame_interval_us": -1}, "frame_interval_us"),
+        ({"target_bytes": -1}, "target_bytes"),
+        ({"pacing_us": 0}, "pacing_us"),
+        ({"handshake_retry_us": 0}, "handshake_retry_us"),
+    ])
+    def test_invalid_config_values(self, tmp_path, capsys, config, needle):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        # refused before the simulator starts: one error line, no report
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         self._expect_error(["simulate", "--config", str(tmp_path / "no.json"),
                             "--out", str(tmp_path / "r.json")], capsys)

@@ -231,10 +231,6 @@ class TestCorpusStats:
 
 
 class TestMeasureProfiles:
-    def test_needs_twenty_frames(self, model):
-        with pytest.raises(ValueError, match="20"):
-            measure_profiles(model, frames=19)
-
     def test_structure_and_stability(self, model):
         measure_profiles(model)          # warm caches before timing runs
         p1 = measure_profiles(model)

@@ -129,6 +129,34 @@ class TestWireMessage:
             decode_message(wire[:-1])
 
 
+class TestWireFuzz:
+    @given(st.sampled_from(list(MsgType)), st.integers(0, 2 ** 32 - 1),
+           st.binary(max_size=300),
+           st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
+                    min_size=1, max_size=8),
+           st.integers(0, 10 ** 6))
+    def test_mutated_messages_raise_only_protocol_errors(
+            self, mtype, frame_id, payload, edits, keep):
+        msg = WireMessage(msg_type=mtype, frame_id=frame_id, offset=0,
+                          total_len=len(payload), payload=payload,
+                          flags=FLAG_END_OF_TENSOR)
+        wire = bytearray(encode_message(msg))
+        for pos, value in edits:
+            wire[pos % len(wire)] = value
+        for data in (bytes(wire), bytes(wire[:keep % (len(wire) + 1)])):
+            try:
+                parse_control(decode_message(data))
+            except ProtocolError:
+                pass
+
+    @given(st.binary(max_size=300))
+    def test_arbitrary_bytes_raise_only_protocol_errors(self, data):
+        try:
+            parse_control(decode_message(data))
+        except ProtocolError:
+            pass
+
+
 class TestControlMessages:
     def test_round_trip(self):
         obj = {"cut": "stage2", "levels": 256, "clip": 3.0}
@@ -145,6 +173,20 @@ class TestControlMessages:
         junk = _data_msg(0, 0, b"\xff\xfe{", 3)
         with pytest.raises(ProtocolError, match="control"):
             parse_control(junk)
+
+    @pytest.mark.parametrize("payload", [
+        b"[" * 60000,                 # deeper than the parser recurses
+        b'{"n": ' + b"1" * 5000 + b"}",  # more digits than int() converts
+    ])
+    def test_parse_rejects_payloads_beyond_parser_limits(self, payload):
+        # both fit the u16 payload length
+        with pytest.raises(ProtocolError, match="control"):
+            parse_control(_data_msg(0, 0, payload, len(payload)))
+
+    @pytest.mark.parametrize("payload", [b"[]", b"3", b'"ready"', b"null"])
+    def test_parse_rejects_non_objects(self, payload):
+        with pytest.raises(ProtocolError, match="not an object"):
+            parse_control(_data_msg(0, 0, payload, len(payload)))
 
 
 class TestConfirmation:
@@ -164,26 +206,20 @@ class TestSendBuffer:
     def test_full_frame_packetizes_with_flush(self):
         buf = SendBuffer()
         data = bytes(range(250)) * 1  # 2.5 x mss for mss=100
-        buf.enqueue(3, data, end=True)
+        buf.enqueue(3, data)
         msgs = process_send_buffer(buf, mss=100)
         assert [len(m.payload) for m in msgs] == [100, 100, 50]
         assert [m.offset for m in msgs] == [0, 100, 200]
         assert all(m.total_len == 250 for m in msgs)
         assert [m.end_of_tensor for m in msgs] == [False, False, True]
         assert b"".join(m.payload for m in msgs) == data
-        assert len(buf) == 0 and buf.pending_bytes == 0
+        assert buf.peek(100) is None and buf.pending_bytes == 0
 
-    def test_partial_frame_held_back(self):
+    def test_empty_frame_refused(self):
         buf = SendBuffer()
-        buf.enqueue(1, b"a" * 50, end=False)
-        assert buf.peek(100) is None
-        assert buf.pop_next(100) is None
-        assert buf.pending_bytes == 50
-        buf.enqueue(1, b"b" * 60, end=True)
-        msgs = process_send_buffer(buf, mss=100)
-        assert [len(m.payload) for m in msgs] == [100, 10]
-        assert msgs[0].payload == b"a" * 50 + b"b" * 50
-        assert msgs[-1].end_of_tensor
+        with pytest.raises(ValueError, match="empty"):
+            buf.enqueue(1, b"")
+        assert buf.peek(100) is None and buf.pending_bytes == 0
 
     def test_empty_buffer(self):
         buf = SendBuffer()
@@ -192,7 +228,7 @@ class TestSendBuffer:
 
     def test_peek_matches_pop(self):
         buf = SendBuffer()
-        buf.enqueue(4, b"x" * 120, end=True)
+        buf.enqueue(4, b"x" * 120)
         assert buf.peek(100) == (4, 0)
         msg = buf.pop_next(100)
         assert (msg.frame_id, msg.offset) == (4, 0)
@@ -200,18 +236,11 @@ class TestSendBuffer:
 
     def test_frames_drain_fifo(self):
         buf = SendBuffer()
-        buf.enqueue(1, b"a" * 150, end=True)
-        buf.enqueue(2, b"b" * 80, end=True)
+        buf.enqueue(1, b"a" * 150)
+        buf.enqueue(2, b"b" * 80)
         msgs = process_send_buffer(buf, mss=100)
         assert [(m.frame_id, m.offset, len(m.payload)) for m in msgs] == [
             (1, 0, 100), (1, 100, 50), (2, 0, 80)]
-
-    def test_unfinished_head_blocks_queue(self):
-        buf = SendBuffer()
-        buf.enqueue(1, b"a" * 300, end=False)
-        buf.enqueue(2, b"b" * 100, end=True)
-        assert buf.pop_next(100) is None
-        assert buf.peek(100) is None
 
     def test_mss_validated(self):
         buf = SendBuffer()
@@ -366,11 +395,10 @@ class TestShouldProcessFrame:
 class TestFrameAssembler:
     def test_in_order_assembly(self):
         asm = FrameAssembler(5)
-        added = asm.add(_data_msg(5, 0, b"a" * 100, 150), now_us=10)
-        added += asm.add(_data_msg(5, 100, b"b" * 50, 150), now_us=20)
+        added = asm.add(_data_msg(5, 0, b"a" * 100, 150))
+        added += asm.add(_data_msg(5, 100, b"b" * 50, 150))
         assert added == 150
-        assert asm.complete and asm.end_seen
-        assert asm.first_arrival_us == 10
+        assert asm.complete
         data, gaps = asm.payload()
         assert data == b"a" * 100 + b"b" * 50
         assert gaps == []
@@ -449,7 +477,7 @@ class TestFrameAssembler:
            st.integers(1, 700), st.integers(0, 2 ** 32 - 1))
     def test_any_arrival_order_reconstructs(self, data, mss, seed):
         buf = SendBuffer()
-        buf.enqueue(12, data, end=True)
+        buf.enqueue(12, data)
         msgs = process_send_buffer(buf, mss=mss)
         assert all(len(m.payload) == mss for m in msgs[:-1])
         assert msgs[-1].end_of_tensor
@@ -460,9 +488,6 @@ class TestFrameAssembler:
 class TestFrameDeadline:
     def test_known_value(self):
         assert frame_deadline_us(100_000, 2e6, 10_000) == 120_000
-
-    def test_custom_margin(self):
-        assert frame_deadline_us(0, 1e6, 1_000, margin_us=7) == 2_007
 
     def test_dead_bandwidth_floored(self):
         # bw 0 is floored to 1 B/s rather than dividing by zero

@@ -225,6 +225,24 @@ class TestFtsrFiles:
         with pytest.raises(ValueError, match="payload"):
             read_tensor(path)
 
+    @given(st.one_of(st.just(1), st.integers(0, 255)),
+           st.one_of(st.sampled_from([0, 1]), st.integers(0, 255)),
+           st.integers(0, 0xFFFF),
+           st.tuples(*[st.one_of(st.integers(0, 4),
+                                 st.sampled_from([2 ** 16, 2 ** 31, 2 ** 32 - 1]),
+                                 st.integers(0, 2 ** 32 - 1))] * 3),
+           st.binary(max_size=64))
+    def test_any_header_raises_only_value_error(self, tmp_path_factory, version,
+                                                dtype, reserved, dims, body):
+        path = tmp_path_factory.mktemp("ftsr") / "fuzz.ftsr"
+        path.write_bytes(FTSR_HEADER.pack(FTSR_MAGIC, version, dtype, reserved,
+                                          *dims) + body)
+        try:
+            t = read_tensor(path)
+        except ValueError:
+            return
+        assert t.shape == dims
+
     def test_unknown_version_and_dtype(self, tmp_path):
         path = tmp_path / "v.ftsr"
         path.write_bytes(FTSR_HEADER.pack(FTSR_MAGIC, 9, 0, 0, 1, 1, 1) + bytes(4))

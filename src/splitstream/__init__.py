@@ -15,8 +15,8 @@ from .codec import (BadMagicError, BlockCountError, CodecError,
                     rate_fidelity_curve, stream_info, undecoded_plane_mask)
 from .concealment import (STRATEGIES, LossMask, SideChannelMeans, apply_mask,
                           conceal, loss_sweep, make_mask, side_channel_means)
-from .model import (CLASS_NAMES, EQUIVARIANCE_BORDER, CutPoint, SplitModel,
-                    StubModelConfig)
+from .model import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER, CutPoint,
+                    SplitModel, cut_point)
 from .motion import (MotionField, estimate_global_translation, predict,
                      scale_to_tensor, shift_overlap_slices)
 from .netsim import Link, LinkConfig, SimulationError, Simulator

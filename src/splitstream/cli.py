@@ -22,7 +22,7 @@ import numpy as np
 from .codec import (CodecError, decode, encode, encode_to_target,
                     rate_fidelity_curve)
 from .concealment import STRATEGIES, loss_sweep
-from .model import SplitModel, StubModelConfig
+from .model import CUT_POINTS, SplitModel, cut_point
 from .motion import estimate_global_translation, predict, scale_to_tensor
 from .pipeline import (PipelineConfig, SessionError, corpus_stats,
                        measure_profiles, run_session)
@@ -91,16 +91,6 @@ def _write_csv(path: str, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def _model(args) -> SplitModel:
-    return SplitModel(StubModelConfig(seed=args.seed))
-
-
-def _check_cut(model: SplitModel, cut: str) -> None:
-    names = [c.name for c in model.cut_points()]
-    if cut not in names:
-        raise CliError(f"unknown cut {cut!r}; choose from {', '.join(names)}")
-
-
 def _stats_to_dict(stats: TensorStats) -> dict:
     return {
         "label": stats.label,
@@ -141,7 +131,9 @@ def _self_stats(t) -> TensorStats:
 
 
 def _cmd_gen_corpus(args) -> int:
-    model = _model(args)
+    if args.cut != "input":
+        cut_point(args.cut)       # refused even when --count is 0
+    model = SplitModel(args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     translation = _pair(args.translate) if args.translate else (0.0, 0.0)
@@ -149,7 +141,6 @@ def _cmd_gen_corpus(args) -> int:
     for i in range(args.count):
         x = model.generate_input(i, translation=translation)
         if args.cut != "input":
-            _check_cut(model, args.cut)
             x = model.forward_client(x, args.cut)
         name = f"img_{i:04d}.ftsr"
         write_tensor(x, out / name)
@@ -166,8 +157,7 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    model = _model(args)
-    _check_cut(model, args.cut)
+    model = SplitModel(args.seed)
     stats = corpus_stats(model, args.cut, args.count)
     _write_json(args.out, _stats_to_dict(stats))
     print(f"stats over {args.count} images at {args.cut} -> {args.out}")
@@ -175,8 +165,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_quant_sweep(args) -> int:
-    model = _model(args)
-    _check_cut(model, args.cut)
+    model = SplitModel(args.seed)
     stats = corpus_stats(model, args.cut, args.count)
     rows = sweep(model, range(args.count), args.cut,
                  _int_list(args.levels), _float_list(args.widths),
@@ -187,8 +176,7 @@ def _cmd_quant_sweep(args) -> int:
 
 
 def _cmd_codec_curve(args) -> int:
-    model = _model(args)
-    _check_cut(model, args.cut)
+    model = SplitModel(args.seed)
     stats = corpus_stats(model, args.cut, args.count)
     rows = rate_fidelity_curve(model, range(args.count), args.cut,
                                _int_list(args.qualities), stats,
@@ -199,16 +187,16 @@ def _cmd_codec_curve(args) -> int:
 
 
 def _cmd_motion_demo(args) -> int:
-    model = _model(args)
+    model = SplitModel(args.seed)
     dx, dy = _pair(args.shift)
     ref_img = model.generate_input(args.image_id)
     cur_img = model.generate_input(args.image_id, translation=(dx, dy))
     est = estimate_global_translation(ref_img, cur_img, radius=args.radius)
     rows = []
-    for cut in model.cut_points():
+    for cut in CUT_POINTS:
         ref = model.forward_client(ref_img, cut.name)
         cur = model.forward_client(cur_img, cut.name)
-        field = scale_to_tensor(est, cut)
+        field = scale_to_tensor(est, cut.stride)
         predicted, valid = predict(ref, field)
         report = psnr(cur, predicted, mask=valid)
         rows.append({
@@ -226,8 +214,7 @@ def _cmd_motion_demo(args) -> int:
 
 
 def _cmd_conceal_sweep(args) -> int:
-    model = _model(args)
-    _check_cut(model, args.cut)
+    model = SplitModel(args.seed)
     strategies = args.strategies.split(",")
     for s in strategies:
         if s not in STRATEGIES:
@@ -246,7 +233,7 @@ def _cmd_latency_regions(args) -> int:
         data = json.loads(Path(args.profiles).read_text())
         profiles = [StrategyProfile(**p) for p in data["profiles"]]
     else:
-        profiles = measure_profiles(_model(args))
+        profiles = measure_profiles(SplitModel(args.seed))
         if args.profiles_out:
             _write_json(args.profiles_out,
                         {"profiles": [asdict(p) for p in profiles]})

@@ -165,11 +165,10 @@ def loss_sweep(model, image_ids, cut, kinds, rates, strategies,
                 make_mask(t.shape, kind, rate, derive(seed, kind, int(rate * 1e6), i))
                 for i, t in zip(ids, tensors)
             ]
-            damaged = [apply_mask(t, m) for t, m in zip(tensors, masks)]
             for strategy in strategies:
                 healed = [
-                    conceal(d, m, strategy, stats=stats, side=s)
-                    for d, m, s in zip(damaged, masks, sides)
+                    conceal(t, m, strategy, stats=stats, side=s)
+                    for t, m, s in zip(tensors, masks, sides)
                 ]
                 rows.append(
                     {

@@ -36,8 +36,9 @@ from .rng import Xorshift64Star, bulk_uniform, derive
 from .tensor import FeatureTensor
 
 __all__ = [
-    "StubModelConfig",
     "CutPoint",
+    "CUT_POINTS",
+    "cut_point",
     "SplitModel",
     "EQUIVARIANCE_BORDER",
     "CLASS_NAMES",
@@ -48,19 +49,14 @@ __all__ = [
 # tile at every stage: the receptive radius is 7/8 of the cumulative stride)
 EQUIVARIANCE_BORDER = 1
 
+# the stub's fixed geometry: only the seed varies between models
+INPUT_SIZE = 64               # square input, pixels per side
+INPUT_CHANNELS = 3
+STAGE_CHANNELS = (16, 32, 64)
 CLASS_NAMES = tuple(f"class_{i}" for i in range(10))
+CALIBRATION_IMAGES = 64
 
 _CAL_ID_BASE = 1 << 40  # calibration image ids, disjoint from corpus ids
-
-
-@dataclass(frozen=True)
-class StubModelConfig:
-    seed: int = 0x5EED
-    input_size: int = 64
-    input_channels: int = 3
-    stage_channels: tuple[int, ...] = (16, 32, 64)
-    classes: int = 10
-    calibration_images: int = 64
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,42 @@ class CutPoint:
     stride: int               # input pixels per tensor pixel (2**stage)
     cumulative_macs: int      # client-side conv multiply-accumulates
     raw_bytes: int            # uncompressed float32 payload
+
+
+def _cut_table() -> tuple[CutPoint, ...]:
+    cuts = []
+    side = INPUT_SIZE
+    c_in = INPUT_CHANNELS
+    macs = 0
+    for s, c_out in enumerate(STAGE_CHANNELS, start=1):
+        macs += side * side * 9 * c_in * c_out
+        side //= 2
+        cuts.append(
+            CutPoint(
+                name=f"stage{s}",
+                stage_index=s,
+                height=side,
+                width=side,
+                channels=c_out,
+                stride=2 ** s,
+                cumulative_macs=macs,
+                raw_bytes=4 * side * side * c_out,
+            )
+        )
+        c_in = c_out
+    return tuple(cuts)
+
+
+CUT_POINTS = _cut_table()
+
+
+def cut_point(name: str) -> CutPoint:
+    """The cut point with this name; the one place a cut name is resolved."""
+    for c in CUT_POINTS:
+        if c.name == name:
+            return c
+    names = ", ".join(c.name for c in CUT_POINTS)
+    raise ValueError(f"unknown cut {name!r}; choose from {names}")
 
 
 def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -120,28 +152,24 @@ def _avgpool2(x: np.ndarray) -> np.ndarray:
 class SplitModel:
     """Fixed-weight three-stage network with client/server split points."""
 
-    def __init__(self, config: StubModelConfig = StubModelConfig()):
-        self.config = config
-        side = config.input_size
-        chans = config.stage_channels
-        if side % (2 ** len(chans)) != 0:
-            raise ValueError("input size must be divisible by total stride")
-
+    def __init__(self, seed: int = 0x5EED):
+        self.seed = seed
         self._conv_w = []
-        c_in = config.input_channels
-        for s, c_out in enumerate(chans, start=1):
+        c_in = INPUT_CHANNELS
+        for s, c_out in enumerate(STAGE_CHANNELS, start=1):
             scale = np.sqrt(3.0 / (9 * c_in))
-            draws = bulk_uniform(derive(config.seed, "conv", s), 9 * c_in * c_out)
+            draws = bulk_uniform(derive(seed, "conv", s), 9 * c_in * c_out)
             w = ((draws * 2.0 - 1.0) * scale).astype(np.float32)
             self._conv_w.append(w.reshape(3, 3, c_in, c_out))
             c_in = c_out
 
-        head_c = chans[-1]
-        draws = bulk_uniform(derive(config.seed, "head", 0), head_c * config.classes)
+        head_c = STAGE_CHANNELS[-1]
+        classes = len(CLASS_NAMES)
+        draws = bulk_uniform(derive(seed, "head", 0), head_c * classes)
         self._head_w = ((draws * 2.0 - 1.0) * np.sqrt(3.0 / head_c)).reshape(
-            head_c, config.classes
+            head_c, classes
         )
-        bias = bulk_uniform(derive(config.seed, "head", 1), config.classes)
+        bias = bulk_uniform(derive(seed, "head", 1), classes)
         self._head_b = bias * 2.0 - 1.0
 
         self._norm_scale: list[np.ndarray] = []
@@ -158,17 +186,16 @@ class SplitModel:
         pattern, so a translated input is a true continuous shift of the
         untranslated one, including fresh content entering the frame.
         """
-        cfg = self.config
-        side = cfg.input_size
-        rng = Xorshift64Star(derive(cfg.seed, "image", image_id))
+        side = INPUT_SIZE
+        rng = Xorshift64Star(derive(self.seed, "image", image_id))
         dx, dy = float(translation[0]), float(translation[1])
         ys = np.arange(side, dtype=np.float64) + dy
         xs = np.arange(side, dtype=np.float64) + dx
         yy = ys[:, None]
         xx = xs[None, :]
 
-        out = np.empty((side, side, cfg.input_channels), dtype=np.float64)
-        for c in range(cfg.input_channels):
+        out = np.empty((side, side, INPUT_CHANNELS), dtype=np.float64)
+        for c in range(INPUT_CHANNELS):
             out[:, :, c] = rng.uniform_in(-0.2, 0.2)
 
         for _ in range(6):
@@ -177,7 +204,7 @@ class SplitModel:
             r = rng.uniform_in(5.0, 18.0)
             amp = rng.uniform_in(-1.0, 1.0)
             blob = np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * r * r))
-            for c in range(cfg.input_channels):
+            for c in range(INPUT_CHANNELS):
                 out[:, :, c] += rng.uniform_in(0.0, 1.0) * amp * blob
 
         for _ in range(2):
@@ -187,7 +214,7 @@ class SplitModel:
             wave = np.sin(
                 2.0 * np.pi * freq * (xx * np.cos(theta) + yy * np.sin(theta)) + phase
             )
-            for c in range(cfg.input_channels):
+            for c in range(INPUT_CHANNELS):
                 out[:, :, c] += rng.uniform_in(-0.4, 0.4) * wave
 
         return FeatureTensor(out.astype(np.float32))
@@ -201,7 +228,7 @@ class SplitModel:
     def _stage(self, x: np.ndarray, stage: int) -> np.ndarray:
         raw = self._stage_raw(x, stage)
         y = raw * self._norm_scale[stage - 1] + self._norm_offset[stage - 1]
-        if stage < len(self.config.stage_channels):
+        if stage < len(STAGE_CHANNELS):
             y = np.maximum(y, np.float32(0.0))
         return y
 
@@ -214,12 +241,11 @@ class SplitModel:
         Later stages are calibrated on the already-normalized outputs of
         earlier ones.
         """
-        cfg = self.config
         xs = [
             self.generate_input(_CAL_ID_BASE + i).data
-            for i in range(cfg.calibration_images)
+            for i in range(CALIBRATION_IMAGES)
         ]
-        for stage in range(1, len(cfg.stage_channels) + 1):
+        for stage in range(1, len(STAGE_CHANNELS) + 1):
             raws = [self._stage_raw(x, stage) for x in xs]
             stack = np.stack(raws).astype(np.float64)
             mean_c = stack.mean(axis=(0, 1, 2))
@@ -228,47 +254,15 @@ class SplitModel:
             self._norm_offset.append((-mean_c / std_c).astype(np.float32))
             xs = [self._stage(x, stage) for x in xs]
 
-    # ------------------------------------------------------------------ cuts
-
-    def _resolve_cut(self, cut: str) -> int:
-        """Stage index of the cut point with this name."""
-        for c in self.cut_points():
-            if c.name == cut:
-                return c.stage_index
-        raise ValueError(f"unknown cut name {cut!r}")
-
-    def cut_points(self) -> list[CutPoint]:
-        cfg = self.config
-        cuts = []
-        side = cfg.input_size
-        c_in = cfg.input_channels
-        macs = 0
-        for s, c_out in enumerate(cfg.stage_channels, start=1):
-            macs += side * side * 9 * c_in * c_out
-            side //= 2
-            cuts.append(
-                CutPoint(
-                    name=f"stage{s}",
-                    stage_index=s,
-                    height=side,
-                    width=side,
-                    channels=c_out,
-                    stride=2 ** s,
-                    cumulative_macs=macs,
-                    raw_bytes=4 * side * side * c_out,
-                )
-            )
-            c_in = c_out
-        return cuts
+    # ------------------------------------------------------------------ manifest
 
     def manifest(self) -> dict:
         """models.json-style description consumed by the pipeline and CLI."""
-        cfg = self.config
         return {
             "model": "stub3",
-            "seed": cfg.seed,
-            "input": [cfg.input_size, cfg.input_size, cfg.input_channels],
-            "classes": list(CLASS_NAMES[: cfg.classes]),
+            "seed": self.seed,
+            "input": [INPUT_SIZE, INPUT_SIZE, INPUT_CHANNELS],
+            "classes": list(CLASS_NAMES),
             "cuts": [
                 {
                     "name": c.name,
@@ -277,7 +271,7 @@ class SplitModel:
                     "cumulative_macs": c.cumulative_macs,
                     "raw_bytes": c.raw_bytes,
                 }
-                for c in self.cut_points()
+                for c in CUT_POINTS
             ],
         }
 
@@ -285,7 +279,7 @@ class SplitModel:
 
     def forward_client(self, input_tensor: FeatureTensor, cut: str) -> FeatureTensor:
         """Run stages 1..cut and return the cut tensor."""
-        idx = self._resolve_cut(cut)
+        idx = cut_point(cut).stage_index
         x = input_tensor.data
         for stage in range(1, idx + 1):
             x = self._stage(x, stage)
@@ -294,15 +288,15 @@ class SplitModel:
     def forward_server(self, tensor: FeatureTensor, cut: str) -> np.ndarray:
         """Run the remaining stages plus the pooled linear head; returns the
         10 class scores."""
-        idx = self._resolve_cut(cut)
+        idx = cut_point(cut).stage_index
         x = tensor.data
-        for stage in range(idx + 1, len(self.config.stage_channels) + 1):
+        for stage in range(idx + 1, len(STAGE_CHANNELS) + 1):
             x = self._stage(x, stage)
         pooled = x.astype(np.float64).mean(axis=(0, 1))
         return pooled @ self._head_w + self._head_b
 
     def predict(self, input_tensor: FeatureTensor) -> np.ndarray:
-        last = self.cut_points()[-1].name
+        last = CUT_POINTS[-1].name
         return self.forward_server(self.forward_client(input_tensor, last), last)
 
     # ------------------------------------------------------------------ metrics

@@ -86,9 +86,9 @@ def shift_overlap_slices(h: int, w: int, dx: int, dy: int):
     return (ref_y, ref_x), (cur_y, cur_x)
 
 
-def scale_to_tensor(shift: tuple[float, float], cut) -> MotionField:
-    """Convert an input-domain shift into tensor pixels at a cut point."""
-    stride = cut.stride if hasattr(cut, "stride") else int(cut)
+def scale_to_tensor(shift: tuple[float, float], stride: int) -> MotionField:
+    """Convert an input-domain shift into tensor pixels at a cut point of
+    this stride."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     return MotionField(vx=shift[0] / stride, vy=shift[1] / stride)

@@ -43,7 +43,7 @@ from .codec import (CodecError, decode, decode_prefix, encode,
                     encode_to_target, undecoded_plane_mask)
 from .concealment import (STRATEGIES, LossMask, SideChannelMeans, conceal,
                           side_channel_means)
-from .model import CLASS_NAMES, SplitModel, StubModelConfig
+from .model import CLASS_NAMES, CUT_POINTS, SplitModel, cut_point
 from .netsim import Link, LinkConfig, Simulator
 from .protocol import (FLAG_END_OF_TENSOR, BandwidthEstimator, Confirmation,
                        FrameAssembler, MsgType, ProtocolError, SendBuffer,
@@ -127,7 +127,7 @@ _STATS_CACHE: dict[tuple, TensorStats] = {}
 
 def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     """Dataset statistics at a cut, shared by client and server."""
-    key = (model.config, cut, n_images)
+    key = (model.seed, cut, n_images)
     if key not in _STATS_CACHE:
         _STATS_CACHE[key] = collect_stats(
             model.corpus(range(n_images), cut), label=f"{cut}-{n_images}")
@@ -276,7 +276,7 @@ class _Client:
     def _drain(self):
         now = self.sim.now_us
         while True:
-            peek = self.buffer.peek(self.cfg.mss)
+            peek = self.buffer.peek()
             if peek is None:
                 return
             _frame_id, offset = peek
@@ -368,11 +368,14 @@ class _Server:
     def _on_switch(self, msg: WireMessage):
         body = parse_control(msg)
         if self.session is None:
-            self.session = body
-            self.spec = QuantizerSpec(body["levels"], body["clipWidth"],
-                                      body["mode"])
-            cut = next(c for c in self.model.cut_points()
-                       if c.name == body["cut"])
+            try:
+                spec = QuantizerSpec(body["levels"], body["clipWidth"],
+                                     body["mode"])
+                cut = cut_point(body["cut"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ProtocolError(
+                    f"malformed MODEL_SWITCH body: {exc!r}") from None
+            self.session, self.spec = body, spec
             self.layout = layout_for(cut.height, cut.width, cut.channels)
             self.sim.log_event("model_switch_recv")
         ready = make_control(MsgType.MODEL_READY, 0,
@@ -490,6 +493,10 @@ def run_session(config: PipelineConfig,
         raise SessionError(f"quality must be 1..100, got {cfg.quality}")
     if cfg.mss < 1:
         raise SessionError(f"mss must be at least 1, got {cfg.mss}")
+    if cfg.frames < 0:
+        raise SessionError(f"frames must be non-negative, got {cfg.frames}")
+    if cfg.top_k < 1:
+        raise SessionError(f"top_k must be at least 1, got {cfg.top_k}")
     if cfg.frame_interval_us < 0 or cfg.target_bytes < 0:
         raise SessionError("frame_interval_us and target_bytes must be "
                            "non-negative")
@@ -497,10 +504,12 @@ def run_session(config: PipelineConfig,
     if cfg.pacing_us < 1 or cfg.handshake_retry_us < 1:
         raise SessionError("pacing_us and handshake_retry_us must be at "
                            "least 1")
+    try:
+        cut_point(cfg.cut)
+    except ValueError as exc:
+        raise SessionError(str(exc)) from None
     if model is None:
-        model = SplitModel(StubModelConfig(seed=cfg.model_seed))
-    if not any(c.name == cfg.cut for c in model.cut_points()):
-        raise SessionError(f"unknown cut point {cfg.cut!r}")
+        model = SplitModel(cfg.model_seed)
     stats = corpus_stats(model, cfg.cut, cfg.stats_images)
 
     sim = Simulator()
@@ -591,7 +600,7 @@ def measure_profiles(model: SplitModel) -> list[StrategyProfile]:
 
     # server_only ships the raw input through the same compression path as
     # a split cut ships its tensor, with no client-side stages before it
-    for cut in [None] + [c.name for c in model.cut_points()]:
+    for cut in [None] + [c.name for c in CUT_POINTS]:
         if cut is None:
             stats = collect_stats(inputs, label="inputs")
             infer = model.predict

@@ -221,10 +221,8 @@ class SendBuffer:
     def pending_bytes(self) -> int:
         return sum(len(f.data) - f.next_offset for f in self._frames)
 
-    def peek(self, mss: int) -> tuple[int, int] | None:
+    def peek(self) -> tuple[int, int] | None:
         """(frame_id, offset) of the message pop_next would emit, or None."""
-        if mss < 1:
-            raise ValueError("mss must be positive")
         if not self._frames:
             return None
         head = self._frames[0]

@@ -219,6 +219,9 @@ class TestErrors:
         ({"target_bytes": -1}, "target_bytes"),
         ({"pacing_us": 0}, "pacing_us"),
         ({"handshake_retry_us": 0}, "handshake_retry_us"),
+        ({"frames": -1}, "frames"),
+        ({"top_k": 0}, "top_k"),
+        ({"top_k": -1}, "top_k"),
     ])
     def test_invalid_config_values(self, tmp_path, capsys, config, needle):
         path = tmp_path / "bad.json"

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conv_reference
-from splitstream import (CLASS_NAMES, EQUIVARIANCE_BORDER, FeatureTensor,
-                         SplitModel, StubModelConfig, loss_sweep,
+from splitstream import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER,
+                         FeatureTensor, SplitModel, cut_point, loss_sweep,
                          rate_fidelity_curve, sweep)
 from splitstream.model import _conv3x3
 
@@ -17,8 +17,8 @@ def test_class_names_and_border():
     assert EQUIVARIANCE_BORDER == 1
 
 
-def test_cut_geometry(model):
-    cuts = model.cut_points()
+def test_cut_geometry():
+    cuts = CUT_POINTS
     assert [c.name for c in cuts] == ["stage1", "stage2", "stage3"]
     assert [(c.height, c.width, c.channels) for c in cuts] == [
         (32, 32, 16), (16, 16, 32), (8, 8, 64)]
@@ -32,7 +32,7 @@ def test_cut_geometry(model):
 def test_forward_shapes(model):
     x = model.generate_input(0)
     assert x.shape == (64, 64, 3)
-    for cut in model.cut_points():
+    for cut in CUT_POINTS:
         t = model.forward_client(x, cut.name)
         assert t.shape == (cut.height, cut.width, cut.channels)
         scores = model.forward_server(t, cut.name)
@@ -44,14 +44,16 @@ def test_unknown_cut_rejected(model):
     with pytest.raises(ValueError, match="unknown cut"):
         model.forward_client(model.generate_input(0), "stage9")
     # cuts are named; a stage index or a CutPoint is not a name
-    for cut in (2, model.cut_points()[1]):
+    for cut in (2, CUT_POINTS[1]):
         with pytest.raises(ValueError, match="unknown cut"):
             model.forward_client(model.generate_input(0), cut)
 
 
-def test_input_size_must_match_stride():
-    with pytest.raises(ValueError):
-        SplitModel(StubModelConfig(input_size=60))
+def test_cut_point_lookup():
+    assert cut_point("stage2") is CUT_POINTS[1]
+    with pytest.raises(ValueError) as exc:
+        cut_point("x")
+    assert str(exc.value) == "unknown cut 'x'; choose from stage1, stage2, stage3"
 
 
 def test_split_equals_full_run(model):
@@ -71,11 +73,10 @@ def test_generate_input_deterministic(model):
     assert np.array_equal(a.data, model.generate_input(17, (0.0, 0.0)).data)
 
 
-def test_same_seed_same_weights():
-    m1 = SplitModel(StubModelConfig(calibration_images=8))
-    m2 = SplitModel(StubModelConfig(calibration_images=8))
-    x = m1.generate_input(2)
-    assert np.array_equal(m1.predict(x), m2.predict(x))
+def test_same_seed_same_weights(model):
+    twin = SplitModel()
+    x = model.generate_input(2)
+    assert np.array_equal(model.predict(x), twin.predict(x))
 
 
 def test_translation_pans_content(model):
@@ -181,7 +182,7 @@ def test_manifest(model):
     assert m["input"] == [64, 64, 3]
     assert m["seed"] == 0x5EED
     assert [c["name"] for c in m["cuts"]] == ["stage1", "stage2", "stage3"]
-    for entry, cut in zip(m["cuts"], model.cut_points()):
+    for entry, cut in zip(m["cuts"], CUT_POINTS):
         assert entry["shape"] == [cut.height, cut.width, cut.channels]
         assert entry["raw_bytes"] == cut.raw_bytes
 

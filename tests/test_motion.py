@@ -103,10 +103,6 @@ class TestScale:
         f = scale_to_tensor((0, 0), 4)
         assert (f.vx, f.vy) == (0.0, 0.0)
 
-    def test_accepts_cut_point(self, model):
-        cut = next(c for c in model.cut_points() if c.name == "stage3")
-        assert scale_to_tensor((16, 8), cut) == MotionField(vx=2.0, vy=1.0)
-
     def test_rejects_bad_stride(self):
         with pytest.raises(ValueError, match="stride"):
             scale_to_tensor((1, 1), 0)

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 import splitstream.pipeline as pl
-from splitstream import MsgType
+from splitstream import (MsgType, ProtocolError, Simulator, SplitModel,
+                         collect_stats, make_control)
 from splitstream.pipeline import (FRAME_ROW_KEYS, LinkScenario, PipelineConfig,
                                   SessionError, corpus_stats, measure_profiles,
                                   run_session)
@@ -197,6 +199,21 @@ class TestHandshake:
         assert report["summary"]["frames_completed"] == 2
         _assert_handshake_precedes_data(report)
 
+    @pytest.mark.parametrize("body", [
+        {},
+        {"cut": "stage2", "levels": "256", "clipWidth": 3.0,
+         "mode": "aggregate"},
+        {"cut": "stage9", "levels": 256, "clipWidth": 3.0,
+         "mode": "aggregate"},
+    ])
+    def test_malformed_switch_is_a_protocol_error(self, model, body):
+        # a malformed body is refused before the server replies downlink
+        server = pl._Server(Simulator(), PipelineConfig(), model, None, None,
+                            {})
+        with pytest.raises(ProtocolError, match="MODEL_SWITCH"):
+            server.on_uplink(make_control(MsgType.MODEL_SWITCH, 0, body))
+        assert server.session is None
+
 
 class TestValidation:
     def test_unknown_concealment(self, model):
@@ -212,8 +229,7 @@ class TestValidation:
 
 class TestCorpusStats:
     def test_cache_is_shared_across_model_objects(self, model):
-        from splitstream import SplitModel, StubModelConfig
-        twin = SplitModel(StubModelConfig(seed=model.config.seed))
+        twin = SplitModel(model.seed)
         assert corpus_stats(model, "stage2", 64) is corpus_stats(twin, "stage2", 64)
 
     def test_keyed_by_image_count(self, model):
@@ -221,13 +237,12 @@ class TestCorpusStats:
         assert small is not corpus_stats(model, "stage2", 64)
         assert small.sample_count == 8
 
-    def test_keyed_by_whole_model_config(self, model):
-        from splitstream import SplitModel, StubModelConfig
-        small_input = SplitModel(StubModelConfig(seed=model.config.seed, input_size=32))
-        stats = corpus_stats(small_input, "stage2", 4)
+    def test_keyed_by_seed(self, model):
+        other = SplitModel(model.seed + 1)
+        stats = corpus_stats(other, "stage2", 4)
         assert stats is not corpus_stats(model, "stage2", 4)
-        want = small_input.forward_client(small_input.generate_input(0), "stage2")
-        assert stats.per_neuron_mean.shape == want.data.shape == (8, 8, 32)
+        want = collect_stats(other.corpus(range(4), "stage2"))
+        assert np.array_equal(stats.per_neuron_mean, want.per_neuron_mean)
 
 
 class TestMeasureProfiles:

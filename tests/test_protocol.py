@@ -213,26 +213,26 @@ class TestSendBuffer:
         assert all(m.total_len == 250 for m in msgs)
         assert [m.end_of_tensor for m in msgs] == [False, False, True]
         assert b"".join(m.payload for m in msgs) == data
-        assert buf.peek(100) is None and buf.pending_bytes == 0
+        assert buf.peek() is None and buf.pending_bytes == 0
 
     def test_empty_frame_refused(self):
         buf = SendBuffer()
         with pytest.raises(ValueError, match="empty"):
             buf.enqueue(1, b"")
-        assert buf.peek(100) is None and buf.pending_bytes == 0
+        assert buf.peek() is None and buf.pending_bytes == 0
 
     def test_empty_buffer(self):
         buf = SendBuffer()
         assert process_send_buffer(buf, mss=100) == []
-        assert buf.peek(100) is None
+        assert buf.peek() is None
 
     def test_peek_matches_pop(self):
         buf = SendBuffer()
         buf.enqueue(4, b"x" * 120)
-        assert buf.peek(100) == (4, 0)
+        assert buf.peek() == (4, 0)
         msg = buf.pop_next(100)
         assert (msg.frame_id, msg.offset) == (4, 0)
-        assert buf.peek(100) == (4, 100)
+        assert buf.peek() == (4, 100)
 
     def test_frames_drain_fifo(self):
         buf = SendBuffer()
@@ -246,8 +246,6 @@ class TestSendBuffer:
         buf = SendBuffer()
         with pytest.raises(ValueError, match="mss"):
             buf.pop_next(0)
-        with pytest.raises(ValueError, match="mss"):
-            buf.peek(0)
 
 
 class TestBandwidthEstimator:

@@ -2,9 +2,11 @@
 
 Time is integer microseconds.  Events execute in (time, sequence) order,
 where sequence is assignment order, so two same-seed runs replay the exact
-same schedule.  A link models store-and-forward serialization with a FIFO
-busy cursor, a fixed one-way delay, optional uniform jitter, and seeded
-Bernoulli loss; dropped messages are counted, never silently vanished.
+same schedule.  A link carries wire bytes: it models store-and-forward
+serialization of ``len(data)`` bytes with a FIFO busy cursor, a fixed
+one-way delay, optional uniform jitter, and seeded Bernoulli loss, and
+hands the receiver the very bytes that were sent.  Dropped messages are
+counted and logged with their length, never silently vanished.
 """
 
 from __future__ import annotations
@@ -84,34 +86,34 @@ class Link:
         self.sim = sim
         self.config = config
         self.name = name
-        self.deliver = None           # callback(message)
+        self.deliver = None           # callback(data)
         self._busy_until = 0
         self._rng = Xorshift64Star(derive(config.seed, "link", name))
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
 
-    def send(self, size_bytes: int, message) -> None:
-        """Queue a message; it arrives via the deliver callback or drops."""
+    def send(self, data: bytes) -> None:
+        """Queue wire bytes; they arrive via the deliver callback or drop."""
         if self.deliver is None:
             raise SimulationError(f"link {self.name} has no receiver")
         cfg = self.config
         start = max(self.sim.now_us, self._busy_until)
-        ser_us = int(round(size_bytes * 1e6 / cfg.bandwidth_bps))
+        ser_us = int(round(len(data) * 1e6 / cfg.bandwidth_bps))
         self._busy_until = start + ser_us
         self.sent += 1
 
         if cfg.loss_prob > 0.0 and self._rng.uniform() < cfg.loss_prob:
             self.dropped += 1
-            self.sim.log_event(f"{self.name}_drop", length=size_bytes)
+            self.sim.log_event(f"{self.name}_drop", length=len(data))
             return
 
         jitter = self._rng.randint(cfg.jitter_us + 1) if cfg.jitter_us else 0
         arrival = self._busy_until + cfg.one_way_delay_us + jitter
         deliver = self.deliver
 
-        def _arrive(msg=message):
+        def _arrive():
             self.delivered += 1
-            deliver(msg)
+            deliver(data)
 
         self.sim.at(arrival, _arrive)

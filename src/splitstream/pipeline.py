@@ -23,11 +23,16 @@ well after its last packet went out, the client resends a zero-payload
 end marker so the server can conceal the frame outright instead of never
 learning it existed.
 
-Per-channel side means ride an out-of-band channel that is assumed
-lossless and free; dataset statistics come from the shared calibration
-recipe, so both ends agree without transmission.  Everything is driven by
-integer simulated time plus seeded draws: a config (link seed included)
-reproduces its report byte for byte.
+Both links carry wire bytes: every message is sent as
+``encode_message(msg)`` and every receiver starts with ``decode_message``.
+The server learns its session (cut, quantizer, concealment strategy,
+top-k) only from the MODEL_SWITCH body and refuses a malformed one with
+``ProtocolError``.  The one modelled out-of-band channel is the
+per-channel side means, assumed lossless and free; dataset statistics
+come from the shared calibration recipe, so both ends agree without
+transmission.  Everything is driven by integer simulated time plus
+seeded draws: a config (link seed included) reproduces its report byte
+for byte.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import functools
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -47,9 +52,9 @@ from .model import CLASS_NAMES, CUT_POINTS, SplitModel, cut_point
 from .netsim import Link, LinkConfig, Simulator
 from .protocol import (FLAG_END_OF_TENSOR, BandwidthEstimator, Confirmation,
                        FrameAssembler, MsgType, ProtocolError, SendBuffer,
-                       WireMessage, encode_message, frame_deadline_us,
-                       make_control, may_send, parse_control,
-                       should_process_frame)
+                       WireMessage, decode_message, encode_message,
+                       frame_deadline_us, make_control, may_send,
+                       parse_control, should_process_frame)
 from .quantizer import QuantizerSpec, dequantize, quantize
 from .strategy import StrategyProfile
 from .tensor import TensorStats, collect_stats
@@ -122,6 +127,15 @@ class PipelineConfig:
         return cls(link=link, **d)
 
 
+# the least value of each bounded integer field; a zero pacing or retry
+# period would reschedule at the same simulated instant forever
+_LEAST_VALUES = {
+    "mss": 1, "top_k": 1, "stats_images": 2, "pacing_us": 1,
+    "handshake_retry_us": 1, "frames": 0, "frame_interval_us": 0,
+    "target_bytes": 0, "server_rate_limit_us": 0, "client_process_us": 0,
+    "server_process_us": 0, "handshake_timeout_us": 0,
+}
+
 _STATS_CACHE: dict[tuple, TensorStats] = {}
 
 
@@ -161,13 +175,13 @@ def _end_marker(frame_id: int, total_len: int) -> WireMessage:
 
 class _Client:
     def __init__(self, sim: Simulator, cfg: PipelineConfig, model: SplitModel,
-                 stats: TensorStats, uplink: Link):
+                 spec: QuantizerSpec, stats: TensorStats, uplink: Link):
         self.sim = sim
         self.cfg = cfg
         self.model = model
+        self.spec = spec
         self.stats = stats
         self.uplink = uplink
-        self.spec = QuantizerSpec(cfg.levels, cfg.clip_width, cfg.quant_mode)
         self.est = BandwidthEstimator(rtt_us=cfg.link.rtt_us)
         self.buffer = SendBuffer()
         self.ready = False
@@ -203,14 +217,15 @@ class _Client:
         if self.ready:
             return
         self.sim.log_event("model_switch", 0, 0, len(self._switch_msg.payload))
-        self.uplink.send(len(encode_message(self._switch_msg)), self._switch_msg)
+        self.uplink.send(encode_message(self._switch_msg))
         self.sim.after(self.cfg.handshake_retry_us, self._send_switch)
 
     def _handshake_deadline(self):
         if not self.ready:
             self.failed = "handshake timeout"
 
-    def on_downlink(self, msg: WireMessage):
+    def on_downlink(self, data: bytes):
+        msg = decode_message(data)
         if msg.msg_type == MsgType.MODEL_READY:
             if not self.ready:
                 self.ready = True
@@ -293,7 +308,7 @@ class _Client:
             bound = self.est.expected_lost_bytes(now) + self.cfg.mss
             self.max_gauge_excess = max(self.max_gauge_excess, gauge - bound)
             self.sim.log_event("send", msg.frame_id, msg.offset, len(msg.payload))
-            self.uplink.send(len(encode_message(msg)), msg)
+            self.uplink.send(encode_message(msg))
             if msg.end_of_tensor:
                 self.sim.after(5 * self.cfg.link.rtt_us,
                                lambda m=msg: self._lost_check(m.frame_id,
@@ -319,7 +334,7 @@ class _Client:
             self._announced.add(k)
             self.est.record_sent(k, total_len, 0, self.sim.now_us)
         self.sim.log_event("announce", k, total_len, 0)
-        self.uplink.send(len(encode_message(marker)), marker)
+        self.uplink.send(encode_message(marker))
         self.sim.after(2 * self.cfg.link.rtt_us,
                        lambda: self._lost_check(k, total_len))
 
@@ -339,16 +354,16 @@ class _Client:
 
 class _Server:
     def __init__(self, sim: Simulator, cfg: PipelineConfig, model: SplitModel,
-                 stats: TensorStats, downlink: Link,
-                 side_store: dict[int, SideChannelMeans]):
+                 downlink: Link, side_store: dict[int, SideChannelMeans]):
         self.sim = sim
         self.cfg = cfg
         self.model = model
-        self.stats = stats
         self.downlink = downlink
         self.side_store = side_store
+        # set by the first well-formed MODEL_SWITCH, from its body alone
         self.session: dict | None = None
         self.spec: QuantizerSpec | None = None
+        self.stats: TensorStats | None = None
         self.layout: TileLayout | None = None
         self.est = BandwidthEstimator(rtt_us=cfg.link.rtt_us)
         self.assemblers: dict[int, FrameAssembler] = {}
@@ -357,7 +372,8 @@ class _Server:
         self.failed_frames: set[int] = set()
         self.results_sent = 0
 
-    def on_uplink(self, msg: WireMessage):
+    def on_uplink(self, data: bytes):
+        msg = decode_message(data)
         if msg.msg_type == MsgType.MODEL_SWITCH:
             self._on_switch(msg)
         elif msg.msg_type == MsgType.DATA:
@@ -372,15 +388,21 @@ class _Server:
                 spec = QuantizerSpec(body["levels"], body["clipWidth"],
                                      body["mode"])
                 cut = cut_point(body["cut"])
+                if body["conceal"] not in STRATEGIES + ("none",):
+                    raise ValueError(f"unknown concealment {body['conceal']!r}")
+                if type(body["topK"]) is not int or body["topK"] < 1:
+                    raise ValueError(f"bad topK {body['topK']!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ProtocolError(
                     f"malformed MODEL_SWITCH body: {exc!r}") from None
             self.session, self.spec = body, spec
+            self.stats = corpus_stats(self.model, cut.name,
+                                      self.cfg.stats_images)
             self.layout = layout_for(cut.height, cut.width, cut.channels)
             self.sim.log_event("model_switch_recv")
         ready = make_control(MsgType.MODEL_READY, 0,
                              {"status": "ready", "cut": self.session["cut"]})
-        self.downlink.send(len(encode_message(ready)), ready)
+        self.downlink.send(encode_message(ready))
 
     def _on_data(self, msg: WireMessage):
         if self.session is None:
@@ -403,7 +425,7 @@ class _Server:
         asm = self.assemblers.get(fid)
         cumulative = asm.bytes_received if asm is not None else msg.total_len
         conf = _confirm_message(Confirmation(fid, msg.offset, cumulative, now))
-        self.downlink.send(len(encode_message(conf)), conf)
+        self.downlink.send(encode_message(conf))
         if fid not in self.processed and self.assemblers[fid].complete:
             self._process(fid)
 
@@ -419,7 +441,8 @@ class _Server:
         asm = self.assemblers.pop(fid)
         data, gaps = asm.payload()
 
-        if gaps and self.cfg.conceal == "none":
+        strategy = self.session["conceal"]
+        if gaps and strategy == "none":
             self.failed_frames.add(fid)
             self.sim.log_event("frame_fail", fid, 0, len(gaps))
             return
@@ -429,13 +452,13 @@ class _Server:
         if mask_plane.any():
             elem_mask = channel_tiles(mask_plane, plane.layout)
             mask = LossMask(elem_mask, "by_element", float(elem_mask.mean()))
-            t_final = conceal(t_hat, mask, self.cfg.conceal,
+            t_final = conceal(t_hat, mask, strategy,
                               stats=self.stats, side=self.side_store.get(fid))
         else:
             t_final = t_hat
 
         scores = self.model.forward_server(t_final, self.session["cut"])
-        order = np.argsort(scores)[::-1][: self.cfg.top_k]
+        order = np.argsort(scores)[::-1][: self.session["topK"]]
         body = {
             "frameNumber": fid,
             "inferenceTime": self.cfg.server_process_us,
@@ -450,7 +473,7 @@ class _Server:
             result = make_control(MsgType.RESULT, fid, body)
             self.results_sent += 1
             self.sim.log_event("result_sent", fid, 0, result.total_len)
-            self.downlink.send(len(encode_message(result)), result)
+            self.downlink.send(encode_message(result))
 
         self.sim.after(self.cfg.server_process_us, _reply)
 
@@ -485,27 +508,25 @@ def run_session(config: PipelineConfig,
     serialize with sort_keys for stable bytes.
     """
     cfg = config
-    if cfg.conceal not in STRATEGIES + ("none",):
-        raise SessionError(f"unknown concealment strategy {cfg.conceal!r}")
     if not isinstance(cfg.link, LinkScenario):
         raise SessionError(f"link must be a LinkScenario, got {cfg.link!r}")
+    # a JSON config can put any value anywhere: integer fields take ints only
+    for part in (cfg, cfg.link):
+        for f in fields(part):
+            if f.type == "int" and type(getattr(part, f.name)) is not int:
+                raise SessionError(f"{f.name} must be an integer, "
+                                   f"got {getattr(part, f.name)!r}")
+    if cfg.conceal not in STRATEGIES + ("none",):
+        raise SessionError(f"unknown concealment strategy {cfg.conceal!r}")
     if not 1 <= cfg.quality <= 100:
         raise SessionError(f"quality must be 1..100, got {cfg.quality}")
-    if cfg.mss < 1:
-        raise SessionError(f"mss must be at least 1, got {cfg.mss}")
-    if cfg.frames < 0:
-        raise SessionError(f"frames must be non-negative, got {cfg.frames}")
-    if cfg.top_k < 1:
-        raise SessionError(f"top_k must be at least 1, got {cfg.top_k}")
-    if cfg.frame_interval_us < 0 or cfg.target_bytes < 0:
-        raise SessionError("frame_interval_us and target_bytes must be "
-                           "non-negative")
-    # a zero period would reschedule at the same simulated instant forever
-    if cfg.pacing_us < 1 or cfg.handshake_retry_us < 1:
-        raise SessionError("pacing_us and handshake_retry_us must be at "
-                           "least 1")
+    for name, least in _LEAST_VALUES.items():
+        if getattr(cfg, name) < least:
+            raise SessionError(
+                f"{name} must be at least {least}, got {getattr(cfg, name)}")
     try:
         cut_point(cfg.cut)
+        spec = QuantizerSpec(cfg.levels, cfg.clip_width, cfg.quant_mode)
     except ValueError as exc:
         raise SessionError(str(exc)) from None
     if model is None:
@@ -528,8 +549,8 @@ def run_session(config: PipelineConfig,
         seed=cfg.link.seed + 1,
     ), "down")
 
-    client = _Client(sim, cfg, model, stats, uplink)
-    server = _Server(sim, cfg, model, stats, downlink, client.side_store)
+    client = _Client(sim, cfg, model, spec, stats, uplink)
+    server = _Server(sim, cfg, model, downlink, client.side_store)
     uplink.deliver = server.on_uplink
     downlink.deliver = client.on_downlink
 

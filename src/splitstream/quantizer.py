@@ -18,6 +18,7 @@ on the forward side and reconstruct to their mean.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,6 +46,8 @@ class QuantizerSpec:
     mode: str = "aggregate"
 
     def __post_init__(self):
+        if not isinstance(self.levels, numbers.Integral):
+            raise ValueError(f"levels must be an integer, got {self.levels!r}")
         if not 2 <= self.levels <= 256:
             raise ValueError(f"levels must be in 2..256, got {self.levels}")
         if not self.clip_width > 0:

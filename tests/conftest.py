@@ -34,10 +34,7 @@ def corpus_at(model):
     def get(cut: str, n: int):
         key = (cut, n)
         if key not in cache:
-            tensors = [
-                model.forward_client(model.generate_input(i), cut)
-                for i in range(n)
-            ]
+            tensors = model.corpus(range(n), cut)
             cache[key] = (tensors, collect_stats(tensors, label=cut))
         return cache[key]
 

@@ -222,6 +222,15 @@ class TestErrors:
         ({"frames": -1}, "frames"),
         ({"top_k": 0}, "top_k"),
         ({"top_k": -1}, "top_k"),
+        ({"levels": 3.5}, "levels"),
+        ({"quality": 85.5}, "quality"),
+        ({"mss": 1400.5}, "mss"),
+        ({"top_k": 2.5}, "top_k"),
+        ({"frames": 2.5}, "frames"),
+        ({"stats_images": 1}, "stats_images"),
+        ({"server_process_us": -1}, "server_process_us"),
+        ({"levels": 1000}, "levels"),
+        ({"link": {"jitter_us": 0.5}}, "jitter_us"),
     ])
     def test_invalid_config_values(self, tmp_path, capsys, config, needle):
         path = tmp_path / "bad.json"

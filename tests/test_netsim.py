@@ -6,7 +6,7 @@ from splitstream import Link, LinkConfig, SimulationError, Simulator
 def _wire(sim, config, name="down"):
     link = Link(sim, config, name=name)
     arrivals = []
-    link.deliver = lambda msg: arrivals.append((sim.now_us, msg))
+    link.deliver = lambda data: arrivals.append((sim.now_us, data))
     return link, arrivals
 
 
@@ -89,31 +89,31 @@ class TestLink:
         sim = Simulator()
         link, arrivals = _wire(
             sim, LinkConfig(bandwidth_bps=1e6, one_way_delay_us=5000))
-        link.send(10 ** 6, "tensor")
+        link.send(bytes(10 ** 6))
         sim.run()
-        assert arrivals == [(1_005_000, "tensor")]
+        assert arrivals == [(1_005_000, bytes(10 ** 6))]
 
     def test_receiver_required(self):
         sim = Simulator()
         link = Link(sim, LinkConfig(bandwidth_bps=1e6))
         with pytest.raises(SimulationError, match="no receiver"):
-            link.send(100, "x")
+            link.send(bytes(100))
 
     def test_fifo_serialization(self):
         sim = Simulator()
         link, arrivals = _wire(
             sim, LinkConfig(bandwidth_bps=1e5, one_way_delay_us=2000))
-        link.send(1000, "first")   # 10 ms on the wire
-        link.send(1000, "second")  # queues behind it
+        link.send(b"1" * 1000)   # 10 ms on the wire
+        link.send(b"2" * 1000)   # queues behind it
         sim.run()
-        assert [t for t, _ in arrivals] == [12_000, 22_000]
+        assert arrivals == [(12_000, b"1" * 1000), (22_000, b"2" * 1000)]
 
     def test_busy_cursor_resets_after_idle(self):
         sim = Simulator()
         link, arrivals = _wire(sim, LinkConfig(bandwidth_bps=1e5))
-        link.send(1000, "a")
+        link.send(bytes(1000))
         sim.run()
-        sim.at(100_000, lambda: link.send(1000, "b"))
+        sim.at(100_000, lambda: link.send(bytes(1000)))
         sim.run()
         assert [t for t, _ in arrivals] == [10_000, 110_000]
 
@@ -122,20 +122,22 @@ class TestLink:
         link, arrivals = _wire(
             sim, LinkConfig(bandwidth_bps=1e6, loss_prob=0.3, seed=11))
         for i in range(100):
-            sim.at(i * 1000, lambda: link.send(100, "pkt"))
+            sim.at(i * 1000, lambda: link.send(bytes(100)))
         sim.run()
         assert link.sent == 100
         assert link.dropped > 0
         assert link.delivered + link.dropped == link.sent
         assert len(arrivals) == link.delivered
-        assert sum("down_drop" in line for line in sim.log) == link.dropped
+        drops = [line for line in sim.log if "down_drop" in line]
+        assert len(drops) == link.dropped
+        assert all(line.endswith(",100") for line in drops)  # wire length
 
     def test_near_certain_loss_drops(self):
         sim = Simulator()
         link, arrivals = _wire(
             sim, LinkConfig(bandwidth_bps=1e6, loss_prob=0.999, seed=1))
         for _ in range(10):
-            link.send(10, "x")
+            link.send(bytes(10))
         sim.run()
         assert link.dropped >= 9
         assert not arrivals or link.delivered == len(arrivals)
@@ -148,7 +150,7 @@ class TestLink:
                 sim,
                 LinkConfig(bandwidth_bps=1e6, one_way_delay_us=1000,
                            jitter_us=500, seed=seed))
-            link.send(1000, "x")  # 1 ms serialization
+            link.send(bytes(1000))  # 1 ms serialization
             sim.run()
             offsets.append(arrivals[0][0] - 2000)
         assert all(0 <= o <= 500 for o in offsets)
@@ -159,11 +161,12 @@ class TestLink:
         link, arrivals = _wire(
             sim, LinkConfig(bandwidth_bps=1e5, one_way_delay_us=700))
         for i in range(10):
-            sim.at(i * 3000, lambda i=i: link.send(500 + 100 * i, i))
+            sim.at(i * 3000,
+                   lambda i=i: link.send(bytes([i]) * (500 + 100 * i)))
         sim.run()
         times = [t for t, _ in arrivals]
         assert times == sorted(times)
-        assert [m for _, m in arrivals] == list(range(10))
+        assert [data[0] for _, data in arrivals] == list(range(10))
 
     def test_same_seed_identical_logs(self):
         def run_once():
@@ -172,9 +175,9 @@ class TestLink:
                 sim,
                 LinkConfig(bandwidth_bps=1e5, one_way_delay_us=1500,
                            loss_prob=0.2, jitter_us=300, seed=7))
-            link.deliver = lambda n: sim.log_event("recv", frame_id=n)
+            link.deliver = lambda data: sim.log_event("recv", frame_id=data[0])
             for i in range(30):
-                sim.at(i * 2000, lambda i=i: link.send(400, i))
+                sim.at(i * 2000, lambda i=i: link.send(bytes([i]) * 400))
             sim.run()
             return sim.log
 

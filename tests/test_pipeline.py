@@ -2,10 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import splitstream.pipeline as pl
-from splitstream import (MsgType, ProtocolError, Simulator, SplitModel,
-                         collect_stats, make_control)
+from splitstream import (FLAG_END_OF_TENSOR, Link, LinkConfig, MsgType,
+                         ProtocolError, Simulator, SplitModel, WireMessage,
+                         collect_stats, decode_message, encode,
+                         encode_message, make_control, parse_control, quantize,
+                         tile)
 from splitstream.pipeline import (FRAME_ROW_KEYS, LinkScenario, PipelineConfig,
                                   SessionError, corpus_stats, measure_profiles,
                                   run_session)
@@ -22,6 +27,30 @@ CLEAN_LATENCIES_US = [132006, 132486, 153514, 153975,
 
 def _events(report):
     return [line.split(",")[1] for line in report["event_log"]]
+
+
+def _switch_body(**changes) -> dict:
+    """The default config's MODEL_SWITCH body, with fields changed."""
+    return {"model": "stub3", "cut": "stage2", "levels": 256,
+            "clipWidth": 3.0, "mode": "aggregate", "conceal": "dataset_mean",
+            "topK": 5, **changes}
+
+
+def _switch_wire(**changes) -> bytes:
+    body = _switch_body(**changes)
+    return encode_message(make_control(MsgType.MODEL_SWITCH, 0, body))
+
+
+def _server(model) -> tuple["pl._Server", list[bytes]]:
+    """A default-config server with no session yet, and the list its
+    downlink delivers into."""
+    sim = Simulator()
+    downlink = Link(sim, LinkConfig(bandwidth_bps=1e6), "down")
+    replies = []
+    downlink.deliver = replies.append
+    server = pl._Server(sim, PipelineConfig(stats_images=4), model, downlink,
+                        {})
+    return server, replies
 
 
 def _assert_handshake_precedes_data(report):
@@ -116,6 +145,26 @@ class TestByteExactTransport:
         assert sent == received
         assert report["summary"]["agreement"] == 1.0
 
+    def test_links_carry_wire_bytes(self, model, monkeypatch):
+        crossed = []
+        real_send = pl.Link.send
+
+        def spy_send(link, data):
+            crossed.append((link.name, data))
+            real_send(link, data)
+
+        monkeypatch.setattr(pl.Link, "send", spy_send)
+        cfg = PipelineConfig(frames=6, frame_interval_us=150_000,
+                             downlink_loss_prob=0.1,
+                             link=LinkScenario(loss_prob=0.2, seed=4))
+        assert run_session(cfg, model)["summary"]["frames_completed"] > 0
+        assert {name for name, _ in crossed} == {"up", "down"}
+        for _, data in crossed:
+            assert type(data) is bytes
+            assert encode_message(decode_message(data)) == data
+        assert {decode_message(data).msg_type for _, data in crossed} == \
+            set(MsgType)
+
 
 class TestLossySession:
     def test_pinned_outcome(self, lossy_report):
@@ -205,14 +254,50 @@ class TestHandshake:
          "mode": "aggregate"},
         {"cut": "stage9", "levels": 256, "clipWidth": 3.0,
          "mode": "aggregate"},
+        _switch_body(levels=3.5),
+        _switch_body(conceal="wishful"),
+        _switch_body(conceal=None),
+        _switch_body(topK=0),
+        _switch_body(topK=2.5),
+        _switch_body(topK="5"),
+        _switch_body(topK=True),
     ])
     def test_malformed_switch_is_a_protocol_error(self, model, body):
         # a malformed body is refused before the server replies downlink
-        server = pl._Server(Simulator(), PipelineConfig(), model, None, None,
-                            {})
+        server = pl._Server(Simulator(), PipelineConfig(), model, None, {})
         with pytest.raises(ProtocolError, match="MODEL_SWITCH"):
-            server.on_uplink(make_control(MsgType.MODEL_SWITCH, 0, body))
+            server.on_uplink(encode_message(
+                make_control(MsgType.MODEL_SWITCH, 0, body)))
         assert server.session is None
+
+    def test_session_comes_from_the_switch_body(self, model):
+        # the config says stage2 and top-5; the switch says stage3 and top-2
+        server, replies = _server(model)
+        server.on_uplink(_switch_wire(cut="stage3", topK=2))
+        assert server.stats is corpus_stats(model, "stage3", 4)
+        t = model.forward_client(model.generate_input(0), "stage3")
+        bits = encode(tile(quantize(t, server.spec, server.stats)), 85)
+        server.on_uplink(encode_message(WireMessage(
+            MsgType.DATA, 0, 0, len(bits), bits, FLAG_END_OF_TENSOR)))
+        server.sim.run()
+        results = [m for m in map(decode_message, replies)
+                   if m.msg_type == MsgType.RESULT]
+        assert len(results) == 1
+        assert len(parse_control(results[0])["predictions"]) == 2
+
+    @given(edits=st.lists(st.tuples(st.integers(0, 10 ** 4), st.integers(0, 255)),
+                          min_size=1, max_size=4),
+           keep=st.integers(0, 10 ** 4))
+    def test_mutated_switch_raises_only_protocol_errors(self, model, edits,
+                                                        keep):
+        wire = bytearray(_switch_wire())
+        for pos, value in edits:
+            wire[pos % len(wire)] = value
+        for data in (bytes(wire), _switch_wire()[:keep % len(wire)]):
+            try:
+                _server(model)[0].on_uplink(data)
+            except ProtocolError:
+                pass
 
 
 class TestValidation:

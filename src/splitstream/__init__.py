@@ -12,7 +12,7 @@ protocol with bandwidth-estimating backpressure.
 from .codec import (BadMagicError, BlockCountError, CodecError,
                     TargetInfeasibleError, TruncatedStreamError, decode,
                     decode_prefix, encode, encode_to_target, quality_table,
-                    rate_fidelity_curve, stream_info, undecoded_plane_mask)
+                    rate_fidelity_curve, undecoded_plane_mask)
 from .concealment import (STRATEGIES, LossMask, SideChannelMeans, apply_mask,
                           conceal, loss_sweep, make_mask, side_channel_means)
 from .model import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER, CutPoint,
@@ -34,8 +34,8 @@ from .quantizer import (QuantizedTensor, QuantizerSpec, bits_per_element,
 from .strategy import (NetworkConditions, StrategyProfile, best_strategy,
                        crossover_bandwidth, latency_regions, total_latency)
 from .tensor import (FTSR_HEADER, FTSR_MAGIC, DistortionReport, FeatureTensor,
-                     TensorStats, collect_stats, empirical_entropy, mse, psnr,
-                     read_tensor, write_tensor)
+                     TensorStats, collect_stats, mse, psnr, read_tensor,
+                     write_tensor)
 from .tiling import TiledPlane, TileLayout, detile, layout_for, tile, write_pgm
 
 __version__ = "0.1.0"

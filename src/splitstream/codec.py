@@ -19,7 +19,7 @@ Bitstream container (FTCB, little-endian):
     tile_w    u16
     tile_h    u16
     channels  u16
-    levels    u16
+    levels    u16      2..256
     blocks    raster order over the padded plane
 
 The DCT runs in double precision, but coefficients are snapped to 1/4096
@@ -40,7 +40,9 @@ AC value) with a parallel prefix scan over per-byte state transitions,
 then reads values, block boundaries and AC positions from those fields
 with array operations.  It rejects any symbol beyond what an 8-bit plane
 can produce (see ``_MAX_SYMBOL``), any plane above ``_MAX_PLANE_PIXELS``
-before allocating it, and raises only ``CodecError``.
+before allocating it, and raises only ``CodecError``.  Reconstructed
+pixels are clamped to the stream's level count, so a lossy stream of a
+narrow alphabet decodes to symbols its quantizer accepts.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ __all__ = [
     "undecoded_plane_mask",
     "encode_to_target",
     "rate_fidelity_curve",
-    "stream_info",
     "FTCB_HEADER",
 ]
 
@@ -370,6 +371,8 @@ def _parse_header(data: bytes):
         raise CodecError(f"unsupported version {version}")
     if not 1 <= quality <= 100:
         raise CodecError(f"quality {quality} out of range")
+    if not 2 <= levels <= 256:
+        raise CodecError(f"level count {levels} out of range")
     try:
         layout = TileLayout(grid_cols=gc, grid_rows=gr, tile_w=tw, tile_h=th, channels=ch)
     except ValueError as exc:
@@ -477,6 +480,7 @@ def _decode(data: bytes, strict: bool) -> tuple[TiledPlane, int, int]:
     _check_plane_size(layout.plane_w, layout.plane_h)
     zz, done = _decode_blocks(body, n_blocks, strict)
     plane = _reconstruct(zz, quality_table(quality), layout.plane_h, layout.plane_w)
+    np.minimum(plane, levels - 1, out=plane)
     return TiledPlane(plane, layout, levels), done, n_blocks
 
 
@@ -504,18 +508,6 @@ def undecoded_plane_mask(layout: TileLayout, blocks_decoded: int) -> np.ndarray:
     grid = block_mask.reshape(ph, pw)
     full = np.repeat(np.repeat(grid, 8, axis=0), 8, axis=1)
     return full[: layout.plane_h, : layout.plane_w]
-
-
-def stream_info(data: bytes) -> dict:
-    layout, quality, levels = _parse_header(data)
-    return {
-        "quality": quality,
-        "levels": levels,
-        "plane_w": layout.plane_w,
-        "plane_h": layout.plane_h,
-        "channels": layout.channels,
-        "size": len(data),
-    }
 
 
 def encode_to_target(p: TiledPlane, target_bytes: int) -> tuple[bytes, int]:

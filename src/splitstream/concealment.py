@@ -43,9 +43,6 @@ class LossMask:
     """Boolean H x W x C array, True where an element is missing."""
 
     missing: np.ndarray
-    kind: str
-    rate: float
-    seed: int = 0
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.missing, dtype=bool)
@@ -53,10 +50,6 @@ class LossMask:
             raise ValueError(f"mask must be H x W x C, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "missing", arr)
-
-    @property
-    def fraction(self) -> float:
-        return float(self.missing.mean())
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +87,7 @@ def make_mask(shape, kind: str, rate: float, seed: int) -> LossMask:
         missing[:, :, lost] = True
     else:
         raise ValueError(f"unknown mask kind {kind!r}")
-    return LossMask(missing, kind, rate, seed)
+    return LossMask(missing)
 
 
 def side_channel_means(t: FeatureTensor) -> SideChannelMeans:

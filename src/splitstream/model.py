@@ -22,8 +22,7 @@ before sampling.
 
 Classification output is a 10-way linear head on globally pooled stage-3
 features.  Absolute accuracy is meaningless here; what experiments measure
-is argmax agreement between a clean run and a degraded run of the same
-frames.
+is how many degraded frames keep the argmax of their clean run.
 """
 
 from __future__ import annotations
@@ -225,12 +224,15 @@ class SplitModel:
         """Conv + pool of one stage, before normalization."""
         return _avgpool2(_conv3x3(x, self._conv_w[stage - 1]))
 
-    def _stage(self, x: np.ndarray, stage: int) -> np.ndarray:
-        raw = self._stage_raw(x, stage)
+    def _normalize(self, raw: np.ndarray, stage: int) -> np.ndarray:
+        """Frozen per-channel affine of one stage, then ReLU before the last."""
         y = raw * self._norm_scale[stage - 1] + self._norm_offset[stage - 1]
         if stage < len(STAGE_CHANNELS):
             y = np.maximum(y, np.float32(0.0))
         return y
+
+    def _stage(self, x: np.ndarray, stage: int) -> np.ndarray:
+        return self._normalize(self._stage_raw(x, stage), stage)
 
     def _calibrate(self):
         """Fit per-channel affine normalization over the calibration corpus.
@@ -239,7 +241,8 @@ class SplitModel:
         calibration images; scale and offset are frozen so the normalized
         (pre-ReLU) responses have zero mean and unit variance per channel.
         Later stages are calibrated on the already-normalized outputs of
-        earlier ones.
+        earlier ones, normalized from the responses just measured, so each
+        stage convolves each image once.
         """
         xs = [
             self.generate_input(_CAL_ID_BASE + i).data
@@ -252,7 +255,8 @@ class SplitModel:
             std_c = np.maximum(stack.std(axis=(0, 1, 2)), 1e-6)
             self._norm_scale.append((1.0 / std_c).astype(np.float32))
             self._norm_offset.append((-mean_c / std_c).astype(np.float32))
-            xs = [self._stage(x, stage) for x in xs]
+            if stage < len(STAGE_CHANNELS):
+                xs = [self._normalize(raw, stage) for raw in raws]
 
     # ------------------------------------------------------------------ manifest
 
@@ -319,10 +323,3 @@ class SplitModel:
         ``degraded`` may be a generator; it is consumed one tensor at a time.
         """
         return sum(c == d for c, d in zip(clean, self.argmaxes(degraded, cut)))
-
-    def agreement(self, image_ids, cut, degrade=None) -> float:
-        """Fraction of images whose argmax survives ``degrade`` applied to the
-        cut tensor.  ``degrade=None`` is the identity (agreement 1.0)."""
-        tensors = self.corpus(image_ids, cut)
-        degraded = tensors if degrade is None else map(degrade, tensors)
-        return self.matches(self.argmaxes(tensors, cut), degraded, cut) / len(tensors)

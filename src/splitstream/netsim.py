@@ -32,7 +32,7 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.bandwidth_bps <= 0:
+        if not self.bandwidth_bps > 0:      # NaN too
             raise ValueError("bandwidth must be positive")
         if self.one_way_delay_us < 0 or self.jitter_us < 0:
             raise ValueError("delays must be non-negative")

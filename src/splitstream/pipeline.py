@@ -127,13 +127,21 @@ class PipelineConfig:
         return cls(link=link, **d)
 
 
+# the types a scalar field of either config dataclass takes, by annotation
+_SCALAR_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+}
+
 # the least value of each bounded integer field; a zero pacing or retry
 # period would reschedule at the same simulated instant forever
 _LEAST_VALUES = {
     "mss": 1, "top_k": 1, "stats_images": 2, "pacing_us": 1,
     "handshake_retry_us": 1, "frames": 0, "frame_interval_us": 0,
     "target_bytes": 0, "server_rate_limit_us": 0, "client_process_us": 0,
-    "server_process_us": 0, "handshake_timeout_us": 0,
+    "server_process_us": 0, "handshake_timeout_us": 0, "duration_us": 0,
 }
 
 _STATS_CACHE: dict[tuple, TensorStats] = {}
@@ -451,8 +459,7 @@ class _Server:
         t_hat = dequantize(detile(plane, self.spec), self.stats)
         if mask_plane.any():
             elem_mask = channel_tiles(mask_plane, plane.layout)
-            mask = LossMask(elem_mask, "by_element", float(elem_mask.mean()))
-            t_final = conceal(t_hat, mask, strategy,
+            t_final = conceal(t_hat, LossMask(elem_mask), strategy,
                               stats=self.stats, side=self.side_store.get(fid))
         else:
             t_final = t_hat
@@ -510,23 +517,40 @@ def run_session(config: PipelineConfig,
     cfg = config
     if not isinstance(cfg.link, LinkScenario):
         raise SessionError(f"link must be a LinkScenario, got {cfg.link!r}")
-    # a JSON config can put any value anywhere: integer fields take ints only
+    # a JSON config can put any value anywhere: each scalar field takes only
+    # its annotated type (a float field an int too, but never a bool), and
+    # no bounded field a value below its least
     for part in (cfg, cfg.link):
         for f in fields(part):
-            if f.type == "int" and type(getattr(part, f.name)) is not int:
-                raise SessionError(f"{f.name} must be an integer, "
-                                   f"got {getattr(part, f.name)!r}")
+            value = getattr(part, f.name)
+            if f.type in _SCALAR_TYPES:
+                types, noun = _SCALAR_TYPES[f.type]
+                if type(value) not in types:
+                    raise SessionError(f"{f.name} must be {noun}, got {value!r}")
+            if f.name in _LEAST_VALUES and value < _LEAST_VALUES[f.name]:
+                raise SessionError(f"{f.name} must be at least "
+                                   f"{_LEAST_VALUES[f.name]}, got {value}")
     if cfg.conceal not in STRATEGIES + ("none",):
         raise SessionError(f"unknown concealment strategy {cfg.conceal!r}")
     if not 1 <= cfg.quality <= 100:
         raise SessionError(f"quality must be 1..100, got {cfg.quality}")
-    for name, least in _LEAST_VALUES.items():
-        if getattr(cfg, name) < least:
-            raise SessionError(
-                f"{name} must be at least {least}, got {getattr(cfg, name)}")
     try:
         cut_point(cfg.cut)
         spec = QuantizerSpec(cfg.levels, cfg.clip_width, cfg.quant_mode)
+        up_cfg = LinkConfig(
+            bandwidth_bps=cfg.link.bandwidth_bps,
+            one_way_delay_us=cfg.link.rtt_us // 2,
+            loss_prob=cfg.link.loss_prob,
+            jitter_us=cfg.link.jitter_us,
+            seed=cfg.link.seed,
+        )
+        down_cfg = LinkConfig(
+            bandwidth_bps=cfg.link.bandwidth_bps,
+            one_way_delay_us=cfg.link.rtt_us - cfg.link.rtt_us // 2,
+            loss_prob=cfg.downlink_loss_prob,
+            jitter_us=cfg.link.jitter_us,
+            seed=cfg.link.seed + 1,
+        )
     except ValueError as exc:
         raise SessionError(str(exc)) from None
     if model is None:
@@ -534,20 +558,8 @@ def run_session(config: PipelineConfig,
     stats = corpus_stats(model, cfg.cut, cfg.stats_images)
 
     sim = Simulator()
-    uplink = Link(sim, LinkConfig(
-        bandwidth_bps=cfg.link.bandwidth_bps,
-        one_way_delay_us=cfg.link.rtt_us // 2,
-        loss_prob=cfg.link.loss_prob,
-        jitter_us=cfg.link.jitter_us,
-        seed=cfg.link.seed,
-    ), "up")
-    downlink = Link(sim, LinkConfig(
-        bandwidth_bps=cfg.link.bandwidth_bps,
-        one_way_delay_us=cfg.link.rtt_us - cfg.link.rtt_us // 2,
-        loss_prob=cfg.downlink_loss_prob,
-        jitter_us=cfg.link.jitter_us,
-        seed=cfg.link.seed + 1,
-    ), "down")
+    uplink = Link(sim, up_cfg, "up")
+    downlink = Link(sim, down_cfg, "down")
 
     client = _Client(sim, cfg, model, spec, stats, uplink)
     server = _Server(sim, cfg, model, downlink, client.side_store)

@@ -32,7 +32,6 @@ __all__ = [
     "mse",
     "psnr",
     "collect_stats",
-    "empirical_entropy",
     "read_tensor",
     "write_tensor",
     "FTSR_MAGIC",
@@ -188,26 +187,6 @@ def collect_stats(samples, label: str = "") -> TensorStats:
         sample_count=len(tensors),
         label=label,
     )
-
-
-def empirical_entropy(plane) -> float:
-    """Shannon entropy (bits/symbol) of the byte histogram of a plane.
-
-    Accepts a tiled plane object (anything with a ``.bytes`` uint8 array),
-    a numpy uint8 array, or raw bytes.
-    """
-    data = getattr(plane, "bytes", plane)
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        arr = np.frombuffer(bytes(data), dtype=np.uint8)
-    else:
-        arr = np.asarray(data)
-        if arr.dtype != np.uint8:
-            raise ValueError("entropy is defined over uint8 symbols")
-    if arr.size == 0:
-        raise ValueError("empty plane")
-    counts = np.bincount(arr.ravel(), minlength=256)
-    p = counts[counts > 0] / arr.size
-    return float(-np.sum(p * np.log2(p)))
 
 
 def write_tensor(t: FeatureTensor, path) -> int:

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitstream import decode, dequantize, detile, encode, quantize, tile
+from splitstream import (decode, dequantize, detile, encode, pipeline,
+                         quantize, tile)
 from splitstream.cli import main
 from splitstream.pipeline import corpus_stats
 from splitstream.quantizer import QuantizerSpec
@@ -231,11 +232,29 @@ class TestErrors:
         ({"server_process_us": -1}, "server_process_us"),
         ({"levels": 1000}, "levels"),
         ({"link": {"jitter_us": 0.5}}, "jitter_us"),
+        ({"link": {"rtt_us": -2}}, "delays"),
+        ({"link": {"loss_prob": 1.0}}, "loss_prob"),
+        ({"downlink_loss_prob": 1.0}, "loss_prob"),
+        ({"link": {"bandwidth_bps": 0}}, "bandwidth"),
+        ({"link": {"bandwidth_bps": float("nan")}}, "bandwidth"),
+        ({"link": {"duration_us": -5}}, "duration_us"),
+        ({"clip_width": "3"}, "clip_width"),
+        ({"link": {"bandwidth_bps": "1e6"}}, "bandwidth_bps"),
+        ({"link": {"loss_prob": "0.1"}}, "loss_prob"),
+        ({"invert_drop_rule": "yes"}, "invert_drop_rule"),
+        ({"clip_width": True}, "clip_width"),
     ])
-    def test_invalid_config_values(self, tmp_path, capsys, config, needle):
+    def test_invalid_config_values(self, tmp_path, capsys, monkeypatch,
+                                   config, needle):
+        def unreachable(*args):
+            raise AssertionError("config checked after set-up began")
+
+        # refused before the model or the corpus stats are built, so before
+        # the simulator starts: one error line, no report
+        monkeypatch.setattr(pipeline, "SplitModel", unreachable)
+        monkeypatch.setattr(pipeline, "corpus_stats", unreachable)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
-        # refused before the simulator starts: one error line, no report
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err

@@ -9,7 +9,7 @@ from splitstream.codec import (BASE_TABLE, FTCB_HEADER, BadMagicError,
                                BlockCountError, CodecError,
                                TargetInfeasibleError, TruncatedStreamError,
                                decode, decode_prefix, encode, encode_to_target,
-                               quality_table, rate_fidelity_curve, stream_info,
+                               quality_table, rate_fidelity_curve,
                                undecoded_plane_mask)
 from splitstream.codec import (_MAX_PLANE_PIXELS, _MAX_SYMBOL, _UNZIGZAG,
                                _ZIGZAG)
@@ -114,18 +114,12 @@ class TestContainer:
         assert FTCB_HEADER.size == 20
         assert FTCB_HEADER.format == "<4sBBHHBBHHHH"
 
-    def test_stream_info(self):
+    def test_header_fields(self):
         p = _smooth_plane()
-        data = encode(p, 35)
-        info = stream_info(data)
-        assert info == {
-            "quality": 35,
-            "levels": 256,
-            "plane_w": p.layout.plane_w,
-            "plane_h": p.layout.plane_h,
-            "channels": 9,
-            "size": len(data),
-        }
+        layout = p.layout
+        assert FTCB_HEADER.unpack_from(encode(p, 35)) == (
+            b"FTCB", 1, 35, layout.plane_w, layout.plane_h, layout.grid_cols,
+            layout.grid_rows, layout.tile_w, layout.tile_h, 9, 256)
 
 
 class TestEncode:
@@ -217,6 +211,13 @@ class TestDecodeErrors:
         data[5] = 0
         with pytest.raises(CodecError, match="quality"):
             decode(bytes(data))
+
+    @pytest.mark.parametrize("levels", [0, 1, 257])
+    def test_header_level_count_out_of_range(self, levels):
+        header = FTCB_HEADER.pack(b"FTCB", 1, 50, 8, 8, 1, 1, 8, 8, 1, levels)
+        for fn in (decode, decode_prefix):
+            with pytest.raises(CodecError, match="level count"):
+                fn(header)
 
     def test_truncated_body(self):
         with pytest.raises(TruncatedStreamError):
@@ -311,6 +312,23 @@ class TestDecodeErrors:
                              lambda: encode(plane, 50)):
                     with pytest.raises(CodecError, match="exceeds"):
                         call()
+
+
+class TestNarrowAlphabet:
+    @pytest.mark.parametrize("quality", [5, 95])
+    def test_decoded_symbols_stay_below_level_count(self, quality):
+        symbols = np.random.default_rng(4).integers(0, 16, size=(16, 16, 4))
+        data = encode(_plane_from_symbols(symbols, levels=16), quality)
+        unclamped = reference.decode(data).bytes
+        if quality == 95:
+            # lossy reconstruction of full-range 4-bit noise overshoots 15
+            assert int(unclamped.max()) > 15
+        planes = [decode(data), decode_prefix(data)[0],
+                  decode_prefix(data[:FTCB_HEADER.size + 5])[0]]
+        for plane in planes:
+            assert plane.levels == 16
+            assert int(plane.bytes.max()) <= 15
+        assert np.array_equal(planes[0].bytes, np.minimum(unclamped, 15))
 
 
 class TestDecodePrefix:

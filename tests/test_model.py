@@ -9,7 +9,8 @@ import conv_reference
 from splitstream import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER,
                          FeatureTensor, SplitModel, cut_point, loss_sweep,
                          rate_fidelity_curve, sweep)
-from splitstream.model import _conv3x3
+from splitstream import model as model_module
+from splitstream.model import CALIBRATION_IMAGES, _conv3x3
 
 
 def test_class_names_and_border():
@@ -113,35 +114,34 @@ def test_zero_tensor_scores_are_head_bias(model):
 
 def test_agreement_identity_and_zeroing(model):
     ids = range(12)
-    assert model.agreement(ids, "stage2") == 1.0
+    tensors = model.corpus(ids, "stage2")
+    clean = model.argmaxes(tensors, "stage2")
+    assert model.matches(clean, tensors, "stage2") / len(ids) == 1.0
 
     zero_scores = model.forward_server(
         FeatureTensor(np.zeros((16, 16, 32), dtype=np.float32)), "stage2")
     bias_class = int(np.argmax(zero_scores))
-    clean = [
-        int(np.argmax(model.forward_server(
-            model.forward_client(model.generate_input(i), "stage2"), "stage2")))
-        for i in ids
-    ]
     expected = sum(c == bias_class for c in clean) / len(clean)
 
     def wipe(t):
         return FeatureTensor(np.zeros_like(t.data))
 
-    assert model.agreement(ids, "stage2", degrade=wipe) == expected == 0.25
+    wiped = map(wipe, tensors)
+    assert model.matches(clean, wiped, "stage2") / len(ids) == expected == 0.25
 
     def drop_half(t):
         d = np.array(t.data)
         d[:, :, :16] = 0.0
         return FeatureTensor(d)
 
-    # exact value, so a refactor of the agreement loop cannot move it
-    assert model.agreement(ids, "stage2", degrade=drop_half) == 4 / 12
+    # exact value, so a refactor of the match loop cannot move it
+    halved = map(drop_half, tensors)
+    assert model.matches(clean, halved, "stage2") / len(ids) == 4 / 12
 
 
 def test_agreement_empty_corpus(model):
-    with pytest.raises(ValueError):
-        model.agreement([], "stage2")
+    with pytest.raises(ValueError, match="empty corpus"):
+        model.corpus([], "stage2")
     # the sweeps build their corpus the same way, so they reject it alike
     with pytest.raises(ValueError, match="empty corpus"):
         sweep(model, [], "stage2", [4], [2.0], None)
@@ -149,6 +149,28 @@ def test_agreement_empty_corpus(model):
         loss_sweep(model, [], "stage2", ["by_element"], [0.1], ["zero"], None, 0)
     with pytest.raises(ValueError, match="empty corpus"):
         rate_fidelity_curve(model, [], "stage2", [50], None)
+
+
+def test_calibration_convolves_each_image_once_per_stage(monkeypatch):
+    calls = []
+
+    def counting(x, w):
+        calls.append(x.shape)
+        return _conv3x3(x, w)
+
+    monkeypatch.setattr(model_module, "_conv3x3", counting)
+    SplitModel()
+    assert len(calls) == len(CUT_POINTS) * CALIBRATION_IMAGES
+
+
+def test_calibration_norms_pinned(model):
+    # recorded before calibration reused each stage's measured responses;
+    # the norms must not move by a bit
+    digest = hashlib.sha256()
+    for a in model._norm_scale + model._norm_offset:
+        digest.update(a.tobytes())
+    assert digest.hexdigest() == (
+        "420e886c139ccc33619e09cefa0d89f099857a72dfbf8a4fe29a297d3a738ff6")
 
 
 def test_calibration_contract(model):

@@ -312,6 +312,18 @@ class TestValidation:
             run_session(cfg, model)
 
 
+class TestNarrowAlphabet:
+    @pytest.mark.parametrize("levels", [16, 64, 255])
+    def test_session_completes(self, model, levels):
+        # lossy decodes overshoot a narrow alphabet unless the decoder
+        # clamps to it; 10% loss also runs the prefix decode
+        cfg = PipelineConfig(levels=levels, frames=10,
+                             link=LinkScenario(loss_prob=0.1, seed=0))
+        s = run_session(cfg, model)["summary"]
+        assert s["frames_completed"] + s["frames_dropped"] == 10
+        assert s["frames_completed"] > 0
+
+
 class TestCorpusStats:
     def test_cache_is_shared_across_model_objects(self, model):
         twin = SplitModel(model.seed)

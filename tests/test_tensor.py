@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from splitstream import (FTSR_HEADER, FTSR_MAGIC, FeatureTensor, TensorStats,
-                         collect_stats, empirical_entropy, mse, psnr,
-                         read_tensor, write_tensor)
+                         collect_stats, mse, psnr, read_tensor, write_tensor)
 
 
 def _ft(arr):
@@ -140,34 +139,6 @@ class TestStats:
                 aggregate_std=1.0,
                 sample_count=2,
             )
-
-
-class TestEntropy:
-    def test_constant_plane(self):
-        assert empirical_entropy(np.full((16, 16), 9, dtype=np.uint8)) == 0.0
-
-    def test_two_symbol_split(self):
-        arr = np.zeros((2, 128), dtype=np.uint8)
-        arr[1, :] = 200
-        assert empirical_entropy(arr) == 1.0
-
-    def test_uniform_256(self):
-        arr = (np.arange(1 << 16) % 256).astype(np.uint8)
-        assert empirical_entropy(arr) == pytest.approx(8.0, abs=0.05)
-
-    def test_accepts_bytes_and_plane_objects(self):
-        assert empirical_entropy(b"\x00\xff" * 64) == 1.0
-
-        class Plane:
-            bytes = np.zeros((4, 4), dtype=np.uint8)
-
-        assert empirical_entropy(Plane()) == 0.0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            empirical_entropy(np.zeros((4, 4), dtype=np.float32))
-        with pytest.raises(ValueError):
-            empirical_entropy(b"")
 
 
 class TestFtsrFiles:

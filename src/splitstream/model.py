@@ -49,6 +49,7 @@ __all__ = [
 EQUIVARIANCE_BORDER = 1
 
 # the stub's fixed geometry: only the seed varies between models
+MODEL_NAME = "stub3"          # as the manifest and MODEL_SWITCH name it
 INPUT_SIZE = 64               # square input, pixels per side
 INPUT_CHANNELS = 3
 STAGE_CHANNELS = (16, 32, 64)
@@ -263,7 +264,7 @@ class SplitModel:
     def manifest(self) -> dict:
         """models.json-style description consumed by the pipeline and CLI."""
         return {
-            "model": "stub3",
+            "model": MODEL_NAME,
             "seed": self.seed,
             "input": [INPUT_SIZE, INPUT_SIZE, INPUT_CHANNELS],
             "classes": list(CLASS_NAMES),

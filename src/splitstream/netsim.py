@@ -90,7 +90,6 @@ class Link:
         self._busy_until = 0
         self._rng = Xorshift64Star(derive(config.seed, "link", name))
         self.sent = 0
-        self.delivered = 0
         self.dropped = 0
 
     def send(self, data: bytes) -> None:
@@ -111,9 +110,4 @@ class Link:
         jitter = self._rng.randint(cfg.jitter_us + 1) if cfg.jitter_us else 0
         arrival = self._busy_until + cfg.one_way_delay_us + jitter
         deliver = self.deliver
-
-        def _arrive():
-            self.delivered += 1
-            deliver(data)
-
-        self.sim.at(arrival, _arrive)
+        self.sim.at(arrival, lambda: deliver(data))

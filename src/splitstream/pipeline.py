@@ -25,14 +25,14 @@ learning it existed.
 
 Both links carry wire bytes: every message is sent as
 ``encode_message(msg)`` and every receiver starts with ``decode_message``.
-The server learns its session (cut, quantizer, concealment strategy,
-top-k) only from the MODEL_SWITCH body and refuses a malformed one with
-``ProtocolError``.  The one modelled out-of-band channel is the
-per-channel side means, assumed lossless and free; dataset statistics
-come from the shared calibration recipe, so both ends agree without
-transmission.  Everything is driven by integer simulated time plus
-seeded draws: a config (link seed included) reproduces its report byte
-for byte.
+Both ends take the session (cut, quantizer, concealment strategy, top-k)
+from one parser, ``_parse_session``: the server from the MODEL_SWITCH
+body (``ProtocolError`` if malformed), ``run_session`` from its config's
+body before any set-up (``SessionError``).  The per-channel side means
+are the one modelled out-of-band channel, assumed lossless and free;
+dataset statistics come from the shared calibration recipe, so both ends
+agree without transmission.  Seeded draws and integer simulated time
+make a config (link seed included) reproduce its report byte for byte.
 """
 
 from __future__ import annotations
@@ -44,11 +44,12 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .codec import (CodecError, decode, decode_prefix, encode,
-                    encode_to_target, undecoded_plane_mask)
+from .codec import (CodecError, TargetInfeasibleError, decode, decode_prefix,
+                    encode, encode_to_target, undecoded_plane_mask)
 from .concealment import (STRATEGIES, LossMask, SideChannelMeans, conceal,
                           side_channel_means)
-from .model import CLASS_NAMES, CUT_POINTS, SplitModel, cut_point
+from .model import (CLASS_NAMES, CUT_POINTS, MODEL_NAME, CutPoint, SplitModel,
+                    cut_point)
 from .netsim import Link, LinkConfig, Simulator
 from .protocol import (FLAG_END_OF_TENSOR, BandwidthEstimator, Confirmation,
                        FrameAssembler, MsgType, ProtocolError, SendBuffer,
@@ -58,8 +59,7 @@ from .protocol import (FLAG_END_OF_TENSOR, BandwidthEstimator, Confirmation,
 from .quantizer import QuantizerSpec, dequantize, quantize
 from .strategy import StrategyProfile
 from .tensor import TensorStats, collect_stats
-from .tiling import (TileLayout, TiledPlane, channel_tiles, detile,
-                     layout_for, tile)
+from .tiling import TiledPlane, channel_tiles, detile, layout_for, tile
 
 __all__ = [
     "LinkScenario",
@@ -156,6 +156,39 @@ def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     return _STATS_CACHE[key]
 
 
+@dataclass(frozen=True)
+class _Session:
+    """What one MODEL_SWITCH sets up, at the client and at the server."""
+
+    cut: CutPoint
+    spec: QuantizerSpec
+    conceal: str
+    top_k: int
+
+
+def _switch_body(cfg: PipelineConfig) -> dict:
+    """The MODEL_SWITCH body a client with this config sends."""
+    return {"model": MODEL_NAME, "cut": cfg.cut, "levels": cfg.levels,
+            "clipWidth": cfg.clip_width, "mode": cfg.quant_mode,
+            "conceal": cfg.conceal, "topK": cfg.top_k}
+
+
+def _parse_session(body: dict) -> _Session:
+    """The session a MODEL_SWITCH body asks for; the only place its rules are
+    checked.  A malformed body raises ``ValueError``; a missing field reads
+    as None, which every rule refuses."""
+    model, conceal, top_k = body.get("model"), body.get("conceal"), body.get("topK")
+    if model != MODEL_NAME:
+        raise ValueError(f"unknown model {model!r}")
+    spec = QuantizerSpec(body.get("levels"), body.get("clipWidth"), body.get("mode"))
+    cut = cut_point(body.get("cut"))
+    if conceal not in STRATEGIES + ("none",):
+        raise ValueError(f"unknown concealment strategy {conceal!r}")
+    if type(top_k) is not int or top_k < 1:
+        raise ValueError(f"top-k must be an integer of at least 1, got {top_k!r}")
+    return _Session(cut, spec, conceal, top_k)
+
+
 def _confirm_message(conf: Confirmation) -> WireMessage:
     payload = conf.pack()
     return WireMessage(
@@ -182,12 +215,12 @@ def _end_marker(frame_id: int, total_len: int) -> WireMessage:
 
 
 class _Client:
-    def __init__(self, sim: Simulator, cfg: PipelineConfig, model: SplitModel,
-                 spec: QuantizerSpec, stats: TensorStats, uplink: Link):
+    def __init__(self, sim: Simulator, cfg: PipelineConfig, session: _Session,
+                 model: SplitModel, stats: TensorStats, uplink: Link):
         self.sim = sim
         self.cfg = cfg
+        self.session = session
         self.model = model
-        self.spec = spec
         self.stats = stats
         self.uplink = uplink
         self.est = BandwidthEstimator(rtt_us=cfg.link.rtt_us)
@@ -207,17 +240,8 @@ class _Client:
     # -- handshake
 
     def start(self):
-        self._switch_msg = make_control(
-            MsgType.MODEL_SWITCH, 0, {
-                "model": "stub3",
-                "cut": self.cfg.cut,
-                "levels": self.cfg.levels,
-                "clipWidth": self.cfg.clip_width,
-                "mode": self.cfg.quant_mode,
-                "conceal": self.cfg.conceal,
-                "topK": self.cfg.top_k,
-            },
-        )
+        self._switch_msg = make_control(MsgType.MODEL_SWITCH, 0,
+                                        _switch_body(self.cfg))
         self._send_switch()
         self.sim.at(self.cfg.handshake_timeout_us, self._handshake_deadline)
 
@@ -270,22 +294,24 @@ class _Client:
             float(self.cfg.client_process_us), float(server_remain),
             backlog * 1e6 / bw, invert=self.cfg.invert_drop_rule,
         )
+        if keep:
+            cut = self.session.cut.name
+            t = self.model.forward_client(self.model.generate_input(k), cut)
+            plane = tile(quantize(t, self.session.spec, self.stats))
+            if self.cfg.target_bytes:
+                try:
+                    bits, _quality = encode_to_target(plane, self.cfg.target_bytes)
+                except TargetInfeasibleError:   # no quality fits the target
+                    keep = False
+            else:
+                bits = encode(plane, self.cfg.quality)
         if not keep:
             rec["dropped"] = True
             rec["status"] = "dropped"
             self.sim.log_event("frame_drop", k)
             return
-
-        t = self.model.forward_client(self.model.generate_input(k), self.cfg.cut)
-        self.clean_argmax[k] = int(
-            np.argmax(self.model.forward_server(t, self.cfg.cut))
-        )
+        self.clean_argmax[k] = int(np.argmax(self.model.forward_server(t, cut)))
         self.side_store[k] = side_channel_means(t)
-        plane = tile(quantize(t, self.spec, self.stats))
-        if self.cfg.target_bytes:
-            bits, _quality = encode_to_target(plane, self.cfg.target_bytes)
-        else:
-            bits = encode(plane, self.cfg.quality)
         rec["sentBytes"] = len(bits)
 
         def _enqueue():
@@ -369,10 +395,8 @@ class _Server:
         self.downlink = downlink
         self.side_store = side_store
         # set by the first well-formed MODEL_SWITCH, from its body alone
-        self.session: dict | None = None
-        self.spec: QuantizerSpec | None = None
+        self.session: _Session | None = None
         self.stats: TensorStats | None = None
-        self.layout: TileLayout | None = None
         self.est = BandwidthEstimator(rtt_us=cfg.link.rtt_us)
         self.assemblers: dict[int, FrameAssembler] = {}
         self.last_arrival: dict[int, int] = {}
@@ -393,23 +417,14 @@ class _Server:
         body = parse_control(msg)
         if self.session is None:
             try:
-                spec = QuantizerSpec(body["levels"], body["clipWidth"],
-                                     body["mode"])
-                cut = cut_point(body["cut"])
-                if body["conceal"] not in STRATEGIES + ("none",):
-                    raise ValueError(f"unknown concealment {body['conceal']!r}")
-                if type(body["topK"]) is not int or body["topK"] < 1:
-                    raise ValueError(f"bad topK {body['topK']!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    f"malformed MODEL_SWITCH body: {exc!r}") from None
-            self.session, self.spec = body, spec
-            self.stats = corpus_stats(self.model, cut.name,
+                self.session = _parse_session(body)
+            except ValueError as exc:
+                raise ProtocolError(f"malformed MODEL_SWITCH body: {exc}") from None
+            self.stats = corpus_stats(self.model, self.session.cut.name,
                                       self.cfg.stats_images)
-            self.layout = layout_for(cut.height, cut.width, cut.channels)
             self.sim.log_event("model_switch_recv")
         ready = make_control(MsgType.MODEL_READY, 0,
-                             {"status": "ready", "cut": self.session["cut"]})
+                             {"status": "ready", "cut": self.session.cut.name})
         self.downlink.send(encode_message(ready))
 
     def _on_data(self, msg: WireMessage):
@@ -449,14 +464,14 @@ class _Server:
         asm = self.assemblers.pop(fid)
         data, gaps = asm.payload()
 
-        strategy = self.session["conceal"]
+        strategy = self.session.conceal
         if gaps and strategy == "none":
             self.failed_frames.add(fid)
             self.sim.log_event("frame_fail", fid, 0, len(gaps))
             return
 
         plane, mask_plane = self._decode_with_gaps(data, gaps)
-        t_hat = dequantize(detile(plane, self.spec), self.stats)
+        t_hat = dequantize(detile(plane, self.session.spec), self.stats)
         if mask_plane.any():
             elem_mask = channel_tiles(mask_plane, plane.layout)
             t_final = conceal(t_hat, LossMask(elem_mask), strategy,
@@ -464,8 +479,8 @@ class _Server:
         else:
             t_final = t_hat
 
-        scores = self.model.forward_server(t_final, self.session["cut"])
-        order = np.argsort(scores)[::-1][: self.session["topK"]]
+        scores = self.model.forward_server(t_final, self.session.cut.name)
+        order = np.argsort(scores)[::-1][: self.session.top_k]
         body = {
             "frameNumber": fid,
             "inferenceTime": self.cfg.server_process_us,
@@ -499,11 +514,10 @@ class _Server:
         try:
             plane, blocks_ok, _total = decode_prefix(data[: gaps[0][0]])
         except CodecError:
-            mid = np.full((self.layout.plane_h, self.layout.plane_w),
-                          self.spec.levels // 2, dtype=np.uint8)
-            return TiledPlane(mid, self.layout, self.spec.levels), np.ones(
-                (self.layout.plane_h, self.layout.plane_w), dtype=bool
-            )
+            cut, levels = self.session.cut, self.session.spec.levels
+            layout = layout_for(cut.height, cut.width, cut.channels)
+            mid = np.full((layout.plane_h, layout.plane_w), levels // 2, dtype=np.uint8)
+            return TiledPlane(mid, layout, levels), np.ones(mid.shape, dtype=bool)
         return plane, undecoded_plane_mask(plane.layout, blocks_ok)
 
 
@@ -530,13 +544,10 @@ def run_session(config: PipelineConfig,
             if f.name in _LEAST_VALUES and value < _LEAST_VALUES[f.name]:
                 raise SessionError(f"{f.name} must be at least "
                                    f"{_LEAST_VALUES[f.name]}, got {value}")
-    if cfg.conceal not in STRATEGIES + ("none",):
-        raise SessionError(f"unknown concealment strategy {cfg.conceal!r}")
     if not 1 <= cfg.quality <= 100:
         raise SessionError(f"quality must be 1..100, got {cfg.quality}")
     try:
-        cut_point(cfg.cut)
-        spec = QuantizerSpec(cfg.levels, cfg.clip_width, cfg.quant_mode)
+        session = _parse_session(_switch_body(cfg))
         up_cfg = LinkConfig(
             bandwidth_bps=cfg.link.bandwidth_bps,
             one_way_delay_us=cfg.link.rtt_us // 2,
@@ -555,13 +566,13 @@ def run_session(config: PipelineConfig,
         raise SessionError(str(exc)) from None
     if model is None:
         model = SplitModel(cfg.model_seed)
-    stats = corpus_stats(model, cfg.cut, cfg.stats_images)
+    stats = corpus_stats(model, session.cut.name, cfg.stats_images)
 
     sim = Simulator()
     uplink = Link(sim, up_cfg, "up")
     downlink = Link(sim, down_cfg, "down")
 
-    client = _Client(sim, cfg, model, spec, stats, uplink)
+    client = _Client(sim, cfg, session, model, stats, uplink)
     server = _Server(sim, cfg, model, downlink, client.side_store)
     uplink.deliver = server.on_uplink
     downlink.deliver = client.on_downlink

@@ -50,8 +50,10 @@ class QuantizerSpec:
             raise ValueError(f"levels must be an integer, got {self.levels!r}")
         if not 2 <= self.levels <= 256:
             raise ValueError(f"levels must be in 2..256, got {self.levels}")
-        if not self.clip_width > 0:
-            raise ValueError(f"clip width must be positive, got {self.clip_width}")
+        w = self.clip_width
+        if (isinstance(w, bool) or not isinstance(w, numbers.Real)
+                or not 0 < w < math.inf):
+            raise ValueError(f"clip width must be positive and finite, got {w!r}")
         if self.mode not in ("aggregate", "per_neuron"):
             raise ValueError(f"unknown mode {self.mode!r}")
 

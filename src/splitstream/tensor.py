@@ -121,12 +121,10 @@ class TensorStats:
 @dataclass(frozen=True)
 class DistortionReport:
     """MSE plus PSNR in dB; psnr_db is +inf for an exact match and -inf
-    (flagged degenerate) when the reference has zero dynamic range."""
+    when the reference has zero dynamic range."""
 
     mse: float
     psnr_db: float
-    dynamic_range: float
-    degenerate: bool = False
 
 
 def _check_pair(a: FeatureTensor, b: FeatureTensor, mask: np.ndarray | None):
@@ -155,16 +153,15 @@ def psnr(a: FeatureTensor, b: FeatureTensor, mask: np.ndarray | None = None) -> 
     """Peak signal-to-noise ratio of b against reference a.
 
     The dynamic range R is max(a) - min(a).  Zero MSE maps to +inf; R == 0
-    with nonzero MSE has no meaningful ratio and is reported as -inf with
-    the degenerate flag set.
+    with nonzero MSE has no meaningful ratio and is reported as -inf.
     """
     err = mse(a, b, mask)
     rng = float(a.data.max() - a.data.min())
     if err == 0.0:
-        return DistortionReport(0.0, math.inf, rng)
+        return DistortionReport(0.0, math.inf)
     if rng == 0.0:
-        return DistortionReport(err, -math.inf, 0.0, degenerate=True)
-    return DistortionReport(err, 10.0 * math.log10(rng * rng / err), rng)
+        return DistortionReport(err, -math.inf)
+    return DistortionReport(err, 10.0 * math.log10(rng * rng / err))
 
 
 def collect_stats(samples, label: str = "") -> TensorStats:

@@ -144,6 +144,16 @@ class TestSimulate:
         assert len(report["frames"]) == 3
         assert "3/3 frames completed" in capsys.readouterr().out
 
+    def test_infeasible_target_drops_frames(self, tmp_path, capsys):
+        # no stream is as small as 1 byte: every frame is dropped, exit 0
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps({"target_bytes": 1, "frames": 3}))
+        out = tmp_path / "report.json"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["summary"]["frames_dropped"] == 3
+        assert "0/3 frames completed, 3 dropped" in capsys.readouterr().out
+
 
 class TestEncodeDecode:
     @pytest.fixture()
@@ -243,6 +253,7 @@ class TestErrors:
         ({"link": {"loss_prob": "0.1"}}, "loss_prob"),
         ({"invert_drop_rule": "yes"}, "invert_drop_rule"),
         ({"clip_width": True}, "clip_width"),
+        ({"clip_width": float("inf")}, "clip"),
     ])
     def test_invalid_config_values(self, tmp_path, capsys, monkeypatch,
                                    config, needle):

@@ -1,8 +1,10 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splitstream.pipeline as pl
@@ -11,6 +13,8 @@ from splitstream import (FLAG_END_OF_TENSOR, Link, LinkConfig, MsgType,
                          collect_stats, decode_message, encode,
                          encode_message, make_control, parse_control, quantize,
                          tile)
+from splitstream.concealment import STRATEGIES
+from splitstream.model import CUT_POINTS
 from splitstream.pipeline import (FRAME_ROW_KEYS, LinkScenario, PipelineConfig,
                                   SessionError, corpus_stats, measure_profiles,
                                   run_session)
@@ -261,6 +265,9 @@ class TestHandshake:
         _switch_body(topK=2.5),
         _switch_body(topK="5"),
         _switch_body(topK=True),
+        _switch_body(clipWidth=True),
+        _switch_body(clipWidth=math.inf),
+        _switch_body(model="stub4"),
     ])
     def test_malformed_switch_is_a_protocol_error(self, model, body):
         # a malformed body is refused before the server replies downlink
@@ -276,7 +283,7 @@ class TestHandshake:
         server.on_uplink(_switch_wire(cut="stage3", topK=2))
         assert server.stats is corpus_stats(model, "stage3", 4)
         t = model.forward_client(model.generate_input(0), "stage3")
-        bits = encode(tile(quantize(t, server.spec, server.stats)), 85)
+        bits = encode(tile(quantize(t, server.session.spec, server.stats)), 85)
         server.on_uplink(encode_message(WireMessage(
             MsgType.DATA, 0, 0, len(bits), bits, FLAG_END_OF_TENSOR)))
         server.sim.run()
@@ -300,6 +307,98 @@ class TestHandshake:
                 pass
 
 
+class _SetUpBegan(Exception):
+    pass
+
+
+def _set_up_began(*args):
+    raise _SetUpBegan
+
+
+def _run_session_refuses(cfg: PipelineConfig) -> bool:
+    """Whether run_session refuses cfg before set-up; set-up is stubbed out
+    as the CLI test does, so an accepted config stops where it begins."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pl, "SplitModel", _set_up_began)
+        mp.setattr(pl, "corpus_stats", _set_up_began)
+        try:
+            run_session(cfg)
+        except SessionError:
+            return True
+        except _SetUpBegan:
+            return False
+    raise AssertionError("run_session neither refused nor began set-up")
+
+
+def _server_refuses(model, wire: bytes) -> bool:
+    server = _server(model)[0]
+    try:
+        server.on_uplink(wire)
+    except ProtocolError:
+        assert server.session is None
+        return True
+    return False
+
+
+# values for each session field, valid and not, the ones the two validators
+# once disagreed on (a bool or non-finite clip width) included
+_SESSION_FIELDS = st.fixed_dictionaries({
+    "cut": st.sampled_from([c.name for c in CUT_POINTS] + ["stage9", ""]),
+    "levels": st.one_of(st.integers(-1, 300),
+                        st.sampled_from([3.5, True, "256"])),
+    "clip_width": st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True), st.integers(-2, 5),
+        st.sampled_from([True, False, math.inf, -math.inf, math.nan, "3"])),
+    "quant_mode": st.sampled_from(["aggregate", "per_neuron", "psycho"]),
+    "conceal": st.sampled_from(STRATEGIES + ("none", "wishful")),
+    "top_k": st.one_of(st.integers(-1, 12), st.sampled_from([True, 2.5, "5"])),
+})
+
+
+class TestOneSessionValidator:
+    @settings(max_examples=200)
+    @given(fields=_SESSION_FIELDS)
+    @example(fields={})
+    @example(fields={"clip_width": True})
+    @example(fields={"clip_width": math.inf})
+    def test_run_session_and_server_refuse_the_same_sessions(self, model,
+                                                             fields):
+        cfg = PipelineConfig(**fields)
+        wire = encode_message(make_control(MsgType.MODEL_SWITCH, 0,
+                                           pl._switch_body(cfg)))
+        assert _run_session_refuses(cfg) == _server_refuses(model, wire)
+
+    @pytest.mark.parametrize("cut, conceal, mode", itertools.product(
+        [c.name for c in CUT_POINTS], STRATEGIES + ("none",),
+        ["aggregate", "per_neuron"]))
+    def test_server_parses_the_session_run_session_validated(
+            self, model, monkeypatch, cut, conceal, mode):
+        validated, uplink = [], []
+
+        def recording_parse(body, parse=pl._parse_session):
+            validated.append(parse(body))
+            return validated[-1]
+
+        def capture_send(link, data):
+            uplink.append(data)
+            raise _SetUpBegan
+
+        # the session run_session validated, then the first bytes its
+        # client puts on the uplink: the MODEL_SWITCH
+        monkeypatch.setattr(pl, "_parse_session", recording_parse)
+        monkeypatch.setattr(pl.Link, "send", capture_send)
+        cfg = PipelineConfig(cut=cut, conceal=conceal, quant_mode=mode,
+                             stats_images=4)
+        with pytest.raises(_SetUpBegan):
+            run_session(cfg, model)
+        monkeypatch.undo()
+        server = _server(model)[0]
+        server.on_uplink(uplink[0])
+        assert server.session == validated[0]
+        assert (server.session.cut.name, server.session.conceal,
+                server.session.spec.mode) == (cut, conceal, mode)
+
+
 class TestValidation:
     def test_unknown_concealment(self, model):
         cfg = PipelineConfig(conceal="wishful")
@@ -310,6 +409,21 @@ class TestValidation:
         cfg = PipelineConfig(cut="stage9")
         with pytest.raises(SessionError, match="cut"):
             run_session(cfg, model)
+
+
+class TestInfeasibleTarget:
+    def test_frames_below_the_smallest_stream_are_dropped(self, model):
+        # no quality reaches 1 byte: each frame is dropped at capture and
+        # the session still completes
+        cfg = PipelineConfig(target_bytes=1, frames=3)
+        report = run_session(cfg, model)
+        assert report["summary"]["frames_dropped"] == 3
+        assert report["summary"]["bytes_sent"] == 0
+        for row in report["frames"]:
+            assert row["dropped"] and row["status"] == "dropped"
+            assert row["sentBytes"] == 0
+        assert _events(report).count("frame_drop") == 3
+        assert "send" not in _events(report)
 
 
 class TestNarrowAlphabet:

@@ -9,9 +9,9 @@ tensor:
 
     predicted(y, x, c) = reference(y + vy, x + vx, c)
 
-Integer tensor-domain vectors gather directly; fractional ones interpolate
-bilinearly.  Source positions outside the reference produce zeros and a
-False entry in the validity mask.
+Every vector is sampled bilinearly; an integer one has weights 0 and 1 and
+so gathers exactly.  Source positions outside the reference produce zeros
+and a False entry in the validity mask.
 
 Because the stage stack is shift-equivariant at multiples of the
 cumulative stride, an integer-aligned pan predicts the next cut tensor
@@ -107,23 +107,16 @@ def predict(ref: FeatureTensor, field: MotionField) -> tuple[FeatureTensor, np.n
     valid_y = (ys >= 0.0) & (ys <= h - 1)
     valid_x = (xs >= 0.0) & (xs <= w - 1)
 
-    vy_int = float(field.vy).is_integer()
-    vx_int = float(field.vx).is_integer()
-    if vy_int and vx_int:
-        yi = np.clip(ys.astype(np.int64), 0, h - 1)
-        xi = np.clip(xs.astype(np.int64), 0, w - 1)
-        pred = ref.data[yi[:, None], xi[None, :], :].astype(np.float32)
-    else:
-        y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
-        x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
-        y1 = np.minimum(y0 + 1, h - 1)
-        x1 = np.minimum(x0 + 1, w - 1)
-        fy = (ys - y0)[:, None, None]
-        fx = (xs - x0)[None, :, None]
-        d = ref.data.astype(np.float64)
-        top = d[y0[:, None], x0[None, :], :] * (1 - fx) + d[y0[:, None], x1[None, :], :] * fx
-        bot = d[y1[:, None], x0[None, :], :] * (1 - fx) + d[y1[:, None], x1[None, :], :] * fx
-        pred = (top * (1 - fy) + bot * fy).astype(np.float32)
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None, None]
+    fx = (xs - x0)[None, :, None]
+    d = ref.data.astype(np.float64)
+    top = d[y0[:, None], x0[None, :], :] * (1 - fx) + d[y0[:, None], x1[None, :], :] * fx
+    bot = d[y1[:, None], x0[None, :], :] * (1 - fx) + d[y1[:, None], x1[None, :], :] * fx
+    pred = (top * (1 - fy) + bot * fy).astype(np.float32)
 
     mask = (valid_y[:, None] & valid_x[None, :])[:, :, None].repeat(c, axis=2)
     pred = np.where(mask, pred, np.float32(0.0))

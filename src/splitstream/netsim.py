@@ -74,10 +74,6 @@ class Simulator:
                 ) from exc
         self.now_us = max(self.now_us, t_end_us)
 
-    def run(self) -> None:
-        while self._queue:
-            self.run_until(self._queue[0][0])
-
 
 class Link:
     """One direction of a point-to-point link."""

@@ -45,17 +45,18 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .codec import (CodecError, TargetInfeasibleError, decode, decode_prefix,
-                    encode, encode_to_target, undecoded_plane_mask)
+                    encode, encode_to_target, quality_table,
+                    undecoded_plane_mask)
 from .concealment import (STRATEGIES, LossMask, SideChannelMeans, conceal,
                           side_channel_means)
 from .model import (CLASS_NAMES, CUT_POINTS, MODEL_NAME, CutPoint, SplitModel,
                     cut_point)
 from .netsim import Link, LinkConfig, Simulator
-from .protocol import (FLAG_END_OF_TENSOR, BandwidthEstimator, Confirmation,
-                       FrameAssembler, MsgType, ProtocolError, SendBuffer,
-                       WireMessage, decode_message, encode_message,
-                       frame_deadline_us, make_control, may_send,
-                       parse_control, should_process_frame)
+from .protocol import (BandwidthEstimator, Confirmation, FrameAssembler,
+                       MsgType, ProtocolError, SendBuffer, WireMessage,
+                       decode_message, encode_message, frame_deadline_us,
+                       make_control, may_send, parse_control,
+                       should_process_frame)
 from .quantizer import QuantizerSpec, dequantize, quantize
 from .strategy import StrategyProfile
 from .tensor import TensorStats, collect_stats
@@ -189,14 +190,6 @@ def _parse_session(body: dict) -> _Session:
     return _Session(cut, spec, conceal, top_k)
 
 
-def _confirm_message(conf: Confirmation) -> WireMessage:
-    payload = conf.pack()
-    return WireMessage(
-        msg_type=MsgType.CONFIRM, frame_id=conf.frame_id, offset=0,
-        total_len=len(payload), payload=payload, flags=FLAG_END_OF_TENSOR,
-    )
-
-
 def _frame_row(k: int) -> dict:
     """Report row of a frame that nothing has happened to yet."""
     return {
@@ -204,14 +197,6 @@ def _frame_row(k: int) -> dict:
         "concealedRanges": 0, "latency_us": None, "agree": None,
         "status": "incomplete",
     }
-
-
-def _end_marker(frame_id: int, total_len: int) -> WireMessage:
-    # zero-payload DATA at offset == total_len: announces existence + length
-    return WireMessage(
-        msg_type=MsgType.DATA, frame_id=frame_id, offset=total_len,
-        total_len=total_len, payload=b"", flags=FLAG_END_OF_TENSOR,
-    )
 
 
 class _Client:
@@ -310,7 +295,7 @@ class _Client:
             rec["status"] = "dropped"
             self.sim.log_event("frame_drop", k)
             return
-        self.clean_argmax[k] = int(np.argmax(self.model.forward_server(t, cut)))
+        self.clean_argmax[k] = self.model.argmaxes([t], cut)[0]
         self.side_store[k] = side_channel_means(t)
         rec["sentBytes"] = len(bits)
 
@@ -363,7 +348,8 @@ class _Client:
         """Re-announce a frame the server has never once confirmed."""
         if k in self.heard:
             return
-        marker = _end_marker(k, total_len)
+        # zero-payload DATA at offset == total_len: announces existence + length
+        marker = WireMessage(MsgType.DATA, k, total_len, total_len)
         if k not in self._announced:
             self._announced.add(k)
             self.est.record_sent(k, total_len, 0, self.sim.now_us)
@@ -447,8 +433,8 @@ class _Server:
         self.sim.log_event("recv", fid, msg.offset, len(msg.payload))
         asm = self.assemblers.get(fid)
         cumulative = asm.bytes_received if asm is not None else msg.total_len
-        conf = _confirm_message(Confirmation(fid, msg.offset, cumulative, now))
-        self.downlink.send(encode_message(conf))
+        conf = Confirmation(fid, msg.offset, cumulative, now)
+        self.downlink.send(encode_message(conf.message()))
         if fid not in self.processed and self.assemblers[fid].complete:
             self._process(fid)
 
@@ -544,9 +530,8 @@ def run_session(config: PipelineConfig,
             if f.name in _LEAST_VALUES and value < _LEAST_VALUES[f.name]:
                 raise SessionError(f"{f.name} must be at least "
                                    f"{_LEAST_VALUES[f.name]}, got {value}")
-    if not 1 <= cfg.quality <= 100:
-        raise SessionError(f"quality must be 1..100, got {cfg.quality}")
     try:
+        quality_table(cfg.quality)
         session = _parse_session(_switch_body(cfg))
         up_cfg = LinkConfig(
             bandwidth_bps=cfg.link.bandwidth_bps,
@@ -566,6 +551,10 @@ def run_session(config: PipelineConfig,
         raise SessionError(str(exc)) from None
     if model is None:
         model = SplitModel(cfg.model_seed)
+    elif model.seed != cfg.model_seed:
+        # the report's config must describe the model that produced it
+        raise SessionError(f"model seed {model.seed} does not match "
+                           f"model_seed {cfg.model_seed}")
     stats = corpus_stats(model, session.cut.name, cfg.stats_images)
 
     sim = Simulator()

@@ -8,15 +8,16 @@ Every message shares one little-endian 19-byte header:
     frame_id    u32
     offset      u32   byte offset of this payload within the frame
     total_len   u32   full frame length in bytes
-    flags       u8    bit 0 = END_OF_TENSOR
+    flags       u8    bit 0 = END_OF_TENSOR, bits 1-7 zero
     payload_len u16
     payload     payload_len bytes
 
 END_OF_TENSOR is set exactly when offset + payload_len == total_len, so a
-receiver can recognize the flush without bookkeeping.  DATA payloads carry
-bitstream chunks; CONFIRM payloads carry a fixed 24-byte receipt (frame,
-packet offset, cumulative unique bytes, receive time); the control types
-carry JSON.
+receiver can recognize the flush without bookkeeping; ``WireMessage``
+derives it from that geometry (``end_of_tensor``) and ``decode_message``
+refuses any other flag byte.  DATA payloads carry bitstream chunks;
+CONFIRM payloads carry a fixed 24-byte receipt (frame, packet offset,
+cumulative unique bytes, receive time); the control types carry JSON.
 
 The sender side couples a frame queue (``SendBuffer``) with a
 ``BandwidthEstimator`` that meters confirmed bytes over a sliding window
@@ -25,8 +26,8 @@ and presumes unconfirmed packets lost once they outlive two round trips.
 and everything previously sent is either confirmed or presumed lost, which
 caps in-flight data at one MSS beyond the presumed-lost pool.
 ``should_process_frame`` is the capture-time drop rule: skip the frame
-when the client could not finish it before the server slot or the backlog
-drains.
+when the wait for the next server slot or the time to drain the backlog
+outlasts the client's work on it.
 """
 
 from __future__ import annotations
@@ -92,24 +93,14 @@ class WireMessage:
     offset: int
     total_len: int
     payload: bytes = b""
-    flags: int = 0
 
     def __post_init__(self):
         if len(self.payload) > 0xFFFF:
             raise ProtocolError(f"payload {len(self.payload)} exceeds u16 range")
-        end = bool(self.flags & FLAG_END_OF_TENSOR)
-        if end != (self.offset + len(self.payload) == self.total_len):
-            raise ProtocolError(
-                "END_OF_TENSOR flag inconsistent with offset/total_len"
-            )
 
     @property
     def end_of_tensor(self) -> bool:
-        return bool(self.flags & FLAG_END_OF_TENSOR)
-
-
-def _flags_for(offset: int, payload_len: int, total_len: int) -> int:
-    return FLAG_END_OF_TENSOR if offset + payload_len == total_len else 0
+        return self.offset + len(self.payload) == self.total_len
 
 
 @dataclass(frozen=True)
@@ -135,11 +126,18 @@ class Confirmation:
             )
         return cls(*CONFIRM_PAYLOAD.unpack(payload))
 
+    def message(self) -> WireMessage:
+        """The CONFIRM message carrying this receipt."""
+        payload = self.pack()
+        return WireMessage(MsgType.CONFIRM, self.frame_id, 0, len(payload),
+                           payload)
+
 
 def encode_message(msg: WireMessage) -> bytes:
     return WIRE_HEADER.pack(
         WIRE_MAGIC, WIRE_VERSION, int(msg.msg_type), msg.frame_id,
-        msg.offset, msg.total_len, msg.flags, len(msg.payload),
+        msg.offset, msg.total_len,
+        FLAG_END_OF_TENSOR if msg.end_of_tensor else 0, len(msg.payload),
     ) + msg.payload
 
 
@@ -160,10 +158,15 @@ def decode_message(data: bytes) -> WireMessage:
         raise ProtocolError(
             f"buffer {len(data)} does not match header + payload_len {plen}"
         )
-    return WireMessage(
+    msg = WireMessage(
         msg_type=mtype, frame_id=frame_id, offset=offset,
-        total_len=total_len, payload=data[WIRE_HEADER.size:], flags=flags,
+        total_len=total_len, payload=data[WIRE_HEADER.size:],
     )
+    if flags != (FLAG_END_OF_TENSOR if msg.end_of_tensor else 0):
+        raise ProtocolError(
+            f"flag byte 0x{flags:02x} does not match END_OF_TENSOR geometry"
+        )
+    return msg
 
 
 def make_control(msg_type: MsgType, frame_id: int, obj: dict) -> WireMessage:
@@ -171,7 +174,6 @@ def make_control(msg_type: MsgType, frame_id: int, obj: dict) -> WireMessage:
     return WireMessage(
         msg_type=msg_type, frame_id=frame_id, offset=0,
         total_len=len(payload), payload=payload,
-        flags=_flags_for(0, len(payload), len(payload)),
     )
 
 
@@ -246,7 +248,6 @@ class SendBuffer:
         return WireMessage(
             msg_type=MsgType.DATA, frame_id=frame.frame_id, offset=offset,
             total_len=total, payload=chunk,
-            flags=_flags_for(offset, len(chunk), total),
         )
 
 
@@ -361,7 +362,7 @@ class BandwidthEstimator:
 
     def outstanding_bytes(self) -> int:
         """In-flight bytes not yet confirmed or declared lost."""
-        return sum(size for _, size in self._pending.values())
+        return self.bytes_sent - self.bytes_confirmed - self.bytes_declared_lost
 
 
 def may_send(est: BandwidthEstimator, now_us: int, last_request_us: int,
@@ -377,8 +378,9 @@ def should_process_frame(client_remain_us: float, server_remain_us: float,
                          bandwidth_remain_us: float, invert: bool = False) -> bool:
     """Capture-time keep/drop rule.
 
-    Keep the frame unless the client-side work would outlast either the
-    wait for the next server slot or the time to drain the send backlog.
+    Drop the frame when either the wait for the next server slot or the
+    time to drain the send backlog outlasts the client-side work; keep it
+    when the client work takes at least as long as both.
     ``invert`` flips the decision; that is a documented experiment knob,
     not the default behavior.
     """

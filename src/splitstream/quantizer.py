@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 _SIGMA_FLOOR = 1e-6
+# clip widths, in standard deviations, that a spec accepts: within them the
+# quantize scale levels / (2w) and the float32 reconstruction stay finite,
+# which widths such as 1e-310 and 1e300 overflow; NaN fails both bounds
+_MIN_CLIP_WIDTH = 2.0 ** -10
+_MAX_CLIP_WIDTH = 2.0 ** 10
 
 
 @dataclass(frozen=True)
@@ -52,8 +57,9 @@ class QuantizerSpec:
             raise ValueError(f"levels must be in 2..256, got {self.levels}")
         w = self.clip_width
         if (isinstance(w, bool) or not isinstance(w, numbers.Real)
-                or not 0 < w < math.inf):
-            raise ValueError(f"clip width must be positive and finite, got {w!r}")
+                or not _MIN_CLIP_WIDTH <= w <= _MAX_CLIP_WIDTH):
+            raise ValueError(f"clip width must be 2**-10..2**10 standard "
+                             f"deviations, got {w!r}")
         if self.mode not in ("aggregate", "per_neuron"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -133,8 +139,6 @@ def dequantize(q: QuantizedTensor, stats: TensorStats) -> FeatureTensor:
     """Reconstruct bin midpoints."""
     spec = q.spec
     mu, _, sigma_rec = _standardizers(spec, stats, q.shape)
-    if int(q.symbols.max()) >= spec.levels:
-        raise ValueError("symbol exceeds level count")
     w = spec.clip_width
     z_hat = -w + (q.symbols.astype(np.float64) + 0.5) * (2.0 * w / spec.levels)
     x_hat = mu + sigma_rec * z_hat

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 import conftest
-from splitstream import (EQUIVARIANCE_BORDER, FLAG_END_OF_TENSOR, STRATEGIES,
+from splitstream import (EQUIVARIANCE_BORDER, STRATEGIES,
                          FeatureTensor, MsgType, QuantizedTensor,
                          QuantizerSpec, SendBuffer, StrategyProfile,
                          TensorStats, WireMessage, apply_mask, collect_stats,
@@ -337,7 +337,6 @@ def test_criterion_09_protocol_conservation():
                 offset=offset,
                 total_len=offset + len(payload) + slack,
                 payload=payload,
-                flags=FLAG_END_OF_TENSOR if slack == 0 else 0,
             )
             assert decode_message(encode_message(msg)) == msg
         note["text"] = ("1000 fuzzed frames reassemble byte-exactly under "

@@ -254,6 +254,8 @@ class TestErrors:
         ({"invert_drop_rule": "yes"}, "invert_drop_rule"),
         ({"clip_width": True}, "clip_width"),
         ({"clip_width": float("inf")}, "clip"),
+        ({"clip_width": 1e300}, "clip"),
+        ({"clip_width": 1e-310}, "clip"),
     ])
     def test_invalid_config_values(self, tmp_path, capsys, monkeypatch,
                                    config, needle):

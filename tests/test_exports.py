@@ -1,4 +1,5 @@
-"""Every name a module exports in ``__all__`` must exist and have a caller.
+"""Every name a module exports in ``__all__`` must exist and have a caller,
+and so must every function and method the package defines.
 
 A stale entry otherwise fails only on ``from module import *``, and a name
 that nothing in the package uses is API kept alive only by its tests.
@@ -54,14 +55,44 @@ def _referenced(tree: ast.Module) -> set[str]:
     return names
 
 
-def unused_exports(package_dir: Path) -> list[str]:
-    """``module.name`` for each exported name that no module references;
-    the package root only re-exports, so its imports are not callers."""
+def _defined(node, prefix: str = ""):
+    """Qualified name and bare name of each function and method defined
+    under ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            qualname = f"{prefix}{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield qualname, child.name
+            yield from _defined(child, f"{qualname}.")
+        else:
+            yield from _defined(child, prefix)
+
+
+def _package(package_dir: Path):
+    """(module trees, names referenced in the package); the package root
+    only re-exports, so its imports are not callers."""
     trees = {p.stem: ast.parse(p.read_text()) for p in package_dir.glob("*.py")}
     used = set().union(*(_referenced(t) for m, t in trees.items()
                          if m != "__init__"))
+    return trees, used
+
+
+def unused_exports(package_dir: Path) -> list[str]:
+    """``module.name`` for each exported name that no module references."""
+    trees, used = _package(package_dir)
     return sorted(f"{m}.{name}" for m, t in trees.items()
                   for name in _exported(t) if name not in used)
+
+
+def unused_functions(package_dir: Path) -> list[str]:
+    """``module.qualname`` for each function or method, dunders apart,
+    whose name no module references."""
+    trees, used = _package(package_dir)
+    return sorted(f"{m}.{qualname}" for m, t in trees.items()
+                  for qualname, name in _defined(t)
+                  if name not in used
+                  and not (name.startswith("__") and name.endswith("__")))
 
 
 def test_every_module_listed():
@@ -81,3 +112,8 @@ def test_every_export_has_a_caller():
     assert [n for n in unused if n.split(".")[1] not in CRITERION_API] == []
     # an exception that gains a caller leaves the list
     assert sorted({n.split(".")[1] for n in unused}) == sorted(CRITERION_API)
+
+
+def test_every_function_has_a_caller():
+    unused = unused_functions(Path(splitstream.__file__).parent)
+    assert [n for n in unused if n.split(".")[-1] not in CRITERION_API] == []

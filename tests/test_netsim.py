@@ -31,7 +31,7 @@ class TestSimulator:
     def test_cannot_schedule_in_the_past(self):
         sim = Simulator()
         sim.at(10, lambda: None)
-        sim.run()
+        sim.run_until(10)
         assert sim.now_us == 10
         with pytest.raises(ValueError, match="before now"):
             sim.at(5, lambda: None)
@@ -41,7 +41,7 @@ class TestSimulator:
         ran = []
         for label, t in [("a", 5), ("b", 1), ("c", 5), ("d", 3), ("e", 1)]:
             sim.at(t, lambda label=label: ran.append(label))
-        sim.run()
+        sim.run_until(5)
         assert ran == ["b", "e", "d", "a", "c"]
 
     def test_run_until_boundary_inclusive(self):
@@ -62,7 +62,7 @@ class TestSimulator:
         sim = Simulator()
         stamps = []
         sim.at(100, lambda: sim.after(50, lambda: stamps.append(sim.now_us)))
-        sim.run()
+        sim.run_until(150)
         assert stamps == [150]
 
     def test_callback_failure_carries_context(self):
@@ -73,14 +73,14 @@ class TestSimulator:
 
         sim.at(42, boom)
         with pytest.raises(SimulationError, match="t=42us") as exc:
-            sim.run()
+            sim.run_until(42)
         assert isinstance(exc.value.__cause__, KeyError)
 
     def test_log_line_format(self):
         sim = Simulator()
         sim.at(7, lambda: sim.log_event("send", frame_id=3, offset=100,
                                         length=9))
-        sim.run()
+        sim.run_until(7)
         assert sim.log == ["7,send,3,100,9"]
 
 
@@ -90,7 +90,7 @@ class TestLink:
         link, arrivals = _wire(
             sim, LinkConfig(bandwidth_bps=1e6, one_way_delay_us=5000))
         link.send(bytes(10 ** 6))
-        sim.run()
+        sim.run_until(1_005_000)
         assert arrivals == [(1_005_000, bytes(10 ** 6))]
 
     def test_receiver_required(self):
@@ -105,16 +105,16 @@ class TestLink:
             sim, LinkConfig(bandwidth_bps=1e5, one_way_delay_us=2000))
         link.send(b"1" * 1000)   # 10 ms on the wire
         link.send(b"2" * 1000)   # queues behind it
-        sim.run()
+        sim.run_until(22_000)
         assert arrivals == [(12_000, b"1" * 1000), (22_000, b"2" * 1000)]
 
     def test_busy_cursor_resets_after_idle(self):
         sim = Simulator()
         link, arrivals = _wire(sim, LinkConfig(bandwidth_bps=1e5))
         link.send(bytes(1000))
-        sim.run()
+        sim.run_until(10_000)
         sim.at(100_000, lambda: link.send(bytes(1000)))
-        sim.run()
+        sim.run_until(110_000)
         assert [t for t, _ in arrivals] == [10_000, 110_000]
 
     def test_losses_logged_and_conserved(self):
@@ -123,7 +123,7 @@ class TestLink:
             sim, LinkConfig(bandwidth_bps=1e6, loss_prob=0.3, seed=11))
         for i in range(100):
             sim.at(i * 1000, lambda: link.send(bytes(100)))
-        sim.run()
+        sim.run_until(99_100)
         assert link.sent == 100
         assert link.dropped > 0
         assert len(arrivals) + link.dropped == link.sent
@@ -137,7 +137,7 @@ class TestLink:
             sim, LinkConfig(bandwidth_bps=1e6, loss_prob=0.999, seed=1))
         for _ in range(10):
             link.send(bytes(10))
-        sim.run()
+        sim.run_until(100)
         assert link.dropped >= 9
         assert len(arrivals) + link.dropped == link.sent == 10
 
@@ -150,7 +150,7 @@ class TestLink:
                 LinkConfig(bandwidth_bps=1e6, one_way_delay_us=1000,
                            jitter_us=500, seed=seed))
             link.send(bytes(1000))  # 1 ms serialization
-            sim.run()
+            sim.run_until(2_500)
             offsets.append(arrivals[0][0] - 2000)
         assert all(0 <= o <= 500 for o in offsets)
         assert len(set(offsets)) > 1
@@ -162,7 +162,7 @@ class TestLink:
         for i in range(10):
             sim.at(i * 3000,
                    lambda i=i: link.send(bytes([i]) * (500 + 100 * i)))
-        sim.run()
+        sim.run_until(100_000)
         times = [t for t, _ in arrivals]
         assert times == sorted(times)
         assert [data[0] for _, data in arrivals] == list(range(10))
@@ -177,7 +177,7 @@ class TestLink:
             link.deliver = lambda data: sim.log_event("recv", frame_id=data[0])
             for i in range(30):
                 sim.at(i * 2000, lambda i=i: link.send(bytes([i]) * 400))
-            sim.run()
+            sim.run_until(200_000)
             return sim.log
 
         assert run_once() == run_once()

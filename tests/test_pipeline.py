@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import splitstream.pipeline as pl
-from splitstream import (FLAG_END_OF_TENSOR, Link, LinkConfig, MsgType,
-                         ProtocolError, Simulator, SplitModel, WireMessage,
-                         collect_stats, decode_message, encode,
-                         encode_message, make_control, parse_control, quantize,
-                         tile)
+from splitstream import (Link, LinkConfig, MsgType, ProtocolError, Simulator,
+                         SplitModel, WireMessage, collect_stats,
+                         decode_message, encode, encode_message, make_control,
+                         parse_control, quantize, tile)
 from splitstream.concealment import STRATEGIES
 from splitstream.model import CUT_POINTS
 from splitstream.pipeline import (FRAME_ROW_KEYS, LinkScenario, PipelineConfig,
@@ -267,6 +266,7 @@ class TestHandshake:
         _switch_body(topK=True),
         _switch_body(clipWidth=True),
         _switch_body(clipWidth=math.inf),
+        _switch_body(clipWidth=1e300),
         _switch_body(model="stub4"),
     ])
     def test_malformed_switch_is_a_protocol_error(self, model, body):
@@ -285,8 +285,8 @@ class TestHandshake:
         t = model.forward_client(model.generate_input(0), "stage3")
         bits = encode(tile(quantize(t, server.session.spec, server.stats)), 85)
         server.on_uplink(encode_message(WireMessage(
-            MsgType.DATA, 0, 0, len(bits), bits, FLAG_END_OF_TENSOR)))
-        server.sim.run()
+            MsgType.DATA, 0, 0, len(bits), bits)))
+        server.sim.run_until(1_000_000)
         results = [m for m in map(decode_message, replies)
                    if m.msg_type == MsgType.RESULT]
         assert len(results) == 1
@@ -409,6 +409,15 @@ class TestValidation:
         cfg = PipelineConfig(cut="stage9")
         with pytest.raises(SessionError, match="cut"):
             run_session(cfg, model)
+
+    def test_model_must_have_the_configured_seed(self, model, monkeypatch):
+        # the report's config.model_seed names the model behind its tensors
+        def unreachable(*args):
+            raise AssertionError("model checked after the stats were built")
+
+        monkeypatch.setattr(pl, "corpus_stats", unreachable)
+        with pytest.raises(SessionError, match="model_seed"):
+            run_session(PipelineConfig(model_seed=7, frames=2), model)
 
 
 class TestInfeasibleTarget:

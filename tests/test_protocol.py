@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from splitstream import (FLAG_END_OF_TENSOR, WIRE_HEADER, BandwidthEstimator,
-                         Confirmation, FrameAssembler, MsgType, ProtocolError,
+from splitstream import (WIRE_HEADER, BandwidthEstimator, Confirmation,
+                         FrameAssembler, MsgType, ProtocolError,
                          ReassemblyError, SendBuffer, WireMessage,
                          decode_message, encode_message, frame_deadline_us,
                          make_control, may_send, parse_control,
@@ -14,10 +14,8 @@ from splitstream import (FLAG_END_OF_TENSOR, WIRE_HEADER, BandwidthEstimator,
 
 
 def _data_msg(frame_id, offset, payload, total):
-    flags = FLAG_END_OF_TENSOR if offset + len(payload) == total else 0
     return WireMessage(msg_type=MsgType.DATA, frame_id=frame_id,
-                       offset=offset, total_len=total, payload=payload,
-                       flags=flags)
+                       offset=offset, total_len=total, payload=payload)
 
 
 def _reference_payload(self) -> tuple[bytes, list[tuple[int, int]]]:
@@ -65,14 +63,17 @@ class TestWireMessage:
     def test_header_is_19_bytes(self):
         assert WIRE_HEADER.size == 19
 
-    def test_end_flag_must_match_geometry(self):
+    @pytest.mark.parametrize("offset, flag_byte", [
+        (0, 0x01),    # END_OF_TENSOR on a chunk that does not end the frame
+        (50, 0x00),   # none on the chunk that does
+        (0, 0x02),    # bits 1-7 are never set
+        (50, 0x03),
+    ])
+    def test_end_flag_must_match_geometry(self, offset, flag_byte):
+        wire = bytearray(encode_message(_data_msg(0, offset, b"x" * 50, 100)))
+        wire[WIRE_HEADER.size - 3] = flag_byte
         with pytest.raises(ProtocolError, match="END_OF_TENSOR"):
-            WireMessage(msg_type=MsgType.DATA, frame_id=0, offset=0,
-                        total_len=100, payload=b"x" * 50,
-                        flags=FLAG_END_OF_TENSOR)
-        with pytest.raises(ProtocolError, match="END_OF_TENSOR"):
-            WireMessage(msg_type=MsgType.DATA, frame_id=0, offset=50,
-                        total_len=100, payload=b"x" * 50, flags=0)
+            decode_message(bytes(wire))
 
     def test_end_of_tensor_property(self):
         msg = _data_msg(1, 60, b"y" * 40, 100)
@@ -92,9 +93,8 @@ class TestWireMessage:
     )
     def test_round_trip_identity(self, mtype, frame_id, offset, payload, slack):
         total = offset + len(payload) + slack
-        flags = FLAG_END_OF_TENSOR if slack == 0 else 0
         msg = WireMessage(msg_type=mtype, frame_id=frame_id, offset=offset,
-                          total_len=total, payload=payload, flags=flags)
+                          total_len=total, payload=payload)
         wire = encode_message(msg)
         assert len(wire) == WIRE_HEADER.size + len(payload)
         assert decode_message(wire) == msg
@@ -138,8 +138,7 @@ class TestWireFuzz:
     def test_mutated_messages_raise_only_protocol_errors(
             self, mtype, frame_id, payload, edits, keep):
         msg = WireMessage(msg_type=mtype, frame_id=frame_id, offset=0,
-                          total_len=len(payload), payload=payload,
-                          flags=FLAG_END_OF_TENSOR)
+                          total_len=len(payload), payload=payload)
         wire = bytearray(encode_message(msg))
         for pos, value in edits:
             wire[pos % len(wire)] = value

@@ -41,6 +41,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuantizerSpec(levels=4, clip_width=0.0)
 
+    def test_width_bounds(self):
+        QuantizerSpec(levels=4, clip_width=2.0 ** -10)
+        QuantizerSpec(levels=4, clip_width=2.0 ** 10)
+        for w in (2.0 ** -10 * 0.99, 2.0 ** 10 * 1.01, 1e-310, 1e300):
+            with pytest.raises(ValueError, match="clip width"):
+                QuantizerSpec(levels=4, clip_width=w)
+
     def test_mode_known(self):
         with pytest.raises(ValueError):
             QuantizerSpec(levels=4, clip_width=1.0, mode="psycho")

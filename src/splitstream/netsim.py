@@ -2,17 +2,33 @@
 
 Time is integer microseconds.  Events execute in (time, sequence) order,
 where sequence is assignment order, so two same-seed runs replay the exact
-same schedule.  A link carries wire bytes: it models store-and-forward
-serialization of ``len(data)`` bytes with a FIFO busy cursor, a fixed
-one-way delay, optional uniform jitter, and seeded Bernoulli loss, and
-hands the receiver the very bytes that were sent.  Dropped messages are
-counted and logged with their length, never silently vanished.
+same schedule.
+
+``poll(delay_us, fn, idle_until)`` schedules ``fn`` as ``after`` does, for a
+callback that polls a condition every ``delay_us``.  When it comes due at
+``now`` and ``idle_until(now)`` is later than ``now``, ``fn`` does not run:
+the poll is re-keyed, with a fresh sequence number, to the first point of
+its grid (``now + k * delay_us``, ``k >= 1``) at or after the earliest of
+``idle_until(now)``, the time of the next queued event and the end of the
+current ``run_until`` plus one.  The guarantee: if ``fn``, run at any grid
+point before ``idle_until(now)`` with no other event in between, would
+only reschedule itself, then a poll runs ``fn`` at the same times and in
+the same order among other events (same-microsecond ties included) as a
+chain of ``after(delay_us, ...)`` ticks; only the idle ticks are skipped.
+A re-key is not a new event: it goes onto the queue without ``at``.
+
+A link carries wire bytes: it models store-and-forward serialization of
+``len(data)`` bytes with a FIFO busy cursor, a fixed one-way delay,
+optional uniform jitter, and seeded Bernoulli loss, and hands the receiver
+the very bytes that were sent.  Dropped messages are counted and logged
+with their length, never silently vanished.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .rng import Xorshift64Star, derive
 
@@ -32,8 +48,10 @@ class LinkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.bandwidth_bps > 0:      # NaN too
-            raise ValueError("bandwidth must be positive")
+        # at one byte per second or more the largest wire message still
+        # serializes in a finite integer number of microseconds
+        if not self.bandwidth_bps >= 1.0:      # NaN too
+            raise ValueError("bandwidth must be at least 1 byte per second")
         if self.one_way_delay_us < 0 or self.jitter_us < 0:
             raise ValueError("delays must be non-negative")
         if not 0.0 <= self.loss_prob < 1.0:
@@ -58,6 +76,11 @@ class Simulator:
     def after(self, delay_us: int, fn) -> None:
         self.at(self.now_us + int(delay_us), fn)
 
+    def poll(self, delay_us: int, fn, idle_until) -> None:
+        """Schedule ``fn`` like ``after``; while ``idle_until(now) > now`` at
+        a due time, skip it whole periods ahead instead of running it."""
+        self.after(delay_us, _Poll(int(delay_us), fn, idle_until))
+
     def log_event(self, event: str, frame_id: int = 0, offset: int = 0,
                   length: int = 0) -> None:
         self.log.append(f"{self.now_us},{event},{frame_id},{offset},{length}")
@@ -67,12 +90,38 @@ class Simulator:
             time_us, seq, fn = heapq.heappop(self._queue)
             self.now_us = time_us
             try:
+                if type(fn) is _Poll:
+                    if self._skip_idle(fn, t_end_us):
+                        continue
+                    fn = fn.fn
                 fn()
             except Exception as exc:
                 raise SimulationError(
                     f"callback failed at t={time_us}us (event #{seq}): {exc}"
                 ) from exc
         self.now_us = max(self.now_us, t_end_us)
+
+    def _skip_idle(self, poll: "_Poll", t_end_us: int) -> bool:
+        """Re-key a due poll whose idle horizon lies ahead; False if it runs."""
+        now = self.now_us
+        wake = poll.idle_until(now)
+        if not wake > now:
+            return False
+        wake = min(wake, t_end_us + 1)
+        if self._queue:
+            wake = min(wake, self._queue[0][0])
+        periods = max(1, -int((now - wake) // poll.period))   # ceil
+        heapq.heappush(self._queue, (now + periods * poll.period, self._seq, poll))
+        self._seq += 1
+        return True
+
+
+class _Poll(NamedTuple):
+    """A queued ``poll``: its period, callback and idle horizon."""
+
+    period: int
+    fn: Callable[[], None]
+    idle_until: Callable[[int], float]
 
 
 class Link:

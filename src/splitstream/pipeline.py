@@ -8,14 +8,16 @@ client endpoint and a server endpoint on one ``Simulator``:
     -> (simulated link) -> reassemble -> decode -> detile -> dequantize
     -> conceal gaps -> forward_server -> RESULT
 
-The client paces DATA packets through the ``may_send`` gate and skips
-frames via ``should_process_frame`` when it is falling behind; the drain
-time fed to that rule covers the unsent backlog as well as in-flight
-bytes, so a persistent bottleneck surfaces as recorded frame drops rather
-than queue growth.  The server confirms every DATA message, waits for
-stragglers until the frame deadline, then processes whatever arrived,
-mapping missing bitstream bytes to missing tensor elements for
-concealment.
+The client paces DATA packets through the ``may_send`` gate: while the
+gate is shut it polls it every ``pacing_us`` with ``Simulator.poll``,
+which skips the idle polls (those before ``_Client.idle_until``) rather
+than running them.  It skips frames via ``should_process_frame`` when it
+is falling behind; the drain time fed to that rule covers the unsent
+backlog as well as in-flight bytes, so a persistent bottleneck surfaces
+as recorded frame drops rather than queue growth.  The server confirms
+every DATA message, waits for stragglers until the frame deadline, then
+processes whatever arrived, mapping missing bitstream bytes to missing
+tensor elements for concealment.
 
 Lost payload is never retransmitted (concealment covers it), but frame
 existence is made reliable: if no confirmation for a frame has come back
@@ -313,10 +315,9 @@ class _Client:
             peek = self.buffer.peek()
             if peek is None:
                 return
-            _frame_id, offset = peek
-            new_frame = offset == 0
-            last_req = self.last_request_us if new_frame else -(10 ** 15)
-            if not may_send(self.est, now, last_req, self.cfg.server_rate_limit_us):
+            new_frame = peek[1] == 0
+            if not may_send(self.est, now, self._slot_start(new_frame),
+                            self.cfg.server_rate_limit_us):
                 self._schedule_pacing()
                 return
             msg = self.buffer.pop_next(self.cfg.mss)
@@ -342,7 +343,25 @@ class _Client:
             self._pacing_scheduled = False
             self._drain()
 
-        self.sim.after(self.cfg.pacing_us, _tick)
+        self.sim.poll(self.cfg.pacing_us, _tick, self.idle_until)
+
+    def _slot_start(self, new_frame: bool) -> int:
+        """The last request time the gate holds the head packet to: only a
+        frame's first packet waits for the server slot."""
+        return self.last_request_us if new_frame else -(10 ** 15)
+
+    def idle_until(self, now: int) -> float:
+        """A time before which a pacing tick would only refuse, if nothing
+        but the clock moves: ``now`` when the queue is empty or the gate is
+        open.  The server slot shuts the gate until it opens; a positive
+        ``unreceived_bytes`` shuts it at least until ``next_change_us``."""
+        peek = self.buffer.peek()
+        if peek is None:
+            return now
+        slot = self._slot_start(peek[1] == 0) + self.cfg.server_rate_limit_us
+        if self.est.unreceived_bytes(now) <= 0.0:
+            return max(now, slot)
+        return max(slot, self.est.next_change_us(now))
 
     def _lost_check(self, k: int, total_len: int):
         """Re-announce a frame the server has never once confirmed."""

@@ -24,7 +24,9 @@ The sender side couples a frame queue (``SendBuffer``) with a
 and presumes unconfirmed packets lost once they outlive two round trips.
 ``may_send`` releases a packet only when the server rate limit has elapsed
 and everything previously sent is either confirmed or presumed lost, which
-caps in-flight data at one MSS beyond the presumed-lost pool.
+caps in-flight data at one MSS beyond the presumed-lost pool.  Between a
+send and a confirmation the gate's view changes only when a pending packet
+ages into presumed or declared loss; ``next_change_us`` says when.
 ``should_process_frame`` is the capture-time drop rule: skip the frame
 when the wait for the next server slot or the time to drain the backlog
 outlasts the client's work on it.
@@ -33,6 +35,7 @@ outlasts the client's work on it.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -359,6 +362,16 @@ class BandwidthEstimator:
 
     def unreceived_bytes(self, now_us: int) -> float:
         return self.bytes_sent - self.bytes_confirmed - self.expected_lost_bytes(now_us)
+
+    def next_change_us(self, now_us: int) -> float:
+        """The earliest time after ``now_us`` at which a pending packet ages
+        into presumed loss or into declared loss (inf if none will): with no
+        send or confirmation in between, ``unreceived_bytes`` holds its value
+        until then."""
+        age = self.PRESUME_AFTER_RTTS * self.rtt_us
+        return min((t for sent_us, _ in self._pending.values()
+                    for t in (sent_us + age, sent_us + 2 * age + 1)
+                    if t > now_us), default=math.inf)
 
     def outstanding_bytes(self) -> int:
         """In-flight bytes not yet confirmed or declared lost."""

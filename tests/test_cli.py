@@ -247,6 +247,7 @@ class TestErrors:
         ({"downlink_loss_prob": 1.0}, "loss_prob"),
         ({"link": {"bandwidth_bps": 0}}, "bandwidth"),
         ({"link": {"bandwidth_bps": float("nan")}}, "bandwidth"),
+        ({"link": {"bandwidth_bps": 1e-320}, "frames": 2}, "bandwidth"),
         ({"link": {"duration_us": -5}}, "duration_us"),
         ({"clip_width": "3"}, "clip_width"),
         ({"link": {"bandwidth_bps": "1e6"}}, "bandwidth_bps"),

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from splitstream import Link, LinkConfig, SimulationError, Simulator
 
@@ -14,6 +18,17 @@ class TestLinkConfig:
     def test_bandwidth_must_be_positive(self):
         with pytest.raises(ValueError, match="bandwidth"):
             LinkConfig(bandwidth_bps=0)
+
+    def test_bandwidth_at_least_one_byte_per_second(self):
+        for tiny in (1e-320, 0.999):
+            with pytest.raises(ValueError, match="bandwidth"):
+                LinkConfig(bandwidth_bps=tiny)
+        # the largest wire message still serializes in finite time
+        sim = Simulator()
+        link, arrivals = _wire(sim, LinkConfig(bandwidth_bps=1.0))
+        link.send(bytes(19 + 0xFFFF))
+        sim.run_until(65_554_000_000)
+        assert arrivals[0][0] == 65_554_000_000
 
     def test_delays_non_negative(self):
         with pytest.raises(ValueError, match="delay"):
@@ -181,3 +196,115 @@ class TestLink:
             return sim.log
 
         assert run_once() == run_once()
+
+
+def _poll_trace(use_poll, period, ticks_gap, opens, idle_short, cuts, horizon):
+    """The (kind, time) trace of a gated tick chain among other events.
+
+    The tick acts when ``now >= open_at``: it records itself, shuts the gate
+    for the next entry of ``ticks_gap`` and re-arms one period on.  Each
+    entry of ``opens`` is an event at ``time`` that sets ``open_at`` to
+    ``time + delay`` (None: shut for good) and, unless ``child`` is None,
+    pushes another such event, with delay ``child``, onto the next grid
+    point, after the tick there was scheduled.  The reference re-arms with
+    ``after`` and refuses while shut; the poll version gives ``idle_until``
+    a horizon that falls short of ``open_at`` by the cycled ``idle_short``
+    amounts.  ``run_until`` is called at each of ``cuts``, and a cut may
+    then push an event itself.
+    """
+    sim = Simulator()
+    trace = []
+    state = {"open_at": 0, "ticks": 0, "calls": 0}
+
+    def idle_until(now):
+        if now >= state["open_at"]:
+            return now
+        short = idle_short[state["calls"] % len(idle_short)]
+        state["calls"] += 1
+        return max(now + 1, state["open_at"] - short)
+
+    def arm():
+        if use_poll:
+            sim.poll(period, tick, idle_until)
+        else:
+            sim.after(period, tick)
+
+    def tick():
+        if sim.now_us < state["open_at"]:
+            assert not use_poll, "a poll ran its callback while idle"
+            arm()
+            return
+        trace.append(("tick", sim.now_us))
+        state["open_at"] = sim.now_us + ticks_gap[state["ticks"] % len(ticks_gap)]
+        state["ticks"] += 1
+        arm()
+
+    def other(i, delay, child):
+        trace.append((f"ev{i}", sim.now_us))
+        state["open_at"] = math.inf if delay is None else sim.now_us + delay
+        if child is not None:
+            grid = (sim.now_us // period + 1) * period
+            sim.at(grid, lambda: other(f"{i}c", child, None))
+
+    for i, (time_us, delay, child) in enumerate(opens):
+        sim.at(time_us, lambda i=i, d=delay, c=child: other(i, d, c))
+    arm()
+    for t_end, push in sorted(cuts) + [(horizon, None)]:
+        sim.run_until(t_end)
+        if push is not None:    # from outside the run, between two calls
+            sim.at(t_end + push[0], lambda d=push[1]: other("x", d, None))
+    return trace
+
+
+@st.composite
+def _poll_cases(draw):
+    period = draw(st.integers(1, 50))
+    horizon = period * draw(st.integers(1, 200))
+    # other events: half of them exactly on the tick grid
+    opens = draw(st.lists(st.tuples(
+        st.one_of(st.integers(0, horizon).map(lambda t: t - t % period),
+                  st.integers(0, horizon)),
+        st.one_of(st.none(), st.integers(0, 30 * period)),
+        st.none() | st.integers(0, 3 * period)), max_size=12))
+    return dict(
+        period=period, horizon=horizon, opens=opens,
+        ticks_gap=draw(st.lists(st.integers(0, 20 * period), min_size=1, max_size=5)),
+        idle_short=draw(st.lists(st.integers(0, 10 * period), min_size=1, max_size=4)),
+        cuts=draw(st.lists(st.tuples(
+            st.integers(0, horizon),
+            st.none() | st.tuples(st.integers(0, 3 * period), st.integers(0, period))),
+            max_size=4, unique_by=lambda cut: cut[0])),
+    )
+
+
+class TestPoll:
+    @given(_poll_cases())
+    def test_runs_like_a_chain_of_after_ticks(self, case):
+        reference = _poll_trace(False, **case)
+        assert _poll_trace(True, **case) == reference
+
+    def test_skips_idle_polls(self):
+        sim = Simulator()
+        ran, asked = [], []
+
+        def idle_until(now):
+            asked.append(now)
+            return 10_000
+
+        sim.poll(100, lambda: ran.append(sim.now_us), idle_until)
+        sim.at(2_550, lambda: None)
+        sim.run_until(20_000)
+        # due at 100, re-keyed to the grid point at or after the event at
+        # 2550, then to 10_000, where the horizon is no longer ahead
+        assert asked == [100, 2_600, 10_000] and ran == [10_000]
+
+    def test_idle_until_failure_surfaces(self):
+        sim = Simulator()
+
+        def idle_until(now):
+            raise KeyError("no estimator")
+
+        sim.poll(7, lambda: None, idle_until)
+        with pytest.raises(SimulationError, match="t=7us") as exc:
+            sim.run_until(10)
+        assert isinstance(exc.value.__cause__, KeyError)

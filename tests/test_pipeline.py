@@ -208,6 +208,60 @@ class TestBackpressure:
         assert s["max_queue_bytes"] == 18077 < 3 * 10_000
 
 
+# the long_rtt_target benchmark scenario at 60 frames
+LONG_RTT = PipelineConfig(cut="stage2", target_bytes=10_000, frames=60,
+                          link=LinkScenario(bandwidth_bps=1e5, rtt_us=300_000,
+                                            loss_prob=0.02))
+
+PACING_CASES = {
+    # frames wait for the server slot with nothing in flight
+    "rate_limit": PipelineConfig(
+        frames=20, frame_interval_us=30_000, server_rate_limit_us=200_000,
+        client_process_us=180_000, link=LinkScenario(loss_prob=0.2, seed=3)),
+    # late confirmations lower loss_ewma
+    "jitter": PipelineConfig(
+        frames=12, link=LinkScenario(jitter_us=30_000, loss_prob=0.1, seed=5)),
+    # whole frames go unconfirmed, so the client announces them
+    "downlink_loss": PipelineConfig(
+        frames=20, quality=5, downlink_loss_prob=0.6,
+        link=LinkScenario(loss_prob=0.1, seed=7)),
+    "pacing_1us": PipelineConfig(
+        frames=4, pacing_us=1,
+        link=LinkScenario(rtt_us=4_000, loss_prob=0.1, seed=2)),
+    "pacing_7ms": PipelineConfig(
+        frames=12, pacing_us=7_000, link=LinkScenario(loss_prob=0.1, seed=4)),
+    "long_rtt": LONG_RTT,
+}
+
+
+class TestPacingPoll:
+    @pytest.mark.parametrize("name", sorted(PACING_CASES))
+    def test_same_report_as_a_tick_every_period(self, model, monkeypatch, name):
+        cfg = PACING_CASES[name]
+        polled = json.dumps(run_session(cfg, model), sort_keys=True)
+        # the reference: a plain tick every pacing_us, idle or not
+        monkeypatch.setattr(Simulator, "poll",
+                            lambda self, d, fn, idle: self.after(d, fn))
+        report = run_session(cfg, model)
+        assert polled == json.dumps(report, sort_keys=True)
+        if name == "downlink_loss":
+            assert "announce" in _events(report)
+
+    def test_gate_is_asked_only_when_it_can_open(self, model, monkeypatch):
+        calls = 0
+        real = pl.may_send
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(pl, "may_send", counted)
+        run_session(LONG_RTT, model)
+        # 24 packets go out; a tick every 1 ms would ask 6636 times
+        assert calls < 200
+
+
 class TestInvertDropRule:
     def test_inverted_rule_drops_everything_on_idle_link(self, model):
         cfg = PipelineConfig(frames=5, frame_interval_us=50_000,

@@ -1,3 +1,5 @@
+import copy
+import math
 import random
 
 import pytest
@@ -333,6 +335,43 @@ class TestBandwidthEstimator:
         assert est.outstanding_bytes() == 300
         est.process_confirmation(Confirmation(1, 0, 300, 100), now_us=100)
         assert est.outstanding_bytes() == 0
+
+    def test_next_change_is_the_first_aging(self):
+        est = BandwidthEstimator(rtt_us=10_000)
+        assert est.next_change_us(0) == math.inf
+        est.record_sent(1, 0, 100, now_us=0)
+        est.record_sent(1, 100, 100, now_us=5_000)
+        assert est.next_change_us(0) == 20_000        # first presumed lost
+        assert est.next_change_us(20_000) == 25_000   # second presumed lost
+        assert est.next_change_us(25_000) == 40_001   # first declared lost
+        assert est.next_change_us(45_001) == math.inf
+
+    @given(rtt=st.integers(0, 5_000),
+           history=st.lists(st.tuples(st.integers(0, 12_000), st.booleans(),
+                                      st.integers(0, 1400)), max_size=25),
+           interior=st.lists(st.integers(0, 2 ** 32)))
+    # a late confirmation, then a declared loss as the next change
+    @example(rtt=1_000, history=[(0, False, 100), (5_000, True, 0),
+                                 (0, False, 100), (2_002, False, 50)],
+             interior=[])
+    def test_unreceived_holds_until_next_change(self, rtt, history, interior):
+        est = BandwidthEstimator(rtt_us=rtt)
+        now, unconfirmed = 0, []
+        for i, (step, confirm, size) in enumerate(history):
+            now += step
+            if confirm and unconfirmed:
+                key = unconfirmed.pop(size % len(unconfirmed))
+                est.process_confirmation(Confirmation(*key, 0, now), now)
+            else:
+                est.record_sent(i, 0, size, now)
+                unconfirmed.append((i, 0))
+        change = est.next_change_us(now)
+        assert change > now
+        last = now + 30 * rtt + 1 if change == math.inf else change - 1
+        points = {now, last} | {now + x % (last - now + 1) for x in interior}
+        # each reader sweeps the estimator, so each point reads a copy
+        values = {copy.deepcopy(est).unreceived_bytes(t) for t in points}
+        assert len(values) == 1
 
 
 class TestMaySend:

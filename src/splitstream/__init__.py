@@ -13,8 +13,8 @@ from .codec import (BadMagicError, BlockCountError, CodecError,
                     TargetInfeasibleError, TruncatedStreamError, decode,
                     decode_prefix, encode, encode_to_target, quality_table,
                     rate_fidelity_curve, undecoded_plane_mask)
-from .concealment import (STRATEGIES, LossMask, SideChannelMeans, apply_mask,
-                          conceal, loss_sweep, make_mask, side_channel_means)
+from .concealment import (STRATEGIES, LossMask, apply_mask, conceal,
+                          loss_sweep, make_mask, side_channel_means)
 from .model import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER, CutPoint,
                     SplitModel, cut_point)
 from .motion import (MotionField, estimate_global_translation, predict,
@@ -26,7 +26,7 @@ from .protocol import (FLAG_END_OF_TENSOR, WIRE_HEADER, BandwidthEstimator,
                        Confirmation, FrameAssembler, MsgType, ProtocolError,
                        ReassemblyError, SendBuffer, WireMessage,
                        decode_message, encode_message, frame_deadline_us,
-                       make_control, may_send, parse_control,
+                       gate_shut_until, make_control, may_send, parse_control,
                        process_send_buffer, reassemble, should_process_frame)
 from .rng import Xorshift64Star, bulk_u64, bulk_uniform, derive
 from .quantizer import (QuantizedTensor, QuantizerSpec, bits_per_element,

@@ -239,9 +239,6 @@ def _cmd_latency_regions(args) -> int:
                         {"profiles": [asdict(p) for p in profiles]})
     rows = latency_regions(profiles, _float_list(args.bandwidths, log=True),
                            rtt_s=args.rtt)
-    for row in rows:
-        if math.isinf(row["latency"]):
-            row["latency"] = "inf"
     _write_csv(args.out, rows)
     print(f"{len(rows)} bandwidth points -> {args.out}")
     return 0

@@ -227,20 +227,25 @@ def quality_table(quality: int) -> np.ndarray:
     return np.clip((BASE_TABLE * scale + 50) // 100, 1, 255)
 
 
-def _pad_plane(plane: np.ndarray) -> np.ndarray:
+def _block_grid(h: int, w: int) -> tuple[int, int]:
+    """Rows and columns of the 8x8 blocks, in raster order, over an h x w plane."""
+    return -(-h // 8), -(-w // 8)
+
+
+def _blocks_of(plane: np.ndarray) -> np.ndarray:
+    """The plane's (n, 8, 8) blocks, padded by edge replication."""
     h, w = plane.shape
-    ph = -(-h // 8) * 8
-    pw = -(-w // 8) * 8
-    return np.pad(plane, ((0, ph - h), (0, pw - w)), mode="edge")
+    rows, cols = _block_grid(h, w)
+    padded = np.pad(plane, ((0, 8 * rows - h), (0, 8 * cols - w)), mode="edge")
+    return padded.reshape(rows, 8, cols, 8).transpose(0, 2, 1, 3).reshape(-1, 8, 8)
 
 
-def _blocks_of(padded: np.ndarray) -> np.ndarray:
-    h, w = padded.shape
-    return (
-        padded.reshape(h // 8, 8, w // 8, 8)
-        .transpose(0, 2, 1, 3)
-        .reshape(-1, 8, 8)
-    )
+def _unblock(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The h x w plane whose blocks hold ``blocks``, 64 values per block:
+    the inverse of ``_blocks_of``."""
+    rows, cols = _block_grid(h, w)
+    grid = blocks.reshape(rows, cols, 8, 8).transpose(0, 2, 1, 3)
+    return grid.reshape(8 * rows, 8 * cols)[:h, :w]
 
 
 class _Transformed(NamedTuple):
@@ -254,7 +259,7 @@ class _Transformed(NamedTuple):
 def _transform(p: TiledPlane) -> _Transformed:
     """Pad, level-shift, DCT and snap; shared by every quality."""
     _check_plane_size(p.layout.plane_w, p.layout.plane_h)
-    blocks = _blocks_of(_pad_plane(p.bytes)).astype(np.float64) - 128.0
+    blocks = _blocks_of(p.bytes).astype(np.float64) - 128.0
     coefs = _DCT_M @ blocks @ _DCT_M.T
     coefs = np.rint(coefs * _COEF_SNAP) / _COEF_SNAP
     return _Transformed(coefs.reshape(-1, 64)[:, _ZIGZAG], p.layout, p.levels)
@@ -459,19 +464,13 @@ def _reconstruct(zz: np.ndarray, table: np.ndarray, plane_h: int, plane_w: int) 
     coefs = symbols * table
     blocks = _DCT_M.T @ coefs.astype(np.float64) @ _DCT_M
     pixels = np.clip(np.rint(blocks + 128.0), 0, 255).astype(np.uint8)
-    ph = -(-plane_h // 8) * 8
-    pw = -(-plane_w // 8) * 8
-    padded = (
-        pixels.reshape(ph // 8, pw // 8, 8, 8)
-        .transpose(0, 2, 1, 3)
-        .reshape(ph, pw)
-    )
-    return padded[:plane_h, :plane_w]
+    return _unblock(pixels, plane_h, plane_w)
 
 
 def _decode(data: bytes, strict: bool) -> tuple[TiledPlane, int, int]:
     layout, quality, levels = _parse_header(data)
-    n_blocks = (-(-layout.plane_h // 8)) * (-(-layout.plane_w // 8))
+    rows, cols = _block_grid(layout.plane_h, layout.plane_w)
+    n_blocks = rows * cols
     body = np.frombuffer(data, dtype=np.uint8)[FTCB_HEADER.size:]
     if strict and len(body) < 2 * n_blocks:
         # every block takes at least a DC byte and its END
@@ -500,14 +499,10 @@ def decode_prefix(data: bytes) -> tuple[TiledPlane, int, int]:
 
 
 def undecoded_plane_mask(layout: TileLayout, blocks_decoded: int) -> np.ndarray:
-    """Boolean plane mask, True where block data was not decoded."""
-    ph = -(-layout.plane_h // 8)
-    pw = -(-layout.plane_w // 8)
-    block_mask = np.zeros(ph * pw, dtype=bool)
-    block_mask[blocks_decoded:] = True
-    grid = block_mask.reshape(ph, pw)
-    full = np.repeat(np.repeat(grid, 8, axis=0), 8, axis=1)
-    return full[: layout.plane_h, : layout.plane_w]
+    """Boolean plane mask, True on the blocks from ``blocks_decoded`` on."""
+    h, w = layout.plane_h, layout.plane_w
+    rows, cols = _block_grid(h, w)
+    return _unblock(np.repeat(np.arange(rows * cols) >= blocks_decoded, 64), h, w)
 
 
 def encode_to_target(p: TiledPlane, target_bytes: int) -> tuple[bytes, int]:

@@ -26,7 +26,6 @@ from .tensor import FeatureTensor, TensorStats, mse
 
 __all__ = [
     "LossMask",
-    "SideChannelMeans",
     "STRATEGIES",
     "make_mask",
     "side_channel_means",
@@ -50,20 +49,6 @@ class LossMask:
             raise ValueError(f"mask must be H x W x C, got shape {arr.shape}")
         arr.flags.writeable = False
         object.__setattr__(self, "missing", arr)
-
-
-@dataclass(frozen=True, eq=False)
-class SideChannelMeans:
-    """Per-channel means of the intact tensor, computed sender-side."""
-
-    means: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.means, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("side-channel means must be a 1-D per-channel array")
-        arr.flags.writeable = False
-        object.__setattr__(self, "means", arr)
 
 
 def make_mask(shape, kind: str, rate: float, seed: int) -> LossMask:
@@ -90,8 +75,12 @@ def make_mask(shape, kind: str, rate: float, seed: int) -> LossMask:
     return LossMask(missing)
 
 
-def side_channel_means(t: FeatureTensor) -> SideChannelMeans:
-    return SideChannelMeans(t.data.astype(np.float64).mean(axis=(0, 1)))
+def side_channel_means(t: FeatureTensor) -> np.ndarray:
+    """Per-channel means of the intact tensor, computed sender-side: a
+    read-only float64 array of shape (C,)."""
+    means = t.data.astype(np.float64).mean(axis=(0, 1))
+    means.flags.writeable = False
+    return means
 
 
 def apply_mask(t: FeatureTensor, mask: LossMask) -> FeatureTensor:
@@ -103,12 +92,12 @@ def apply_mask(t: FeatureTensor, mask: LossMask) -> FeatureTensor:
 
 def conceal(t_damaged: FeatureTensor, mask: LossMask, strategy: str,
             stats: TensorStats | None = None,
-            side: SideChannelMeans | None = None) -> FeatureTensor:
+            side: np.ndarray | None = None) -> FeatureTensor:
     """Replace missing elements according to the strategy.
 
     ``channel_mean`` and ``hybrid`` require the side channel; ``dataset_mean``
-    and ``hybrid`` require corpus stats.  Intact elements pass through
-    bit-exactly.
+    and ``hybrid`` require corpus stats.  ``side`` holds one mean per
+    channel.  Intact elements pass through bit-exactly.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -120,7 +109,7 @@ def conceal(t_damaged: FeatureTensor, mask: LossMask, strategy: str,
         raise ValueError(f"{strategy} concealment needs side-channel means")
     if strategy in ("dataset_mean", "hybrid") and stats is None:
         raise ValueError(f"{strategy} concealment needs dataset stats")
-    if side is not None and side.means.shape != (c,):
+    if side is not None and np.shape(side) != (c,):
         raise ValueError("side-channel means do not match channel count")
     if stats is not None and stats.shape != t_damaged.shape:
         raise ValueError("stats shape does not match tensor")
@@ -128,12 +117,12 @@ def conceal(t_damaged: FeatureTensor, mask: LossMask, strategy: str,
     if strategy == "zero":
         fill = np.zeros((h, w, c))
     elif strategy == "channel_mean":
-        fill = np.broadcast_to(side.means, (h, w, c))
+        fill = np.broadcast_to(side, (h, w, c))
     elif strategy == "dataset_mean":
         fill = stats.per_neuron_mean
     else:  # hybrid
         spatial = stats.per_neuron_mean.mean(axis=(0, 1))
-        fill = stats.per_neuron_mean + (side.means - spatial)
+        fill = stats.per_neuron_mean + (side - spatial)
 
     out = np.where(mask.missing, fill.astype(np.float32), t_damaged.data)
     return FeatureTensor(out)

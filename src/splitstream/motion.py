@@ -60,19 +60,17 @@ def estimate_global_translation(ref: FeatureTensor, cur: FeatureTensor,
     a = ref.data.astype(np.float64).mean(axis=2)
     b = cur.data.astype(np.float64).mean(axis=2)
     h, w = a.shape
+    # a shift of the frame's size or more leaves no overlap
+    ry, rx = min(radius, h - 1), min(radius, w - 1)
 
     best = None
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            if abs(dy) >= h or abs(dx) >= w:
-                continue  # empty overlap
+    for dy in range(-ry, ry + 1):
+        for dx in range(-rx, rx + 1):
             ref_sl, cur_sl = shift_overlap_slices(h, w, dx, dy)
             sad = float(np.abs(b[cur_sl] - a[ref_sl]).sum())
             key = (sad, abs(dx) + abs(dy), dy, dx)
             if best is None or key < best:
                 best = key
-    if best is None:
-        raise ValueError("search radius leaves no overlap")
     return best[3], best[2]
 
 

@@ -54,6 +54,8 @@ class LinkConfig:
             raise ValueError("bandwidth must be at least 1 byte per second")
         if self.one_way_delay_us < 0 or self.jitter_us < 0:
             raise ValueError("delays must be non-negative")
+        if self.jitter_us >= 1 << 64:           # drawn by randint(jitter + 1)
+            raise ValueError("jitter_us must be below 2**64")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ValueError("loss_prob must be in [0, 1)")
 

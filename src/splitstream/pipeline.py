@@ -40,6 +40,7 @@ make a config (link seed included) reproduce its report byte for byte.
 from __future__ import annotations
 
 import functools
+import math
 import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -49,15 +50,14 @@ import numpy as np
 from .codec import (CodecError, TargetInfeasibleError, decode, decode_prefix,
                     encode, encode_to_target, quality_table,
                     undecoded_plane_mask)
-from .concealment import (STRATEGIES, LossMask, SideChannelMeans, conceal,
-                          side_channel_means)
+from .concealment import STRATEGIES, LossMask, conceal, side_channel_means
 from .model import (CLASS_NAMES, CUT_POINTS, MODEL_NAME, CutPoint, SplitModel,
                     cut_point)
 from .netsim import Link, LinkConfig, Simulator
 from .protocol import (BandwidthEstimator, Confirmation, FrameAssembler,
                        MsgType, ProtocolError, SendBuffer, WireMessage,
                        decode_message, encode_message, frame_deadline_us,
-                       make_control, may_send, parse_control,
+                       gate_shut_until, make_control, may_send, parse_control,
                        should_process_frame)
 from .quantizer import QuantizerSpec, dequantize, quantize
 from .strategy import StrategyProfile
@@ -214,11 +214,11 @@ class _Client:
         self.buffer = SendBuffer()
         self.ready = False
         self.failed: str | None = None
-        self.last_request_us = -(10 ** 15)
+        self.next_slot_us = -math.inf   # server slot of the next frame
         self._pacing_scheduled = False
         self._announced: set[int] = set()
         self.heard: set[int] = set()   # frames with any CONFIRM back
-        self.side_store: dict[int, SideChannelMeans] = {}
+        self.side_store: dict[int, np.ndarray] = {}
         self.frames: dict[int, dict] = {}
         self.clean_argmax: dict[int, int] = {}
         self.max_gauge_excess = float("-inf")
@@ -272,15 +272,15 @@ class _Client:
         rec["capture_us"] = now
         self.frames[k] = rec
 
-        server_remain = (self.last_request_us + self.cfg.server_rate_limit_us) - now
+        server_remain = self.next_slot_us - now
         bw = self.est.estimate_bandwidth(now)
         # drain time covers queued-but-unsent bytes too, else a bottleneck
         # could never trigger drops and the queue would grow without bound
         backlog = max(self.est.unreceived_bytes(now), 0.0) + self.buffer.pending_bytes
         keep = should_process_frame(
             float(self.cfg.client_process_us), float(server_remain),
-            backlog * 1e6 / bw, invert=self.cfg.invert_drop_rule,
-        )
+            backlog * 1e6 / bw,
+        ) != self.cfg.invert_drop_rule
         if keep:
             cut = self.session.cut.name
             t = self.model.forward_client(self.model.generate_input(k), cut)
@@ -315,14 +315,12 @@ class _Client:
             peek = self.buffer.peek()
             if peek is None:
                 return
-            new_frame = peek[1] == 0
-            if not may_send(self.est, now, self._slot_start(new_frame),
-                            self.cfg.server_rate_limit_us):
+            if not may_send(self.est, now, self._slot_us(peek[1])):
                 self._schedule_pacing()
                 return
             msg = self.buffer.pop_next(self.cfg.mss)
-            if new_frame:
-                self.last_request_us = now
+            if msg.offset == 0:
+                self.next_slot_us = now + self.cfg.server_rate_limit_us
             self.est.record_sent(msg.frame_id, msg.offset, len(msg.payload), now)
             gauge = self.est.outstanding_bytes()
             bound = self.est.expected_lost_bytes(now) + self.cfg.mss
@@ -345,23 +343,19 @@ class _Client:
 
         self.sim.poll(self.cfg.pacing_us, _tick, self.idle_until)
 
-    def _slot_start(self, new_frame: bool) -> int:
-        """The last request time the gate holds the head packet to: only a
-        frame's first packet waits for the server slot."""
-        return self.last_request_us if new_frame else -(10 ** 15)
+    def _slot_us(self, offset: int) -> float:
+        """The server slot the gate holds a packet at this offset to: only a
+        frame's first packet waits for it."""
+        return self.next_slot_us if offset == 0 else -math.inf
 
     def idle_until(self, now: int) -> float:
         """A time before which a pacing tick would only refuse, if nothing
-        but the clock moves: ``now`` when the queue is empty or the gate is
-        open.  The server slot shuts the gate until it opens; a positive
-        ``unreceived_bytes`` shuts it at least until ``next_change_us``."""
+        but the clock moves: ``now`` when the queue is empty, else the head
+        packet's ``gate_shut_until``."""
         peek = self.buffer.peek()
         if peek is None:
             return now
-        slot = self._slot_start(peek[1] == 0) + self.cfg.server_rate_limit_us
-        if self.est.unreceived_bytes(now) <= 0.0:
-            return max(now, slot)
-        return max(slot, self.est.next_change_us(now))
+        return gate_shut_until(self.est, now, self._slot_us(peek[1]))
 
     def _lost_check(self, k: int, total_len: int):
         """Re-announce a frame the server has never once confirmed."""
@@ -393,7 +387,7 @@ class _Client:
 
 class _Server:
     def __init__(self, sim: Simulator, cfg: PipelineConfig, model: SplitModel,
-                 downlink: Link, side_store: dict[int, SideChannelMeans]):
+                 downlink: Link, side_store: dict[int, np.ndarray]):
         self.sim = sim
         self.cfg = cfg
         self.model = model
@@ -568,6 +562,15 @@ def run_session(config: PipelineConfig,
         )
     except ValueError as exc:
         raise SessionError(str(exc)) from None
+    duration = cfg.link.duration_us or (
+        cfg.handshake_timeout_us + cfg.frames * cfg.frame_interval_us
+        + 5_000_000
+    )
+    # no event runs past the horizon, and a CONFIRM carries its receive
+    # time in a u64
+    if duration >= 1 << 64:
+        raise SessionError(f"session horizon {duration} us does not fit a "
+                           "CONFIRM's 64-bit receive time")
     if model is None:
         model = SplitModel(cfg.model_seed)
     elif model.seed != cfg.model_seed:
@@ -586,10 +589,6 @@ def run_session(config: PipelineConfig,
     downlink.deliver = client.on_downlink
 
     client.start()
-    duration = cfg.link.duration_us or (
-        cfg.handshake_timeout_us + cfg.frames * cfg.frame_interval_us
-        + 5_000_000
-    )
     sim.run_until(duration)
 
     if client.failed:

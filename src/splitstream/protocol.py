@@ -22,11 +22,11 @@ cumulative unique bytes, receive time); the control types carry JSON.
 The sender side couples a frame queue (``SendBuffer``) with a
 ``BandwidthEstimator`` that meters confirmed bytes over a sliding window
 and presumes unconfirmed packets lost once they outlive two round trips.
-``may_send`` releases a packet only when the server rate limit has elapsed
+``gate_shut_until`` is the send gate: shut until the server slot has come
 and everything previously sent is either confirmed or presumed lost, which
 caps in-flight data at one MSS beyond the presumed-lost pool.  Between a
-send and a confirmation the gate's view changes only when a pending packet
-ages into presumed or declared loss; ``next_change_us`` says when.
+send and a confirmation its view changes only when a pending packet ages
+into presumed or declared loss (``next_change_us``).
 ``should_process_frame`` is the capture-time drop rule: skip the frame
 when the wait for the next server slot or the time to drain the backlog
 outlasts the client's work on it.
@@ -56,6 +56,7 @@ __all__ = [
     "SendBuffer",
     "process_send_buffer",
     "BandwidthEstimator",
+    "gate_shut_until",
     "may_send",
     "should_process_frame",
     "FrameAssembler",
@@ -378,30 +379,32 @@ class BandwidthEstimator:
         return self.bytes_sent - self.bytes_confirmed - self.bytes_declared_lost
 
 
-def may_send(est: BandwidthEstimator, now_us: int, last_request_us: int,
-             server_rate_limit_us: int) -> bool:
-    """Gate on the server slot having elapsed and everything previously
-    sent being accounted for (confirmed or presumed lost)."""
-    if now_us < last_request_us + server_rate_limit_us:
-        return False
-    return est.unreceived_bytes(now_us) <= 0.0
+def gate_shut_until(est: BandwidthEstimator, now_us: int, slot_us: float) -> float:
+    """The time before which the send gate stays shut if only the clock
+    moves (``now_us`` if open): the server slot, and while sent bytes are
+    unaccounted for, at least the estimator's ``next_change_us``."""
+    if est.unreceived_bytes(now_us) <= 0.0:
+        return max(now_us, slot_us)
+    return max(slot_us, est.next_change_us(now_us))
+
+
+def may_send(est: BandwidthEstimator, now_us: int, slot_us: float) -> bool:
+    """Whether the send gate is open at ``now_us``."""
+    return gate_shut_until(est, now_us, slot_us) <= now_us
 
 
 def should_process_frame(client_remain_us: float, server_remain_us: float,
-                         bandwidth_remain_us: float, invert: bool = False) -> bool:
+                         bandwidth_remain_us: float) -> bool:
     """Capture-time keep/drop rule.
 
     Drop the frame when either the wait for the next server slot or the
     time to drain the send backlog outlasts the client-side work; keep it
     when the client work takes at least as long as both.
-    ``invert`` flips the decision; that is a documented experiment knob,
-    not the default behavior.
     """
-    keep = not (
+    return not (
         client_remain_us < server_remain_us
         or client_remain_us < bandwidth_remain_us
     )
-    return not keep if invert else keep
 
 
 # ------------------------------------------------------------------ receiver

@@ -56,9 +56,10 @@ class Xorshift64Star:
         return lo + (hi - lo) * self.uniform()
 
     def randint(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ValueError("randint bound must be positive")
+        """Uniform integer in [0, n), for 1 <= n <= 2**64."""
+        if not 0 < n <= _MASK64 + 1:
+            # past 2**64 the rejection limit below is 0 and every draw fails
+            raise ValueError(f"randint bound must be in 1..2**64, got {n}")
         # rejection sampling to avoid modulo bias
         limit = (_MASK64 + 1) - ((_MASK64 + 1) % n)
         while True:

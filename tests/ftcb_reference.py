@@ -17,7 +17,7 @@ import numpy as np
 from splitstream.codec import (_BLOCK_END, _COEF_SNAP, _DCT_M, _ZIGZAG,
                                FTCB_HEADER, FTCB_MAGIC, FTCB_VERSION,
                                BlockCountError, CodecError,
-                               TruncatedStreamError, _blocks_of, _pad_plane,
+                               TruncatedStreamError, _blocks_of,
                                _parse_header, _reconstruct, quality_table)
 from splitstream.tiling import TiledPlane
 
@@ -60,8 +60,7 @@ class _Reader:
 def encode(p: TiledPlane, quality: int) -> bytes:
     table = quality_table(quality)
     layout = p.layout
-    padded = _pad_plane(p.bytes)
-    blocks = _blocks_of(padded).astype(np.float64) - 128.0
+    blocks = _blocks_of(p.bytes).astype(np.float64) - 128.0
     coefs = _DCT_M @ blocks @ _DCT_M.T
     coefs = np.rint(coefs * _COEF_SNAP) / _COEF_SNAP
     scaled = coefs / table

@@ -129,6 +129,19 @@ class TestLatencyRegions:
         for r in rows:
             assert float(r["latency"]) > 0
 
+    def test_unreachable_bandwidth_writes_inf(self, tmp_path):
+        # with no client_only profile nothing finishes at zero bandwidth
+        prof = tmp_path / "profiles.json"
+        prof.write_text(json.dumps({"profiles": self.PROFILES["profiles"][1:]}))
+        out = tmp_path / "regions.csv"
+        assert main(["latency-regions", "--out", str(out),
+                     "--profiles", str(prof),
+                     "--bandwidths", "0,1e6", "--rtt", "0.0"]) == 0
+        assert out.read_bytes() == (
+            b"bandwidth,strategy,latency\r\n"
+            b"0.0,split_stage2,inf\r\n"
+            b"1000000.0,split_stage2,0.16999999999999998\r\n")
+
 
 class TestSimulate:
     def test_session_report_written(self, tmp_path, capsys):
@@ -248,6 +261,9 @@ class TestErrors:
         ({"link": {"bandwidth_bps": 0}}, "bandwidth"),
         ({"link": {"bandwidth_bps": float("nan")}}, "bandwidth"),
         ({"link": {"bandwidth_bps": 1e-320}, "frames": 2}, "bandwidth"),
+        ({"link": {"jitter_us": 2 ** 70}, "frames": 2}, "jitter"),
+        ({"frames": 2, "frame_interval_us": 2 ** 64}, "horizon"),
+        ({"link": {"duration_us": 2 ** 64}}, "horizon"),
         ({"link": {"duration_us": -5}}, "duration_us"),
         ({"clip_width": "3"}, "clip_width"),
         ({"link": {"bandwidth_bps": "1e6"}}, "bandwidth_bps"),

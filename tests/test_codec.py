@@ -44,6 +44,10 @@ def _smooth_plane(seed=0, h=8, w=8, c=9):
     return _plane_from_symbols(symbols)
 
 
+# tensor shapes whose tiled planes are not whole 8x8 blocks either way
+RAGGED = [(5, 3, 2), (9, 7, 3), (3, 17, 1), (11, 6, 5)]
+
+
 def _as_image(p):
     return FeatureTensor(p.bytes.astype(np.float32)[:, :, None])
 
@@ -359,6 +363,26 @@ class TestDecodePrefix:
         assert int((~mask).sum()) == done * 64
         assert np.array_equal(plane.bytes[~mask], full.bytes[~mask])
         assert np.all(plane.bytes[mask] == 128)
+
+    @pytest.mark.parametrize("h, w, c", RAGGED)
+    def test_mask_is_the_block_raster(self, h, w, c):
+        layout = _smooth_plane(h=h, w=w, c=c).layout
+        cols = -(-layout.plane_w // 8)
+        y, x = np.mgrid[0:layout.plane_h, 0:layout.plane_w]
+        block = (y // 8) * cols + x // 8
+        for k in range(int(block.max()) + 2):
+            assert np.array_equal(undecoded_plane_mask(layout, k), block >= k)
+
+    @pytest.mark.parametrize("h, w, c", RAGGED)
+    def test_every_prefix_matches_full_decode_off_the_mask(self, h, w, c):
+        p = _smooth_plane(seed=8, h=h, w=w, c=c)
+        data = encode(p, 75)
+        full = decode(data)
+        for cut in range(FTCB_HEADER.size, len(data) + 1):
+            plane, done, _total = decode_prefix(data[:cut])
+            mask = undecoded_plane_mask(p.layout, done)
+            assert np.array_equal(plane.bytes[~mask], full.bytes[~mask])
+            assert np.all(plane.bytes[mask] == 128)
 
     def test_unreadable_header_still_raises(self):
         with pytest.raises(TruncatedStreamError):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from splitstream import (STRATEGIES, FeatureTensor, LossMask,
-                         SideChannelMeans, apply_mask, collect_stats, conceal,
-                         loss_sweep, make_mask, mse, side_channel_means)
+from splitstream import (STRATEGIES, FeatureTensor, LossMask, apply_mask,
+                         collect_stats, conceal, loss_sweep, make_mask, mse,
+                         side_channel_means)
 
 SHAPE = (6, 5, 4)
 
@@ -65,11 +65,16 @@ class TestSideChannel:
         t = _tensor(1)
         side = side_channel_means(t)
         want = t.data.astype(np.float64).mean(axis=(0, 1))
-        assert np.allclose(side.means, want, rtol=0, atol=0)
+        assert side.dtype == np.float64 and not side.flags.writeable
+        assert np.array_equal(side, want)
 
-    def test_must_be_1d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            SideChannelMeans(np.zeros((2, 2)))
+    def test_conceal_refuses_2d_means(self):
+        t = _tensor(1)
+        mask = make_mask(SHAPE, "by_element", 0.5, 5)
+        side = np.zeros((SHAPE[2], 1))
+        for strategy in ("channel_mean", "hybrid"):
+            with pytest.raises(ValueError, match="side-channel"):
+                conceal(t, mask, strategy, stats=_stats()[1], side=side)
 
 
 class TestApplyMask:
@@ -118,7 +123,7 @@ class TestConceal:
             lost = self.mask.missing[:, :, ch]
             assert np.all(
                 healed.data[:, :, ch][lost]
-                == np.float32(self.side.means[ch])
+                == np.float32(self.side[ch])
             )
 
     def test_dataset_mean_fill_values(self):
@@ -131,7 +136,7 @@ class TestConceal:
         healed = conceal(self.damaged, self.mask, "hybrid",
                          stats=self.stats, side=self.side)
         mu = self.stats.per_neuron_mean
-        fill = (mu + (self.side.means - mu.mean(axis=(0, 1)))).astype(np.float32)
+        fill = (mu + (self.side - mu.mean(axis=(0, 1)))).astype(np.float32)
         assert np.array_equal(healed.data[self.mask.missing],
                               fill[self.mask.missing])
 
@@ -179,7 +184,7 @@ class TestConceal:
             conceal(small, self.mask, "zero")
         with pytest.raises(ValueError, match="side-channel"):
             conceal(self.damaged, self.mask, "channel_mean",
-                    side=SideChannelMeans(np.zeros(3)))
+                    side=np.zeros(3))
         _, other = _stats(shape=(3, 3, 2))
         with pytest.raises(ValueError, match="stats"):
             conceal(self.damaged, self.mask, "dataset_mean", stats=other)

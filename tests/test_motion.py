@@ -67,6 +67,8 @@ class TestEstimate:
     def test_radius_larger_than_frame(self):
         t = _rand_tensor(3, (4, 4, 1))
         assert estimate_global_translation(t, t, 6) == (0, 0)
+        # the search is bounded by the frame, not the radius
+        assert estimate_global_translation(t, t, 10 ** 9) == (0, 0)
 
 
 class TestOverlapSlices:

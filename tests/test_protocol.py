@@ -10,9 +10,26 @@ from splitstream import (WIRE_HEADER, BandwidthEstimator, Confirmation,
                          FrameAssembler, MsgType, ProtocolError,
                          ReassemblyError, SendBuffer, WireMessage,
                          decode_message, encode_message, frame_deadline_us,
-                         make_control, may_send, parse_control,
+                         gate_shut_until, make_control, may_send, parse_control,
                          process_send_buffer, reassemble,
                          should_process_frame)
+
+
+def _replay(rtt, history):
+    """An estimator after a drawn history of (time step, confirm?, size):
+    each step sends a packet or confirms one still unconfirmed.  Returns
+    (estimator, time of the last step)."""
+    est = BandwidthEstimator(rtt_us=rtt)
+    now, unconfirmed = 0, []
+    for i, (step, confirm, size) in enumerate(history):
+        now += step
+        if confirm and unconfirmed:
+            key = unconfirmed.pop(size % len(unconfirmed))
+            est.process_confirmation(Confirmation(*key, 0, now), now)
+        else:
+            est.record_sent(i, 0, size, now)
+            unconfirmed.append((i, 0))
+    return est, now
 
 
 def _data_msg(frame_id, offset, payload, total):
@@ -355,16 +372,7 @@ class TestBandwidthEstimator:
                                  (0, False, 100), (2_002, False, 50)],
              interior=[])
     def test_unreceived_holds_until_next_change(self, rtt, history, interior):
-        est = BandwidthEstimator(rtt_us=rtt)
-        now, unconfirmed = 0, []
-        for i, (step, confirm, size) in enumerate(history):
-            now += step
-            if confirm and unconfirmed:
-                key = unconfirmed.pop(size % len(unconfirmed))
-                est.process_confirmation(Confirmation(*key, 0, now), now)
-            else:
-                est.record_sent(i, 0, size, now)
-                unconfirmed.append((i, 0))
+        est, now = _replay(rtt, history)
         change = est.next_change_us(now)
         assert change > now
         last = now + 30 * rtt + 1 if change == math.inf else change - 1
@@ -377,19 +385,15 @@ class TestBandwidthEstimator:
 class TestMaySend:
     def test_rate_limit_blocks(self):
         est = BandwidthEstimator(rtt_us=10_000)
-        assert not may_send(est, now_us=5, last_request_us=0,
-                            server_rate_limit_us=10)
-        assert may_send(est, now_us=10, last_request_us=0,
-                        server_rate_limit_us=10)
+        assert not may_send(est, now_us=5, slot_us=10)
+        assert may_send(est, now_us=10, slot_us=10)
 
     def test_unconfirmed_bytes_block(self):
         est = BandwidthEstimator(rtt_us=10_000)
         est.record_sent(1, 0, 100, now_us=0)
-        assert not may_send(est, now_us=100, last_request_us=0,
-                            server_rate_limit_us=0)
+        assert not may_send(est, now_us=100, slot_us=0)
         est.process_confirmation(Confirmation(1, 0, 100, 5_000), now_us=5_000)
-        assert may_send(est, now_us=5_000, last_request_us=0,
-                        server_rate_limit_us=0)
+        assert may_send(est, now_us=5_000, slot_us=0)
 
     def test_single_loss_releases_gate_at_presumption_age(self):
         est = BandwidthEstimator(rtt_us=10_000)
@@ -401,8 +405,31 @@ class TestMaySend:
             est.process_confirmation(
                 Confirmation(0, i * 100, (i + 1) * 100, 10_000),
                 now_us=10_000)
-        assert not may_send(est, 15_000, 0, 0)
-        assert may_send(est, 20_000, 0, 0)  # within 2 RTT < 3 RTT bound
+        assert not may_send(est, 15_000, 0)
+        assert may_send(est, 20_000, 0)  # within 2 RTT < 3 RTT bound
+
+    @given(history=st.lists(st.tuples(st.integers(0, 30_000), st.booleans(),
+                                      st.integers(0, 1400)), max_size=12),
+           slot_offset=st.integers(-50_000, 80_000),
+           interior=st.lists(st.integers(0, 2 ** 32), max_size=8))
+    @example(history=[(0, False, 100)], slot_offset=0, interior=[])
+    @example(history=[], slot_offset=40_000, interior=[])
+    def test_gate_stays_shut_until_it_says(self, history, slot_offset,
+                                           interior):
+        """``may_send`` passes exactly when ``gate_shut_until`` is now, and
+        refuses at every point of [now, gate_shut_until(now))."""
+        rtt = 10_000
+        est, now = _replay(rtt, history)
+        slot = now + slot_offset
+        # each reader sweeps the estimator, so each point reads a copy
+        shut = gate_shut_until(copy.deepcopy(est), now, slot)
+        assert shut >= now
+        assert may_send(copy.deepcopy(est), now, slot) == (shut == now)
+        if shut == now:
+            return
+        last = now + 30 * rtt if shut == math.inf else shut - 1
+        points = {now, last} | {now + x % (last - now + 1) for x in interior}
+        assert not any(may_send(copy.deepcopy(est), t, slot) for t in points)
 
 
 class TestShouldProcessFrame:
@@ -420,12 +447,6 @@ class TestShouldProcessFrame:
 
     def test_equality_keeps(self):
         assert should_process_frame(10_000, 10_000, 10_000)
-
-    def test_invert_flips(self):
-        for args in [(10_000, 0, 0), (10_000, 50_000, 0),
-                     (50_000, 10_000, 10_000)]:
-            assert should_process_frame(*args, invert=True) != \
-                should_process_frame(*args)
 
 
 class TestFrameAssembler:

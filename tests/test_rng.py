@@ -44,6 +44,13 @@ def test_randint_rejects_nonpositive():
         Xorshift64Star(1).randint(0)
 
 
+def test_randint_bound_reaches_2_to_the_64():
+    # past 2**64 no draw is below the rejection limit, so it would spin
+    assert 0 <= Xorshift64Star(1).randint(2 ** 64) < 2 ** 64
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        Xorshift64Star(1).randint(2 ** 64 + 1)
+
+
 def test_sample_without_replacement():
     rng = Xorshift64Star(11)
     out = rng.sample_without_replacement(50, 20)

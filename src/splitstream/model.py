@@ -232,8 +232,13 @@ class SplitModel:
             y = np.maximum(y, np.float32(0.0))
         return y
 
-    def _stage(self, x: np.ndarray, stage: int) -> np.ndarray:
-        return self._normalize(self._stage_raw(x, stage), stage)
+    def _stages(self, x: np.ndarray, first: int, last: int) -> np.ndarray:
+        """Stages first..last in order (none when first > last): the one loop
+        every forward pass runs, so a tensor continued from a shallower cut
+        is the same float32 bytes as one run from the input."""
+        for stage in range(first, last + 1):
+            x = self._normalize(self._stage_raw(x, stage), stage)
+        return x
 
     def _calibrate(self):
         """Fit per-channel affine normalization over the calibration corpus.
@@ -284,19 +289,14 @@ class SplitModel:
 
     def forward_client(self, input_tensor: FeatureTensor, cut: str) -> FeatureTensor:
         """Run stages 1..cut and return the cut tensor."""
-        idx = cut_point(cut).stage_index
-        x = input_tensor.data
-        for stage in range(1, idx + 1):
-            x = self._stage(x, stage)
-        return FeatureTensor(x)
+        return FeatureTensor(
+            self._stages(input_tensor.data, 1, cut_point(cut).stage_index))
 
     def forward_server(self, tensor: FeatureTensor, cut: str) -> np.ndarray:
         """Run the remaining stages plus the pooled linear head; returns the
         10 class scores."""
-        idx = cut_point(cut).stage_index
-        x = tensor.data
-        for stage in range(idx + 1, len(STAGE_CHANNELS) + 1):
-            x = self._stage(x, stage)
+        x = self._stages(tensor.data, cut_point(cut).stage_index + 1,
+                         len(STAGE_CHANNELS))
         pooled = x.astype(np.float64).mean(axis=(0, 1))
         return pooled @ self._head_w + self._head_b
 

@@ -61,7 +61,7 @@ from .protocol import (BandwidthEstimator, Confirmation, FrameAssembler,
                        should_process_frame)
 from .quantizer import QuantizerSpec, dequantize, quantize
 from .strategy import StrategyProfile
-from .tensor import TensorStats, collect_stats
+from .tensor import FeatureTensor, TensorStats, collect_stats
 from .tiling import TiledPlane, channel_tiles, detile, layout_for, tile
 
 __all__ = [
@@ -147,15 +147,41 @@ _LEAST_VALUES = {
     "server_process_us": 0, "handshake_timeout_us": 0, "duration_us": 0,
 }
 
+# the greatest value of each integer field whose cost grows with its value:
+# a session schedules every frame at MODEL_READY, and corpus_stats holds and
+# stacks its whole corpus
+_MOST_VALUES = {"frames": 100_000, "stats_images": 1024}
+
 _STATS_CACHE: dict[tuple, TensorStats] = {}
+# (model seed, n_images) -> (stage index, cut tensors) of a corpus that a
+# deeper cut can continue; set-up state that only corpus_stats reads
+_HELD_CORPUS: dict[tuple, tuple[int, list[FeatureTensor]]] = {}
 
 
 def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
-    """Dataset statistics at a cut, shared by client and server."""
+    """Dataset statistics at a cut, shared by client and server.
+
+    The corpus is images ``0..n_images-1`` run to the cut.  A deeper cut
+    continues the corpus held from a shallower cut for the same seed and
+    image count, the same bytes as running each image again.  At most one
+    corpus is held per (seed, n_images), the deepest built short of the last
+    cut (which nothing could continue); continuing it drops it.
+    """
     key = (model.seed, cut, n_images)
     if key not in _STATS_CACHE:
-        _STATS_CACHE[key] = collect_stats(
-            model.corpus(range(n_images), cut), label=f"{cut}-{n_images}")
+        stage = cut_point(cut).stage_index
+        held_key = (model.seed, n_images)
+        start, sources = _HELD_CORPUS.get(held_key, (0, None))
+        if sources is not None and start < stage:
+            del _HELD_CORPUS[held_key]
+        else:
+            start, sources = 0, (model.generate_input(i) for i in range(n_images))
+        tensors = [FeatureTensor(model._stages(t.data, start + 1, stage))
+                   for t in sources]
+        del sources     # a continued corpus is freed before the stack below
+        _STATS_CACHE[key] = collect_stats(tensors, label=f"{cut}-{n_images}")
+        if stage < len(CUT_POINTS) and held_key not in _HELD_CORPUS:
+            _HELD_CORPUS[held_key] = (stage, tensors)
     return _STATS_CACHE[key]
 
 
@@ -233,7 +259,7 @@ class _Client:
         self.sim.at(self.cfg.handshake_timeout_us, self._handshake_deadline)
 
     def _send_switch(self):
-        if self.ready:
+        if self.ready or self.failed:
             return
         self.sim.log_event("model_switch", 0, 0, len(self._switch_msg.payload))
         self.uplink.send(encode_message(self._switch_msg))
@@ -543,6 +569,9 @@ def run_session(config: PipelineConfig,
             if f.name in _LEAST_VALUES and value < _LEAST_VALUES[f.name]:
                 raise SessionError(f"{f.name} must be at least "
                                    f"{_LEAST_VALUES[f.name]}, got {value}")
+            if f.name in _MOST_VALUES and value > _MOST_VALUES[f.name]:
+                raise SessionError(f"{f.name} must be at most "
+                                   f"{_MOST_VALUES[f.name]}, got {value}")
     try:
         quality_table(cfg.quality)
         session = _parse_session(_switch_body(cfg))

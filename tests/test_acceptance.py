@@ -29,7 +29,8 @@ from splitstream import (EQUIVARIANCE_BORDER, STRATEGIES,
                          side_channel_means, tile)
 from splitstream.codec import encode, decode, encode_to_target, rate_fidelity_curve
 from splitstream.quantizer import bits_per_element, compression_ratio
-from splitstream.pipeline import LinkScenario, PipelineConfig, run_session
+from splitstream.pipeline import (LinkScenario, PipelineConfig, corpus_stats,
+                                  run_session)
 
 
 @contextmanager
@@ -387,11 +388,13 @@ def test_criterion_11_loss_resilience(model):
                         f"dataset-mean >= {a_z:.4f} with zero-fill")
 
 
-def test_criterion_12_rate_fidelity_by_depth(model, corpus_at):
+def test_criterion_12_rate_fidelity_by_depth(model):
     with _criterion(12, budget_s=300.0) as note:
         qualities = (2, 5, 10, 20, 40, 70, 95)
-        _, stats1 = corpus_at("stage1", 256)
-        _, stats3 = corpus_at("stage3", 256)
+        # the set-up the rate_sweep benchmark measures: stage3 stats
+        # continue the stage1 corpus
+        stats1 = corpus_stats(model, "stage1", 256)
+        stats3 = corpus_stats(model, "stage3", 256)
         rows1 = rate_fidelity_curve(model, range(256), "stage1", qualities, stats1)
         rows3 = rate_fidelity_curve(model, range(256), "stage3", qualities, stats3)
 

@@ -274,9 +274,7 @@ def test_conv_matches_reference_bitwise(h, w, c_in, c_out, exps, seed):
 @given(_EXPONENTS, st.integers(0, 2 ** 32 - 1))
 def test_conv_matches_reference_on_model_stages(model, stage, exps, seed):
     wt = model._conv_w[stage - 1]
-    x = model.generate_input(seed % 64).data
-    for s in range(1, stage):
-        x = model._stage(x, s)
+    x = model._stages(model.generate_input(seed % 64).data, 1, stage - 1)
     lo, hi = exps
     special = _special_float32(np.random.default_rng(seed), x.shape, lo, hi)
     for inp in (x, special):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import splitstream.model as sm
 import splitstream.pipeline as pl
 from splitstream import (Link, LinkConfig, MsgType, ProtocolError, Simulator,
                          SplitModel, WireMessage, collect_stats,
@@ -297,6 +298,24 @@ class TestHandshake:
         with pytest.raises(SessionError, match="handshake"):
             run_session(cfg, model)
 
+    def test_retries_stop_at_the_deadline(self, model, monkeypatch):
+        # a lost handshake resent every 100 us stops resending once the
+        # deadline has failed it, not at the session horizon
+        sends = []
+        log_event = Simulator.log_event
+
+        def counting(sim, event, *args, **kwargs):
+            sends.append(event == "model_switch")
+            log_event(sim, event, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "log_event", counting)
+        cfg = PipelineConfig(frames=1, handshake_retry_us=100,
+                             link=LinkScenario(loss_prob=0.9999999))
+        with pytest.raises(SessionError, match="^handshake timeout$"):
+            run_session(cfg, model)
+        assert sum(sends) <= (cfg.handshake_timeout_us
+                              // cfg.handshake_retry_us + 1)
+
     def test_lost_switch_is_retransmitted(self, model):
         cfg = PipelineConfig(frames=2, frame_interval_us=150_000,
                              link=LinkScenario(loss_prob=0.5, seed=3))
@@ -474,6 +493,18 @@ class TestValidation:
             run_session(PipelineConfig(model_seed=7, frames=2), model)
 
 
+class TestUpperBounds:
+    @pytest.mark.parametrize("name, most", [("frames", 100_000),
+                                            ("stats_images", 1024)])
+    def test_bound_is_accepted_and_one_past_refused(self, name, most):
+        # fields whose cost grows with their value are refused before set-up
+        assert not _run_session_refuses(PipelineConfig(**{name: most}))
+        assert _run_session_refuses(PipelineConfig(**{name: most + 1}))
+        with pytest.raises(SessionError, match=f"^{name} must be at most "
+                                               f"{most}, got {most + 1}$"):
+            run_session(PipelineConfig(**{name: most + 1}))
+
+
 class TestInfeasibleTarget:
     def test_frames_below_the_smallest_stream_are_dropped(self, model):
         # no quality reaches 1 byte: each frame is dropped at capture and
@@ -517,6 +548,59 @@ class TestCorpusStats:
         assert stats is not corpus_stats(model, "stage2", 4)
         want = collect_stats(other.corpus(range(4), "stage2"))
         assert np.array_equal(stats.per_neuron_mean, want.per_neuron_mean)
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        """Empty stats cache and held corpora for this test only."""
+        monkeypatch.setattr(pl, "_STATS_CACHE", {})
+        monkeypatch.setattr(pl, "_HELD_CORPUS", {})
+
+    @pytest.mark.parametrize("order", [
+        ("stage1", "stage3"), ("stage3", "stage1"), ("stage2", "stage3"),
+        ("stage1", "stage2", "stage3")])
+    def test_continued_corpus_gives_the_same_stats(self, model, fresh, order):
+        for cut in order:
+            got = corpus_stats(model, cut, 6)
+            want = collect_stats(model.corpus(range(6), cut))
+            assert got.per_neuron_mean.tobytes() == want.per_neuron_mean.tobytes()
+            assert got.per_neuron_std.tobytes() == want.per_neuron_std.tobytes()
+            assert (got.aggregate_mean, got.aggregate_std, got.sample_count) == (
+                want.aggregate_mean, want.aggregate_std, want.sample_count)
+
+    def test_each_stage_runs_once_per_image(self, model, fresh, monkeypatch):
+        calls = {"generate": 0, "conv": 0}
+        generate_input, conv3x3 = SplitModel.generate_input, sm._conv3x3
+
+        def counting_generate(self, *args):
+            calls["generate"] += 1
+            return generate_input(self, *args)
+
+        def counting_conv(*args):
+            calls["conv"] += 1
+            return conv3x3(*args)
+
+        monkeypatch.setattr(SplitModel, "generate_input", counting_generate)
+        monkeypatch.setattr(sm, "_conv3x3", counting_conv)
+        corpus_stats(model, "stage1", 5)
+        corpus_stats(model, "stage3", 5)
+        assert calls == {"generate": 5, "conv": 3 * 5}
+
+    def test_held_corpus_is_keyed_by_seed_and_image_count(self, model, fresh):
+        corpus_stats(model, "stage1", 4)
+        held = pl._HELD_CORPUS[(model.seed, 4)]
+        other = SplitModel(model.seed + 1)
+        for m, n in ((other, 4), (model, 5)):
+            got = corpus_stats(m, "stage3", n)
+            want = collect_stats(m.corpus(range(n), "stage3"))
+            assert np.array_equal(got.per_neuron_mean, want.per_neuron_mean)
+        assert pl._HELD_CORPUS == {(model.seed, 4): held}
+
+    @pytest.mark.parametrize("order", [("stage3",), ("stage1", "stage3"),
+                                       ("stage2", "stage1", "stage3")])
+    def test_nothing_is_held_after_the_last_cut(self, model, fresh, order):
+        for cut in order:
+            corpus_stats(model, cut, 4)
+        assert pl._HELD_CORPUS == {}
 
 
 class TestMeasureProfiles:

@@ -32,8 +32,13 @@ quality.  The entropy step quantizes, scans and lays out the tokens with
 array operations: run lengths come from the nonzero mask, each LEB128
 length from the value's magnitude, each token's offset from a cumulative
 sum of lengths, and the bytes are written one byte position at a time.
-A stream's size is known from the token lengths alone, before any byte
-is written.
+
+The entropy stage is lossless, so the rate loops (``encode_to_target`` and
+``rate_fidelity_curve``) never write a stream to weigh a quality and never
+parse one back.  A stream's size follows from its symbols alone
+(``_Tokens.stream_size``, the one size formula, which ``_pack`` also
+allocates by), and the plane a stream decodes to is the decoder's own
+reconstruction of those symbols (``_decoded_plane``).
 
 Decoding finds the field of every body byte (DC value, run byte or END,
 AC value) with a parallel prefix scan over per-byte state transitions,
@@ -285,12 +290,10 @@ def _leb128s_len(values: np.ndarray) -> np.ndarray:
 
 
 class _Tokens(NamedTuple):
-    """The entropy-coded symbols of a plane, in stream order per kind."""
+    """The values a stream codes, in stream order per kind."""
 
     dc: np.ndarray          # DC delta of each block
-    ac_block: np.ndarray    # block of each nonzero AC
-    ac_run: np.ndarray      # zeros skipped before it in its block
-    ac: np.ndarray          # its value
+    ac: np.ndarray          # each nonzero AC
     dc_len: np.ndarray      # LEB128 byte counts of dc and ac
     ac_len: np.ndarray
 
@@ -301,30 +304,35 @@ class _Tokens(NamedTuple):
 
 
 def _tokens(zz: np.ndarray) -> _Tokens:
+    """The coded values of symbol rows: enough to size their stream, which
+    is how the rate loops weigh a quality without laying out its bytes."""
     dc = np.diff(zz[:, 0], prepend=0)
-    block, col = np.nonzero(zz[:, 1:])
-    ac = zz[block, col + 1]
-    prev = np.empty_like(col)
-    prev[1:] = col[:-1]
-    prev[np.flatnonzero(np.diff(block, prepend=-1))] = -1
-    return _Tokens(dc, block, col - prev - 1, ac, _leb128s_len(dc), _leb128s_len(ac))
+    ac = zz[:, 1:][zz[:, 1:] != 0]
+    return _Tokens(dc, ac, _leb128s_len(dc), _leb128s_len(ac))
 
 
-def _pack(t: _Transformed, quality: int, tok: _Tokens) -> bytes:
-    """Lay the tokens out as FTCB bytes.
+def _pack(t: _Transformed, quality: int, zz: np.ndarray) -> bytes:
+    """Lay the symbol rows out as FTCB bytes.
 
     Token k of the stream starts at the sum of the lengths before it.  In
     stream order block b holds 2 + 2 * (its nonzero ACs) tokens, so its DC
     is token 2 * (b + ACs before b), the i-th nonzero AC overall has its
     run byte at token 2 * (block + i) + 1 and its value right after, and
-    END closes the block.
+    END closes the block.  A run byte counts the zeros skipped before its
+    AC in its block.
     """
+    tok = _tokens(zz)
+    # block and column (0..62 past DC) of each nonzero AC, in stream order
+    ac_block, col = np.divmod(np.flatnonzero(zz[:, 1:] != 0), 63)
+    prev = np.empty_like(col)
+    prev[1:] = col[:-1]
+    prev[np.flatnonzero(np.diff(ac_block, prepend=-1))] = -1
     n, m = len(tok.dc), len(tok.ac)
-    ac_count = np.bincount(tok.ac_block, minlength=n)
+    ac_count = np.bincount(ac_block, minlength=n)
     ac_after = np.cumsum(ac_count)
     blocks = np.arange(n)
     dc_at = 2 * (blocks + ac_after - ac_count)
-    run_at = 2 * (tok.ac_block + np.arange(m)) + 1
+    run_at = 2 * (ac_block + np.arange(m)) + 1
     end_at = 2 * (blocks + ac_after) + 1
     lens = np.ones(2 * (n + m), dtype=np.int64)
     lens[dc_at] = tok.dc_len
@@ -337,7 +345,7 @@ def _pack(t: _Transformed, quality: int, tok: _Tokens) -> bytes:
         FTCB_MAGIC, FTCB_VERSION, quality, layout.plane_w, layout.plane_h,
         layout.grid_cols, layout.grid_rows, layout.tile_w, layout.tile_h,
         layout.channels, t.levels), dtype=np.uint8)
-    out[starts[run_at]] = tok.ac_run
+    out[starts[run_at]] = col - prev - 1
     out[starts[end_at]] = _BLOCK_END
     # LEB128 bytes, one pass per byte position: 7 payload bits each, the
     # high bit set on every byte but the last
@@ -351,12 +359,9 @@ def _pack(t: _Transformed, quality: int, tok: _Tokens) -> bytes:
     return out.tobytes()
 
 
-def _entropy(t: _Transformed, quality: int) -> bytes:
-    return _pack(t, quality, _tokens(_symbols(t, quality)))
-
-
 def encode(p: TiledPlane, quality: int) -> bytes:
-    return _entropy(_transform(p), quality)
+    t = _transform(p)
+    return _pack(t, quality, _symbols(t, quality))
 
 
 def _check_plane_size(plane_w: int, plane_h: int) -> None:
@@ -467,6 +472,15 @@ def _reconstruct(zz: np.ndarray, table: np.ndarray, plane_h: int, plane_w: int) 
     return _unblock(pixels, plane_h, plane_w)
 
 
+def _decoded_plane(zz: np.ndarray, quality: int, layout: TileLayout,
+                   levels: int) -> TiledPlane:
+    """The plane that symbol rows decode to, clamped to the level count so a
+    lossy stream of a narrow alphabet gives symbols its quantizer accepts."""
+    plane = _reconstruct(zz, quality_table(quality), layout.plane_h, layout.plane_w)
+    np.minimum(plane, levels - 1, out=plane)
+    return TiledPlane(plane, layout, levels)
+
+
 def _decode(data: bytes, strict: bool) -> tuple[TiledPlane, int, int]:
     layout, quality, levels = _parse_header(data)
     rows, cols = _block_grid(layout.plane_h, layout.plane_w)
@@ -478,9 +492,7 @@ def _decode(data: bytes, strict: bool) -> tuple[TiledPlane, int, int]:
             f"{len(body)} body bytes cannot hold {n_blocks} blocks")
     _check_plane_size(layout.plane_w, layout.plane_h)
     zz, done = _decode_blocks(body, n_blocks, strict)
-    plane = _reconstruct(zz, quality_table(quality), layout.plane_h, layout.plane_w)
-    np.minimum(plane, levels - 1, out=plane)
-    return TiledPlane(plane, layout, levels), done, n_blocks
+    return _decoded_plane(zz, quality, layout, levels), done, n_blocks
 
 
 def decode(data: bytes) -> TiledPlane:
@@ -509,19 +521,21 @@ def encode_to_target(p: TiledPlane, target_bytes: int) -> tuple[bytes, int]:
     """Highest-quality stream whose size fits the target.
 
     Binary search over quality 1..100 (stream size grows with quality).
-    Returns (bitstream, quality); raises TargetInfeasibleError when even
-    quality 1 exceeds the target.
+    Each probe is sized from its symbols (``_Tokens.stream_size``); only the
+    chosen quality is laid out as bytes.  Returns (bitstream, quality);
+    raises TargetInfeasibleError when even quality 1 exceeds the target.
     """
     t = _transform(p)
-    best = _tokens(_symbols(t, 1))
-    if best.stream_size() > target_bytes:
-        raise TargetInfeasibleError(target_bytes, best.stream_size())
+    best = _symbols(t, 1)
+    min_size = _tokens(best).stream_size()
+    if min_size > target_bytes:
+        raise TargetInfeasibleError(target_bytes, min_size)
     lo, hi = 1, 100
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        tokens = _tokens(_symbols(t, mid))
-        if tokens.stream_size() <= target_bytes:
-            lo, best = mid, tokens
+        zz = _symbols(t, mid)
+        if _tokens(zz).stream_size() <= target_bytes:
+            lo, best = mid, zz
         else:
             hi = mid - 1
     return _pack(t, lo, best), lo
@@ -531,26 +545,30 @@ def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
                         levels: int = 256, clip_width: float = 3.0) -> list[dict]:
     """Mean bitstream size and argmax agreement per quality setting.
 
-    Each image runs the full compression path (256-level quantize, tile,
-    encode, decode, detile, dequantize) before the server-side forward;
-    the transform half of encode runs once per image, for every quality,
-    and one quality's images are decoded one at a time.
+    Each image runs the full compression path (quantize, tile, encode,
+    decode, detile, dequantize) before the server-side forward.  The
+    transform half of encode runs once per image, for every quality.  The
+    entropy stage is lossless, so a point's size comes from its symbols
+    (``_Tokens.stream_size``) and its plane from the decoder's own
+    reconstruction of them (``_decoded_plane``): no stream is written or
+    parsed.  One quality's images are reconstructed one at a time.
     """
     spec = QuantizerSpec(levels=levels, clip_width=clip_width, mode="aggregate")
     tensors = model.corpus(image_ids, cut)
     clean = model.argmaxes(tensors, cut)
     transformed = [_transform(tile(quantize(t, spec, stats))) for t in tensors]
 
+    def degraded(quality: int, sizes: list[int]):
+        for t in transformed:
+            zz = _symbols(t, quality)
+            sizes.append(_tokens(zz).stream_size())
+            plane = _decoded_plane(zz, quality, t.layout, t.levels)
+            yield dequantize(detile(plane, spec), stats)
+
     rows = []
-    for q in qualities:
-        streams = [_entropy(coefs, int(q)) for coefs in transformed]
-        decoded = (dequantize(detile(decode(bits), spec), stats)
-                   for bits in streams)
-        rows.append(
-            {
-                "quality": int(q),
-                "mean_bytes": sum(map(len, streams)) / len(tensors),
-                "agreement": model.matches(clean, decoded, cut) / len(tensors),
-            }
-        )
+    for q in map(int, qualities):
+        sizes = []
+        agreement = model.matches(clean, degraded(q, sizes), cut) / len(tensors)
+        rows.append({"quality": q, "mean_bytes": sum(sizes) / len(tensors),
+                     "agreement": agreement})
     return rows

@@ -152,6 +152,10 @@ _LEAST_VALUES = {
 # stacks its whole corpus
 _MOST_VALUES = {"frames": 100_000, "stats_images": 1024}
 
+# a failed handshake resends MODEL_SWITCH every retry period until its
+# deadline, and the event log keeps every send
+_MOST_HANDSHAKE_RETRIES = 20_000
+
 _STATS_CACHE: dict[tuple, TensorStats] = {}
 # (model seed, n_images) -> (stage index, cut tensors) of a corpus that a
 # deeper cut can continue; set-up state that only corpus_stats reads
@@ -572,6 +576,11 @@ def run_session(config: PipelineConfig,
             if f.name in _MOST_VALUES and value > _MOST_VALUES[f.name]:
                 raise SessionError(f"{f.name} must be at most "
                                    f"{_MOST_VALUES[f.name]}, got {value}")
+    retries = cfg.handshake_timeout_us // cfg.handshake_retry_us
+    if retries > _MOST_HANDSHAKE_RETRIES:
+        raise SessionError(
+            f"handshake_timeout_us / handshake_retry_us must be at most "
+            f"{_MOST_HANDSHAKE_RETRIES}, got {retries}")
     try:
         quality_table(cfg.quality)
         session = _parse_session(_switch_body(cfg))

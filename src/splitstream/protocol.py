@@ -295,6 +295,7 @@ class BandwidthEstimator:
         self._confirmed: set[tuple[int, int]] = set()
         self._declared: dict[tuple[int, int], int] = {}
         self._samples: deque[tuple[int, int]] = deque()  # (recv_time_us, bytes)
+        self._window_bytes = 0      # sum of the sample sizes
 
     # -- sending side bookkeeping
 
@@ -324,6 +325,7 @@ class BandwidthEstimator:
         self._confirmed.add(key)
         self.bytes_confirmed += size
         self._samples.append((conf.recv_time_us, size))
+        self._window_bytes += size
 
     def _sweep_declared(self, now_us: int) -> None:
         """Move packets older than twice the presumption age to declared-lost."""
@@ -337,6 +339,7 @@ class BandwidthEstimator:
     def record_received(self, size: int, now_us: int) -> None:
         """Receiver-side hook: count arrived bytes toward the rate window."""
         self._samples.append((now_us, size))
+        self._window_bytes += size
 
     # -- estimates
 
@@ -345,14 +348,13 @@ class BandwidthEstimator:
         sparse window falls back to the prior."""
         horizon = now_us - self.WINDOW_US
         while self._samples and self._samples[0][0] < horizon:
-            self._samples.popleft()
+            self._window_bytes -= self._samples.popleft()[1]
         if len(self._samples) < self.MIN_SAMPLES:
             return self.PRIOR_BW
         span_us = now_us - self._samples[0][0]
         if span_us <= 0:
             return self.PRIOR_BW
-        total = sum(size for _, size in self._samples)
-        return total * 1e6 / span_us
+        return self._window_bytes * 1e6 / span_us
 
     def expected_lost_bytes(self, now_us: int) -> float:
         """Declared losses plus the presumed share of aged in-flight bytes."""

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitstream import (FeatureTensor, QuantizedTensor, QuantizerSpec,
-                         psnr, tile)
+                         TiledPlane, dequantize, detile, psnr, quantize, tile)
 from splitstream.codec import (BASE_TABLE, FTCB_HEADER, BadMagicError,
                                BlockCountError, CodecError,
                                TargetInfeasibleError, TruncatedStreamError,
@@ -12,7 +12,8 @@ from splitstream.codec import (BASE_TABLE, FTCB_HEADER, BadMagicError,
                                quality_table, rate_fidelity_curve,
                                undecoded_plane_mask)
 from splitstream.codec import (_MAX_PLANE_PIXELS, _MAX_SYMBOL, _UNZIGZAG,
-                               _ZIGZAG)
+                               _ZIGZAG, _decoded_plane, _symbols, _tokens,
+                               _transform)
 
 import ftcb_reference as reference
 from ftcb_reference import _Reader, _leb128s_encode
@@ -433,6 +434,28 @@ class TestRateFidelityCurve:
             assert 0.0 <= r["agreement"] <= 1.0
         assert rows[1]["agreement"] >= rows[0]["agreement"]
 
+    @pytest.mark.parametrize("levels", [256, 16])
+    def test_rows_match_the_stream_path(self, model, corpus_at, levels):
+        # the sweep sizes and reconstructs from symbols; writing each stream
+        # and decoding it must give the same rows
+        _, stats = corpus_at("stage2", 32)
+        ids, qualities = range(6), [1, 10, 50, 95]
+        rows = rate_fidelity_curve(model, ids, "stage2", qualities, stats,
+                                   levels=levels)
+        spec = QuantizerSpec(levels=levels, clip_width=3.0, mode="aggregate")
+        tensors = model.corpus(ids, "stage2")
+        clean = model.argmaxes(tensors, "stage2")
+        want = []
+        for q in qualities:
+            streams = [encode(tile(quantize(t, spec, stats)), q) for t in tensors]
+            decoded = [dequantize(detile(decode(s), spec), stats) for s in streams]
+            want.append({
+                "quality": q,
+                "mean_bytes": sum(map(len, streams)) / len(tensors),
+                "agreement": model.matches(clean, decoded, "stage2") / len(tensors),
+            })
+        assert rows == want
+
 
 def _outcome(fn, data: bytes, messages: bool = True):
     """What a decoder makes of a stream: the plane and block counts, or the
@@ -574,3 +597,27 @@ class TestFuzz:
                 fn(header + body)
             except CodecError:
                 pass
+
+
+def _at_levels(p, levels):
+    """The plane with its symbols scaled into a ``levels``-symbol alphabet."""
+    return TiledPlane(p.bytes // (256 // levels), p.layout, levels)
+
+
+class TestSymbolPath:
+    """What the rate loops read from symbols, against the stream itself."""
+
+    @given(_planes, st.integers(1, 100), st.sampled_from([256, 16]))
+    def test_stream_size_is_the_stream_length(self, p, quality, levels):
+        p = _at_levels(p, levels)
+        size = _tokens(_symbols(_transform(p), quality)).stream_size()
+        assert size == len(encode(p, quality))
+
+    @given(_planes, st.integers(1, 100), st.sampled_from([256, 16]))
+    def test_reconstruction_is_the_decoded_plane(self, p, quality, levels):
+        p = _at_levels(p, levels)
+        t = _transform(p)
+        got = _decoded_plane(_symbols(t, quality), quality, t.layout, t.levels)
+        want = decode(encode(p, quality))
+        assert ((got.bytes.tobytes(), got.layout, got.levels)
+                == (want.bytes.tobytes(), want.layout, want.levels))

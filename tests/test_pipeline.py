@@ -504,6 +504,19 @@ class TestUpperBounds:
                                                f"{most}, got {most + 1}$"):
             run_session(PipelineConfig(**{name: most + 1}))
 
+    def test_handshake_retries_are_bounded(self):
+        # a failed handshake sends once per retry period until its deadline
+        at_bound = {"frames": 1, "handshake_retry_us": 100,
+                    "handshake_timeout_us": 2_000_000}
+        assert not _run_session_refuses(PipelineConfig.from_dict(at_bound))
+        cfg = PipelineConfig.from_dict({"frames": 1, "handshake_retry_us": 1,
+                                        "handshake_timeout_us": 200_000})
+        assert _run_session_refuses(cfg)
+        with pytest.raises(SessionError, match="^handshake_timeout_us / "
+                           "handshake_retry_us must be at most 20000, "
+                           "got 200000$"):
+            run_session(cfg)
+
 
 class TestInfeasibleTarget:
     def test_frames_below_the_smallest_stream_are_dropped(self, model):

@@ -302,6 +302,32 @@ class TestBandwidthEstimator:
             est.record_received(50_000, t)
         assert est.estimate_bandwidth(2_000_000) == 1e6
 
+    @given(st.lists(st.tuples(st.sampled_from(["recv", "confirm", "estimate"]),
+                              st.integers(0, 400_000), st.integers(0, 200_000),
+                              st.integers(0, 1400)), max_size=40))
+    def test_window_total_is_the_sum_of_its_samples(self, ops):
+        # the running total gives the estimate a full re-sum of the window
+        # would give
+        est = BandwidthEstimator(rtt_us=10_000)
+        now = 0
+        for i, (op, step, lag, size) in enumerate(ops):
+            now += step
+            if op == "recv":
+                est.record_received(size, now)
+            elif op == "confirm":
+                # a confirmation's receive time may precede earlier samples'
+                est.record_sent(i, 0, size, now)
+                est.process_confirmation(Confirmation(i, 0, size, now - lag), now)
+            else:
+                kept = list(est._samples)
+                while kept and kept[0][0] < now - est.WINDOW_US:
+                    kept.pop(0)
+                span = now - kept[0][0] if kept else 0
+                want = (est.PRIOR_BW if len(kept) < est.MIN_SAMPLES or span <= 0
+                        else sum(n for _, n in kept) * 1e6 / span)
+                assert est.estimate_bandwidth(now) == want
+            assert est._window_bytes == sum(n for _, n in est._samples)
+
     def test_duplicate_send_rejected(self):
         est = BandwidthEstimator(rtt_us=10_000)
         est.record_sent(1, 0, 100, now_us=0)

@@ -551,24 +551,27 @@ def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
     entropy stage is lossless, so a point's size comes from its symbols
     (``_Tokens.stream_size``) and its plane from the decoder's own
     reconstruction of them (``_decoded_plane``): no stream is written or
-    parsed.  One quality's images are reconstructed one at a time.
+    parsed.  The sweep runs image by image, every quality for one image
+    before the next image, so it holds one image's tensor and coefficients
+    at a time, whatever the image count.
     """
     spec = QuantizerSpec(levels=levels, clip_width=clip_width, mode="aggregate")
-    tensors = model.corpus(image_ids, cut)
-    clean = model.argmaxes(tensors, cut)
-    transformed = [_transform(tile(quantize(t, spec, stats))) for t in tensors]
-
-    def degraded(quality: int, sizes: list[int]):
-        for t in transformed:
-            zz = _symbols(t, quality)
-            sizes.append(_tokens(zz).stream_size())
-            plane = _decoded_plane(zz, quality, t.layout, t.levels)
-            yield dequantize(detile(plane, spec), stats)
-
-    rows = []
-    for q in map(int, qualities):
-        sizes = []
-        agreement = model.matches(clean, degraded(q, sizes), cut) / len(tensors)
-        rows.append({"quality": q, "mean_bytes": sum(sizes) / len(tensors),
-                     "agreement": agreement})
-    return rows
+    qualities = [int(q) for q in qualities]
+    total_bytes = [0] * len(qualities)
+    matches = [0] * len(qualities)
+    count = 0
+    for image_id in image_ids:
+        tensor = model.forward_client(model.generate_input(image_id), cut)
+        clean = model.argmaxes([tensor], cut)
+        t = _transform(tile(quantize(tensor, spec, stats)))
+        for k, q in enumerate(qualities):
+            zz = _symbols(t, q)
+            total_bytes[k] += _tokens(zz).stream_size()
+            plane = _decoded_plane(zz, q, t.layout, t.levels)
+            matches[k] += model.matches(
+                clean, [dequantize(detile(plane, spec), stats)], cut)
+        count += 1
+    if not count:
+        raise ValueError("empty corpus")
+    return [{"quality": q, "mean_bytes": b / count, "agreement": m / count}
+            for q, b, m in zip(qualities, total_bytes, matches)]

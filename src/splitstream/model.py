@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Xorshift64Star, bulk_uniform, derive
-from .tensor import FeatureTensor
+from .tensor import FeatureTensor, _fill, _moments
 
 __all__ = [
     "CutPoint",
@@ -249,6 +249,13 @@ class SplitModel:
         Later stages are calibrated on the already-normalized outputs of
         earlier ones, normalized from the responses just measured, so each
         stage convolves each image once.
+
+        Memory: a stage holds its float32 responses plus one float64 array
+        of their shape, centred and squared in place and freed before the
+        responses are normalized; a stage's inputs are dropped once its
+        responses are measured.  The moments stay numpy reductions over that
+        full-shape array, in the order ``np.std(axis=(0, 1, 2))`` makes
+        them, so the frozen norms keep their bits.
         """
         xs = [
             self.generate_input(_CAL_ID_BASE + i).data
@@ -256,9 +263,10 @@ class SplitModel:
         ]
         for stage in range(1, len(STAGE_CHANNELS) + 1):
             raws = [self._stage_raw(x, stage) for x in xs]
-            stack = np.stack(raws).astype(np.float64)
-            mean_c = stack.mean(axis=(0, 1, 2))
-            std_c = np.maximum(stack.std(axis=(0, 1, 2)), 1e-6)
+            del xs
+            mean_c, std_c = _moments(
+                _fill(np.empty((len(raws),) + raws[0].shape), raws), axis=(0, 1, 2))
+            std_c = np.maximum(std_c, 1e-6)
             self._norm_scale.append((1.0 / std_c).astype(np.float32))
             self._norm_offset.append((-mean_c / std_c).astype(np.float32))
             if stage < len(STAGE_CHANNELS):

@@ -164,8 +164,35 @@ def psnr(a: FeatureTensor, b: FeatureTensor, mask: np.ndarray | None = None) -> 
     return DistortionReport(err, 10.0 * math.log10(rng * rng / err))
 
 
+def _fill(stack: np.ndarray, arrays) -> np.ndarray:
+    """Copy each float32 array into its float64 slot of ``stack``."""
+    for i, a in enumerate(arrays):
+        stack[i] = a
+    return stack
+
+
+def _moments(stack: np.ndarray, axis) -> tuple:
+    """Mean and population std of ``stack`` over ``axis``, bit for bit as
+    ``stack.mean(axis)`` and ``stack.std(axis)`` give them, with the ufunc
+    calls ``np.std`` makes; the centred squares overwrite ``stack``."""
+    mean = stack.mean(axis=axis)
+    np.subtract(stack, mean, out=stack)
+    np.multiply(stack, stack, out=stack)
+    return mean, np.sqrt(stack.mean(axis=axis))
+
+
 def collect_stats(samples, label: str = "") -> TensorStats:
-    """Population per-neuron and aggregate moments over >= 2 tensors."""
+    """Population per-neuron and aggregate moments over >= 2 tensors.
+
+    Memory: besides the float32 tensors it is given, this holds one float64
+    array of the corpus's shape (8 bytes per element, twice the corpus).
+    It is filled from the tensors, centred and squared in place for the
+    per-neuron std, then refilled for the aggregate moments.  The reductions
+    stay numpy calls on that full-shape array, in the order ``np.std`` makes
+    them: its full-array ``sum`` adds in pairwise blocks, so a per-image
+    running sum would change the stats' bits, and with them every quantized
+    tensor and digest built on them.
+    """
     tensors = list(samples)
     if len(tensors) < 2:
         raise ValueError("need at least 2 samples for stats")
@@ -173,14 +200,15 @@ def collect_stats(samples, label: str = "") -> TensorStats:
     for t in tensors[1:]:
         if t.shape != shape:
             raise ValueError(f"sample shape {t.shape} does not match {shape}")
-    stack = np.stack([t.data for t in tensors]).astype(np.float64)
-    per_mean = stack.mean(axis=0)
-    per_std = np.sqrt(np.mean((stack - per_mean) ** 2, axis=0))
+    datas = [t.data for t in tensors]
+    stack = np.empty((len(datas),) + shape)
+    per_mean, per_std = _moments(_fill(stack, datas), axis=0)
+    _, aggregate_std = _moments(_fill(stack, datas), axis=None)
     return TensorStats(
         per_neuron_mean=per_mean,
         per_neuron_std=per_std,
         aggregate_mean=float(per_mean.mean()),
-        aggregate_std=float(stack.std()),
+        aggregate_std=float(aggregate_std),
         sample_count=len(tensors),
         label=label,
     )

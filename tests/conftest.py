@@ -1,5 +1,7 @@
 """Shared fixtures: one calibrated model per session, memoized corpora."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import settings
 
@@ -39,3 +41,24 @@ def corpus_at(model):
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def traced_peak():
+    """Bytes a call allocates at its peak beyond what was allocated before
+    it, as tracemalloc sees them (numpy reports its array buffers to it)."""
+
+    def peak(fn, *args) -> int:
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+
+    return peak

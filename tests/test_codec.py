@@ -456,6 +456,19 @@ class TestRateFidelityCurve:
             })
         assert rows == want
 
+    def test_memory_does_not_grow_with_image_count(self, model, corpus_at,
+                                                     traced_peak):
+        # one image's tensor and coefficients at a time: six more stage1
+        # images (about 196 KiB each when held) must not raise the peak
+        _, stats = corpus_at("stage1", 8)
+
+        def peak(n):
+            return traced_peak(rate_fidelity_curve, model, range(n), "stage1",
+                                [10, 90], stats)
+
+        peak(1)  # warm every lazily built table first
+        assert peak(8) - peak(2) < 2 ** 20
+
 
 def _outcome(fn, data: bytes, messages: bool = True):
     """What a decoder makes of a stream: the plane and block counts, or the

@@ -10,7 +10,8 @@ from splitstream import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER,
                          FeatureTensor, SplitModel, cut_point, loss_sweep,
                          rate_fidelity_curve, sweep)
 from splitstream import model as model_module
-from splitstream.model import CALIBRATION_IMAGES, _conv3x3
+from splitstream.model import (_CAL_ID_BASE, CALIBRATION_IMAGES, STAGE_CHANNELS,
+                               _conv3x3)
 
 
 def test_class_names_and_border():
@@ -161,6 +162,38 @@ def test_calibration_convolves_each_image_once_per_stage(monkeypatch):
     monkeypatch.setattr(model_module, "_conv3x3", counting)
     SplitModel()
     assert len(calls) == len(CUT_POINTS) * CALIBRATION_IMAGES
+
+
+def _reference_norms(m):
+    """Calibration as first written, through ``np.stack(...).astype`` and
+    ``np.std``, normalizing each stage with the norms just fitted."""
+    xs = [m.generate_input(_CAL_ID_BASE + i).data for i in range(CALIBRATION_IMAGES)]
+    scales, offsets = [], []
+    for stage in range(1, len(STAGE_CHANNELS) + 1):
+        raws = [m._stage_raw(x, stage) for x in xs]
+        stack = np.stack(raws).astype(np.float64)
+        mean_c = stack.mean(axis=(0, 1, 2))
+        std_c = np.maximum(stack.std(axis=(0, 1, 2)), 1e-6)
+        scales.append((1.0 / std_c).astype(np.float32))
+        offsets.append((-mean_c / std_c).astype(np.float32))
+        xs = [np.maximum(r * scales[-1] + offsets[-1], np.float32(0.0)) for r in raws]
+    return scales, offsets
+
+
+@pytest.mark.parametrize("seed", [0x5EED, 9])
+def test_calibration_norms_match_reference(model, seed):
+    m = model if seed == model.seed else SplitModel(seed)
+    scales, offsets = _reference_norms(m)
+    assert [a.tobytes() for a in m._norm_scale] == [a.tobytes() for a in scales]
+    assert [a.tobytes() for a in m._norm_offset] == [a.tobytes() for a in offsets]
+
+
+def test_calibration_holds_one_float64_copy(traced_peak):
+    # a stage's float32 responses plus one float64 array of their shape:
+    # 12 bytes per stage1 response element, plus 1 MiB of slack
+    stage1 = CUT_POINTS[0]
+    elements = CALIBRATION_IMAGES * stage1.height * stage1.width * stage1.channels
+    assert traced_peak(SplitModel, 3) <= 12 * elements + 2 ** 20
 
 
 def test_calibration_norms_pinned(model):

@@ -139,6 +139,63 @@ class TestStats:
             )
 
 
+def _reference_stats(tensors):
+    """The moments as collect_stats first computed them, one full-size
+    temporary per step: the bits every digest was recorded from."""
+    stack = np.stack([t.data for t in tensors]).astype(np.float64)
+    per_mean = stack.mean(axis=0)
+    per_std = np.sqrt(np.mean((stack - per_mean) ** 2, axis=0))
+    return per_mean, per_std, float(per_mean.mean()), float(stack.std())
+
+
+def _f64_bytes(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def _corpora(draw):
+    """2-40 tensors of one cut's shape (or a small odd one) whose values mix
+    magnitudes from 1e-30 to 1e30 with -0.0, constant neurons and, at
+    times, an entirely constant sample."""
+    n = draw(st.integers(2, 40))
+    shape = draw(st.sampled_from([(32, 32, 16), (16, 16, 32), (8, 8, 64),
+                                  (3, 5, 7), (1, 1, 1)]))
+    lo = draw(st.integers(-30, 30))
+    hi = draw(st.integers(lo, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = (n,) + shape
+    data = rng.standard_normal(size) * 10.0 ** rng.integers(lo, hi + 1, size)
+    data[rng.random(size) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = -0.0
+    if draw(st.booleans()):
+        data[:, rng.random(shape) < 0.3] = data[0, 0, 0, 0]
+    if draw(st.booleans()):
+        data[:] = data[0]
+    return [_ft(d) for d in data]
+
+
+class TestStatsMatchReference:
+    @given(_corpora())
+    def test_every_field_bitwise_equal(self, tensors):
+        s = collect_stats(tensors, label="ref")
+        per_mean, per_std, agg_mean, agg_std = _reference_stats(tensors)
+        assert s.per_neuron_mean.tobytes() == per_mean.tobytes()
+        assert s.per_neuron_std.tobytes() == per_std.tobytes()
+        assert _f64_bytes(s.aggregate_mean) == _f64_bytes(agg_mean)
+        assert _f64_bytes(s.aggregate_std) == _f64_bytes(agg_std)
+        assert s.sample_count == len(tensors) and s.label == "ref"
+        assert s.per_neuron_mean.dtype == s.per_neuron_std.dtype == np.float64
+
+
+class TestStatsMemory:
+    def test_peak_is_one_float64_copy(self, traced_peak):
+        # one float64 array of the corpus's shape, plus 1 MiB of slack: a
+        # float32 stack, its float64 copy and a centred temporary do not fit
+        rng = np.random.default_rng(1)
+        tensors = [_ft(rng.standard_normal((16, 16, 32))) for _ in range(32)]
+        elements = 32 * 16 * 16 * 32
+        assert traced_peak(collect_stats, tensors) <= 8 * elements + 2 ** 20
+
+
 class TestFtsrFiles:
     def test_header_layout(self):
         # frozen file layout: 20-byte header, float32 payload

@@ -551,27 +551,18 @@ def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
     entropy stage is lossless, so a point's size comes from its symbols
     (``_Tokens.stream_size``) and its plane from the decoder's own
     reconstruction of them (``_decoded_plane``): no stream is written or
-    parsed.  The sweep runs image by image, every quality for one image
-    before the next image, so it holds one image's tensor and coefficients
-    at a time, whatever the image count.
+    parsed.
     """
     spec = QuantizerSpec(levels=levels, clip_width=clip_width, mode="aggregate")
     qualities = [int(q) for q in qualities]
-    total_bytes = [0] * len(qualities)
-    matches = [0] * len(qualities)
-    count = 0
-    for image_id in image_ids:
-        tensor = model.forward_client(model.generate_input(image_id), cut)
-        clean = model.argmaxes([tensor], cut)
+
+    def degrade(_image_id, tensor):
         t = _transform(tile(quantize(tensor, spec, stats)))
-        for k, q in enumerate(qualities):
+        for q in qualities:
             zz = _symbols(t, q)
-            total_bytes[k] += _tokens(zz).stream_size()
             plane = _decoded_plane(zz, q, t.layout, t.levels)
-            matches[k] += model.matches(
-                clean, [dequantize(detile(plane, spec), stats)], cut)
-        count += 1
-    if not count:
-        raise ValueError("empty corpus")
-    return [{"quality": q, "mean_bytes": b / count, "agreement": m / count}
-            for q, b, m in zip(qualities, total_bytes, matches)]
+            yield dequantize(detile(plane, spec), stats), _tokens(zz).stream_size()
+
+    count, cells = model.sweep(image_ids, cut, degrade)
+    return [{"quality": q, "mean_bytes": size / count, "agreement": hits / count}
+            for q, (hits, size) in zip(qualities, cells)]

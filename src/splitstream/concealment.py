@@ -135,30 +135,20 @@ def loss_sweep(model, image_ids, cut, kinds, rates, strategies,
     Masks are drawn per image from seeds derived off the sweep seed, so a
     given (kind, rate) pair sees identical damage under every strategy.
     """
-    ids = list(image_ids)
-    tensors = model.corpus(ids, cut)
-    clean = model.argmaxes(tensors, cut)
-    sides = [side_channel_means(t) for t in tensors]
+    cells = [(kind, float(rate), strategy)
+             for kind in kinds for rate in rates for strategy in strategies]
 
-    rows = []
-    for kind in kinds:
-        for rate in rates:
-            masks = [
-                make_mask(t.shape, kind, rate, derive(seed, kind, int(rate * 1e6), i))
-                for i, t in zip(ids, tensors)
-            ]
-            for strategy in strategies:
-                healed = [
-                    conceal(t, m, strategy, stats=stats, side=s)
-                    for t, m, s in zip(tensors, masks, sides)
-                ]
-                rows.append(
-                    {
-                        "kind": kind,
-                        "rate": float(rate),
-                        "strategy": strategy,
-                        "agreement": model.matches(clean, healed, cut) / len(ids),
-                        "mse": sum(map(mse, tensors, healed)) / len(ids),
-                    }
-                )
-    return rows
+    def degrade(image_id, t):
+        side = side_channel_means(t)
+        for kind in kinds:
+            for rate in rates:
+                mask = make_mask(t.shape, kind, rate,
+                                 derive(seed, kind, int(rate * 1e6), image_id))
+                for strategy in strategies:
+                    healed = conceal(t, mask, strategy, stats=stats, side=side)
+                    yield healed, mse(t, healed)
+
+    count, sums = model.sweep(image_ids, cut, degrade)
+    return [{"kind": kind, "rate": rate, "strategy": strategy,
+             "agreement": hits / count, "mse": total / count}
+            for (kind, rate, strategy), (hits, total) in zip(cells, sums)]

@@ -314,21 +314,30 @@ class SplitModel:
 
     # ------------------------------------------------------------------ metrics
 
-    def corpus(self, image_ids, cut) -> list[FeatureTensor]:
-        """Cut tensors of the images, in id order: the one corpus every
-        sweep and the dataset statistics are computed over."""
-        tensors = [self.forward_client(self.generate_input(i), cut) for i in image_ids]
-        if not tensors:
-            raise ValueError("empty corpus")
-        return tensors
+    def argmax(self, tensor: FeatureTensor, cut: str) -> int:
+        """Server-side argmax class of a cut tensor."""
+        return int(np.argmax(self.forward_server(tensor, cut)))
 
-    def argmaxes(self, tensors, cut) -> list[int]:
-        """Server-side argmax class of each cut tensor."""
-        return [int(np.argmax(self.forward_server(t, cut))) for t in tensors]
+    def sweep(self, image_ids, cut: str, degrade) -> tuple[int, list[tuple]]:
+        """Clean-argmax agreement over a grid of degradations: the one loop
+        every agreement sweep runs.
 
-    def matches(self, clean, degraded, cut) -> int:
-        """How many degraded cut tensors keep their clean argmax.
-
-        ``degraded`` may be a generator; it is consumed one tensor at a time.
+        Images run one at a time, in id order: the cut tensor, its clean
+        argmax, then ``degrade(image_id, tensor)``, which yields one
+        ``(degraded tensor, measure)`` per grid cell, in the same cell order
+        for every image.  Returns the image count and, per cell, how many
+        degraded tensors kept their clean argmax and the sum of their
+        measures in id order.  The loop holds one image's tensors at a time,
+        whatever the image count.
         """
-        return sum(c == d for c, d in zip(clean, self.argmaxes(degraded, cut)))
+        count, hits, totals = 0, {}, {}
+        for image_id in image_ids:
+            tensor = self.forward_client(self.generate_input(image_id), cut)
+            clean = self.argmax(tensor, cut)
+            for k, (degraded, measure) in enumerate(degrade(image_id, tensor)):
+                hits[k] = hits.get(k, 0) + (self.argmax(degraded, cut) == clean)
+                totals[k] = totals.get(k, 0) + measure
+            count += 1
+        if not count:
+            raise ValueError("empty corpus")
+        return count, list(zip(hits.values(), totals.values()))

@@ -139,10 +139,11 @@ _SCALAR_TYPES = {
 }
 
 # the least value of each bounded integer field; a zero pacing or retry
-# period would reschedule at the same simulated instant forever
+# period, or a zero RTT (the lost-frame re-announce period is 2 RTT), would
+# reschedule at the same simulated instant forever
 _LEAST_VALUES = {
     "mss": 1, "top_k": 1, "stats_images": 2, "pacing_us": 1,
-    "handshake_retry_us": 1, "frames": 0, "frame_interval_us": 0,
+    "handshake_retry_us": 1, "rtt_us": 1, "frames": 0, "frame_interval_us": 0,
     "target_bytes": 0, "server_rate_limit_us": 0, "client_process_us": 0,
     "server_process_us": 0, "handshake_timeout_us": 0, "duration_us": 0,
 }
@@ -327,7 +328,7 @@ class _Client:
             rec["status"] = "dropped"
             self.sim.log_event("frame_drop", k)
             return
-        self.clean_argmax[k] = self.model.argmaxes([t], cut)[0]
+        self.clean_argmax[k] = self.model.argmax(t, cut)
         self.side_store[k] = side_channel_means(t)
         rec["sentBytes"] = len(bits)
 

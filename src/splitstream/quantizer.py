@@ -151,19 +151,15 @@ def sweep(model, image_ids, cut, level_list, width_list, stats: TensorStats,
 
     Returns one row dict per cell: levels, clip_width, agreement, mse.
     """
-    tensors = model.corpus(image_ids, cut)
-    clean = model.argmaxes(tensors, cut)
-    rows = []
-    for n in level_list:
-        for w in width_list:
-            spec = QuantizerSpec(levels=int(n), clip_width=float(w), mode=mode)
-            t_hats = [dequantize(quantize(t, spec, stats), stats) for t in tensors]
-            rows.append(
-                {
-                    "levels": int(n),
-                    "clip_width": float(w),
-                    "agreement": model.matches(clean, t_hats, cut) / len(tensors),
-                    "mse": sum(map(mse, tensors, t_hats)) / len(tensors),
-                }
-            )
-    return rows
+    specs = [QuantizerSpec(levels=int(n), clip_width=float(w), mode=mode)
+             for n in level_list for w in width_list]
+
+    def degrade(_image_id, t):
+        for spec in specs:
+            t_hat = dequantize(quantize(t, spec, stats), stats)
+            yield t_hat, mse(t, t_hat)
+
+    count, cells = model.sweep(image_ids, cut, degrade)
+    return [{"levels": spec.levels, "clip_width": spec.clip_width,
+             "agreement": hits / count, "mse": total / count}
+            for spec, (hits, total) in zip(specs, cells)]

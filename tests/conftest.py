@@ -22,6 +22,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def cut_tensors(model, image_ids, cut: str) -> list:
+    """Reference corpus: each image's cut tensor, in id order."""
+    return [model.forward_client(model.generate_input(i), cut) for i in image_ids]
+
+
 @pytest.fixture(scope="session")
 def model():
     """Default-seed model; calibration is expensive, build it once."""
@@ -36,7 +41,7 @@ def corpus_at(model):
     def get(cut: str, n: int):
         key = (cut, n)
         if key not in cache:
-            tensors = model.corpus(range(n), cut)
+            tensors = cut_tensors(model, range(n), cut)
             cache[key] = (tensors, collect_stats(tensors, label=cut))
         return cache[key]
 

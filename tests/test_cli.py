@@ -255,7 +255,8 @@ class TestErrors:
         ({"server_process_us": -1}, "server_process_us"),
         ({"levels": 1000}, "levels"),
         ({"link": {"jitter_us": 0.5}}, "jitter_us"),
-        ({"link": {"rtt_us": -2}}, "delays"),
+        ({"link": {"rtt_us": -2}}, "rtt_us"),
+        ({"frames": 1, "link": {"rtt_us": 0}}, "rtt_us"),
         ({"link": {"loss_prob": 1.0}}, "loss_prob"),
         ({"downlink_loss_prob": 1.0}, "loss_prob"),
         ({"link": {"bandwidth_bps": 0}}, "bandwidth"),

@@ -216,3 +216,18 @@ class TestLossSweep:
         args = (model, range(4), "stage2", ["by_channel"], [0.5], ["zero"],
                 stats)
         assert loss_sweep(*args, seed=9) == loss_sweep(*args, seed=9)
+
+    def test_memory_does_not_grow_with_image_count(self, model, corpus_at,
+                                                     traced_peak):
+        # one image's tensors at a time: fourteen more stage1 images (64 KiB
+        # per cut tensor, plus a mask and a healed tensor per cell, when
+        # held) must not raise the peak
+        _, stats = corpus_at("stage1", 8)
+
+        def peak(n):
+            return traced_peak(loss_sweep, model, range(n), "stage1",
+                               ["by_element"], [0.4], ["zero", "dataset_mean"],
+                               stats, 5)
+
+        peak(1)  # warm every lazily built table first
+        assert peak(16) - peak(2) < 2 ** 19

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conv_reference
+from conftest import cut_tensors
 from splitstream import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER,
                          FeatureTensor, SplitModel, cut_point, loss_sweep,
                          rate_fidelity_curve, sweep)
@@ -115,35 +116,34 @@ def test_zero_tensor_scores_are_head_bias(model):
 
 def test_agreement_identity_and_zeroing(model):
     ids = range(12)
-    tensors = model.corpus(ids, "stage2")
-    clean = model.argmaxes(tensors, "stage2")
-    assert model.matches(clean, tensors, "stage2") / len(ids) == 1.0
-
+    clean = [model.argmax(t, "stage2") for t in cut_tensors(model, ids, "stage2")]
     zero_scores = model.forward_server(
         FeatureTensor(np.zeros((16, 16, 32), dtype=np.float32)), "stage2")
     bias_class = int(np.argmax(zero_scores))
     expected = sum(c == bias_class for c in clean) / len(clean)
 
-    def wipe(t):
-        return FeatureTensor(np.zeros_like(t.data))
+    seen = []
 
-    wiped = map(wipe, tensors)
-    assert model.matches(clean, wiped, "stage2") / len(ids) == expected == 0.25
-
-    def drop_half(t):
+    def degrade(image_id, t):
+        seen.append(image_id)
+        yield t, image_id                                   # identity
+        yield FeatureTensor(np.zeros_like(t.data)), 1       # wipe
         d = np.array(t.data)
         d[:, :, :16] = 0.0
-        return FeatureTensor(d)
+        yield FeatureTensor(d), 0                           # drop half
 
-    # exact value, so a refactor of the match loop cannot move it
-    halved = map(drop_half, tensors)
-    assert model.matches(clean, halved, "stage2") / len(ids) == 4 / 12
+    count, cells = model.sweep(ids, "stage2", degrade)
+    assert seen == list(ids) and count == len(ids)
+    assert [total for _, total in cells] == [sum(ids), len(ids), 0]
+    # exact values, so a refactor of the match loop cannot move them
+    agreement = [hits / count for hits, _ in cells]
+    assert agreement == [1.0, expected, 4 / 12] and expected == 0.25
 
 
 def test_agreement_empty_corpus(model):
     with pytest.raises(ValueError, match="empty corpus"):
-        model.corpus([], "stage2")
-    # the sweeps build their corpus the same way, so they reject it alike
+        model.sweep([], "stage2", lambda image_id, t: iter(()))
+    # every sweep runs the model's loop, so they reject it alike
     with pytest.raises(ValueError, match="empty corpus"):
         sweep(model, [], "stage2", [4], [2.0], None)
     with pytest.raises(ValueError, match="empty corpus"):

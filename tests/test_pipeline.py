@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import cut_tensors
 import splitstream.model as sm
 import splitstream.pipeline as pl
 from splitstream import (Link, LinkConfig, MsgType, ProtocolError, Simulator,
@@ -492,6 +494,47 @@ class TestValidation:
         with pytest.raises(SessionError, match="model_seed"):
             run_session(PipelineConfig(model_seed=7, frames=2), model)
 
+    def test_zero_rtt_is_refused_before_set_up(self):
+        # the lost-frame re-announce period is 2 RTT: at zero it would
+        # re-announce at one simulated instant forever
+        cfg = PipelineConfig.from_dict({"frames": 1, "link": {"rtt_us": 0}})
+        assert _run_session_refuses(cfg)
+        assert not _run_session_refuses(
+            PipelineConfig.from_dict({"frames": 1, "link": {"rtt_us": 1}}))
+        with pytest.raises(SessionError,
+                           match="^rtt_us must be at least 1, got 0$"):
+            run_session(cfg)
+
+
+# the extremes of each field's type that a JSON config can carry
+_EXTREMES = st.sampled_from([-1, 0, 1, 2 ** 63, 2 ** 64, math.nan, math.inf,
+                             -math.inf, True, "x", {}, None, 1e-320, 1e308])
+_LINK_FIELDS = [f.name for f in dataclasses.fields(LinkScenario)]
+_TOP_FIELDS = [f.name for f in dataclasses.fields(PipelineConfig)
+               if f.name != "link"]
+
+
+class TestAnyConfig:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=st.dictionaries(st.sampled_from(_TOP_FIELDS + _LINK_FIELDS),
+                                 _EXTREMES, min_size=1, max_size=3))
+    @example(drawn={"rtt_us": 0})
+    def test_every_config_ends_in_a_report_or_session_error(self, model,
+                                                            drawn):
+        # frames and stats_images are held small only to bound the runtime;
+        # a drawn value of either is refused or no larger
+        d = {"frames": 3, "stats_images": 4, "link": {}}
+        for name, value in drawn.items():
+            (d["link"] if name in _LINK_FIELDS else d)[name] = value
+        cfg = PipelineConfig.from_dict(d)
+        try:
+            report = run_session(
+                cfg, model if cfg.model_seed == model.seed else None)
+        except SessionError:
+            return
+        assert len(report["frames"]) == cfg.frames
+        assert report["summary"]["max_gauge_excess_bytes"] <= 0
+
 
 class TestUpperBounds:
     @pytest.mark.parametrize("name, most", [("frames", 100_000),
@@ -559,7 +602,7 @@ class TestCorpusStats:
         other = SplitModel(model.seed + 1)
         stats = corpus_stats(other, "stage2", 4)
         assert stats is not corpus_stats(model, "stage2", 4)
-        want = collect_stats(other.corpus(range(4), "stage2"))
+        want = collect_stats(cut_tensors(other, range(4), "stage2"))
         assert np.array_equal(stats.per_neuron_mean, want.per_neuron_mean)
 
     @pytest.fixture
@@ -574,7 +617,7 @@ class TestCorpusStats:
     def test_continued_corpus_gives_the_same_stats(self, model, fresh, order):
         for cut in order:
             got = corpus_stats(model, cut, 6)
-            want = collect_stats(model.corpus(range(6), cut))
+            want = collect_stats(cut_tensors(model, range(6), cut))
             assert got.per_neuron_mean.tobytes() == want.per_neuron_mean.tobytes()
             assert got.per_neuron_std.tobytes() == want.per_neuron_std.tobytes()
             assert (got.aggregate_mean, got.aggregate_std, got.sample_count) == (
@@ -604,7 +647,7 @@ class TestCorpusStats:
         other = SplitModel(model.seed + 1)
         for m, n in ((other, 4), (model, 5)):
             got = corpus_stats(m, "stage3", n)
-            want = collect_stats(m.corpus(range(n), "stage3"))
+            want = collect_stats(cut_tensors(m, range(n), "stage3"))
             assert np.array_equal(got.per_neuron_mean, want.per_neuron_mean)
         assert pl._HELD_CORPUS == {(model.seed, 4): held}
 

@@ -220,3 +220,17 @@ def test_sweep_grid(model, corpus_at):
         {"levels": 16, "clip_width": 3.0, "agreement": 1.0,
          "mse": 0.008936600294365793},
     ]
+
+
+def test_sweep_memory_does_not_grow_with_image_count(model, corpus_at,
+                                                     traced_peak):
+    # one image's tensors at a time: fourteen more stage1 images (64 KiB per
+    # cut tensor, and one more per cell, when held) must not raise the peak
+    _, stats = corpus_at("stage1", 8)
+
+    def peak(n):
+        return traced_peak(sweep, model, range(n), "stage1", [4, 16],
+                           [2.0, 3.0], stats)
+
+    peak(1)  # warm every lazily built table first
+    assert peak(16) - peak(2) < 2 ** 19

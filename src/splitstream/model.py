@@ -32,13 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Xorshift64Star, bulk_uniform, derive
-from .tensor import FeatureTensor, _fill, _moments
+from .tensor import FeatureTensor, TensorStats, _fill, _moments, collect_stats
 
 __all__ = [
     "CutPoint",
     "CUT_POINTS",
     "cut_point",
     "SplitModel",
+    "corpus_stats",
     "EQUIVARIANCE_BORDER",
     "CLASS_NAMES",
 ]
@@ -175,6 +176,10 @@ class SplitModel:
         self._norm_scale: list[np.ndarray] = []
         self._norm_offset: list[np.ndarray] = []
         self._calibrate()
+        # corpus_stats state: stats by (cut, n_images), and by n_images the
+        # (stage index, cut tensors) of a corpus a deeper cut can continue
+        self._stats: dict[tuple[str, int], TensorStats] = {}
+        self._held_corpus: dict[int, tuple[int, list[FeatureTensor]]] = {}
 
     # ------------------------------------------------------------------ inputs
 
@@ -341,3 +346,30 @@ class SplitModel:
         if not count:
             raise ValueError("empty corpus")
         return count, list(zip(hits.values(), totals.values()))
+
+
+def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
+    """Dataset statistics at a cut, shared by client and server.
+
+    The corpus is images ``0..n_images-1`` run to the cut.  A deeper cut
+    continues the corpus the model holds from a shallower cut for the same
+    image count, the same bytes as running each image again.  The model
+    keeps the stats for its lifetime and holds at most one corpus per
+    image count, the deepest built short of the last cut (which nothing
+    could continue); continuing it drops it, and the model's end frees it.
+    """
+    key = (cut, n_images)
+    if key not in model._stats:
+        stage = cut_point(cut).stage_index
+        start, sources = model._held_corpus.get(n_images, (0, None))
+        if sources is not None and start < stage:
+            del model._held_corpus[n_images]
+        else:
+            start, sources = 0, (model.generate_input(i) for i in range(n_images))
+        tensors = [FeatureTensor(model._stages(t.data, start + 1, stage))
+                   for t in sources]
+        del sources     # a continued corpus is freed before the stack below
+        model._stats[key] = collect_stats(tensors, label=f"{cut}-{n_images}")
+        if stage < len(CUT_POINTS) and n_images not in model._held_corpus:
+            model._held_corpus[n_images] = (stage, tensors)
+    return model._stats[key]

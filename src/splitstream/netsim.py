@@ -139,8 +139,9 @@ class Link:
         self.sent = 0
         self.dropped = 0
 
-    def send(self, data: bytes) -> None:
-        """Queue wire bytes; they arrive via the deliver callback or drop."""
+    def send(self, data: bytes) -> int:
+        """Queue wire bytes; they arrive via the deliver callback or drop.
+        Returns the time their last byte leaves the sender."""
         if self.deliver is None:
             raise SimulationError(f"link {self.name} has no receiver")
         cfg = self.config
@@ -152,9 +153,10 @@ class Link:
         if cfg.loss_prob > 0.0 and self._rng.uniform() < cfg.loss_prob:
             self.dropped += 1
             self.sim.log_event(f"{self.name}_drop", length=len(data))
-            return
+            return self._busy_until
 
         jitter = self._rng.randint(cfg.jitter_us + 1) if cfg.jitter_us else 0
         arrival = self._busy_until + cfg.one_way_delay_us + jitter
         deliver = self.deliver
         self.sim.at(arrival, lambda: deliver(data))
+        return self._busy_until

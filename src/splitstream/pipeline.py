@@ -32,8 +32,8 @@ from one parser, ``_parse_session``: the server from the MODEL_SWITCH
 body (``ProtocolError`` if malformed), ``run_session`` from its config's
 body before any set-up (``SessionError``).  The per-channel side means
 are the one modelled out-of-band channel, assumed lossless and free;
-dataset statistics come from the shared calibration recipe, so both ends
-agree without transmission.  Seeded draws and integer simulated time
+dataset statistics are the shared model's own ``corpus_stats``, so both
+ends agree without transmission.  Seeded draws and integer simulated time
 make a config (link seed included) reproduce its report byte for byte.
 """
 
@@ -52,7 +52,7 @@ from .codec import (CodecError, TargetInfeasibleError, decode, decode_prefix,
                     undecoded_plane_mask)
 from .concealment import STRATEGIES, LossMask, conceal, side_channel_means
 from .model import (CLASS_NAMES, CUT_POINTS, MODEL_NAME, CutPoint, SplitModel,
-                    cut_point)
+                    corpus_stats, cut_point)
 from .netsim import Link, LinkConfig, Simulator
 from .protocol import (BandwidthEstimator, Confirmation, FrameAssembler,
                        MsgType, ProtocolError, SendBuffer, WireMessage,
@@ -61,7 +61,7 @@ from .protocol import (BandwidthEstimator, Confirmation, FrameAssembler,
                        should_process_frame)
 from .quantizer import QuantizerSpec, dequantize, quantize
 from .strategy import StrategyProfile
-from .tensor import FeatureTensor, TensorStats, collect_stats
+from .tensor import TensorStats, collect_stats
 from .tiling import TiledPlane, channel_tiles, detile, layout_for, tile
 
 __all__ = [
@@ -156,39 +156,6 @@ _MOST_VALUES = {"frames": 100_000, "stats_images": 1024}
 # a failed handshake resends MODEL_SWITCH every retry period until its
 # deadline, and the event log keeps every send
 _MOST_HANDSHAKE_RETRIES = 20_000
-
-_STATS_CACHE: dict[tuple, TensorStats] = {}
-# (model seed, n_images) -> (stage index, cut tensors) of a corpus that a
-# deeper cut can continue; set-up state that only corpus_stats reads
-_HELD_CORPUS: dict[tuple, tuple[int, list[FeatureTensor]]] = {}
-
-
-def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
-    """Dataset statistics at a cut, shared by client and server.
-
-    The corpus is images ``0..n_images-1`` run to the cut.  A deeper cut
-    continues the corpus held from a shallower cut for the same seed and
-    image count, the same bytes as running each image again.  At most one
-    corpus is held per (seed, n_images), the deepest built short of the last
-    cut (which nothing could continue); continuing it drops it.
-    """
-    key = (model.seed, cut, n_images)
-    if key not in _STATS_CACHE:
-        stage = cut_point(cut).stage_index
-        held_key = (model.seed, n_images)
-        start, sources = _HELD_CORPUS.get(held_key, (0, None))
-        if sources is not None and start < stage:
-            del _HELD_CORPUS[held_key]
-        else:
-            start, sources = 0, (model.generate_input(i) for i in range(n_images))
-        tensors = [FeatureTensor(model._stages(t.data, start + 1, stage))
-                   for t in sources]
-        del sources     # a continued corpus is freed before the stack below
-        _STATS_CACHE[key] = collect_stats(tensors, label=f"{cut}-{n_images}")
-        if stage < len(CUT_POINTS) and held_key not in _HELD_CORPUS:
-            _HELD_CORPUS[held_key] = (stage, tensors)
-    return _STATS_CACHE[key]
-
 
 @dataclass(frozen=True)
 class _Session:
@@ -398,9 +365,10 @@ class _Client:
             self._announced.add(k)
             self.est.record_sent(k, total_len, 0, self.sim.now_us)
         self.sim.log_event("announce", k, total_len, 0)
-        self.uplink.send(encode_message(marker))
-        self.sim.after(2 * self.cfg.link.rtt_us,
-                       lambda: self._lost_check(k, total_len))
+        left_us = self.uplink.send(encode_message(marker))
+        # never re-announce while this announce still waits in the uplink
+        self.sim.at(max(self.sim.now_us + 2 * self.cfg.link.rtt_us, left_us),
+                    lambda: self._lost_check(k, total_len))
 
     def _on_result(self, msg: WireMessage):
         body = parse_control(msg)
@@ -628,10 +596,11 @@ def run_session(config: PipelineConfig,
     downlink.deliver = client.on_downlink
 
     client.start()
-    sim.run_until(duration)
-
+    # a failed handshake ends the session at its deadline
+    sim.run_until(min(cfg.handshake_timeout_us, duration))
     if client.failed:
         raise SessionError(client.failed)
+    sim.run_until(duration)
 
     frames = []
     for k in range(cfg.frames):

@@ -123,6 +123,15 @@ class TestLink:
         sim.run_until(22_000)
         assert arrivals == [(12_000, b"1" * 1000), (22_000, b"2" * 1000)]
 
+    def test_send_returns_when_the_last_byte_leaves(self):
+        # a dropped message holds the wire as long as a delivered one
+        sim = Simulator()
+        link, _ = _wire(sim, LinkConfig(
+            bandwidth_bps=1e5, one_way_delay_us=2000, loss_prob=0.5, seed=3))
+        assert [link.send(bytes(1000)) for _ in range(6)] == [
+            10_000, 20_000, 30_000, 40_000, 50_000, 60_000]
+        assert 0 < link.dropped < 6
+
     def test_busy_cursor_resets_after_idle(self):
         sim = Simulator()
         link, arrivals = _wire(sim, LinkConfig(bandwidth_bps=1e5))

@@ -1,7 +1,11 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,10 @@ from splitstream.model import CUT_POINTS
 from splitstream.pipeline import (FRAME_ROW_KEYS, LinkScenario, PipelineConfig,
                                   SessionError, corpus_stats, measure_profiles,
                                   run_session)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from timeline import check_latencies, frame_timeline  # noqa: E402
 
 CLEAN = PipelineConfig(frames=8, frame_interval_us=150_000,
                        link=LinkScenario(seed=1))
@@ -198,6 +206,18 @@ class TestLossySession:
         _assert_handshake_precedes_data(lossy_report)
 
 
+class TestAnnounce:
+    def test_announces_do_not_pile_up_behind_a_busy_uplink(self, model):
+        # each frame is one packet that takes far longer than 2 RTT to
+        # serialize; a frame is re-announced only once its earlier
+        # announce has left the uplink
+        cfg = PipelineConfig.from_dict({"frames": 3, "stats_images": 4,
+                                        "mss": 2 ** 64, "link": {"rtt_us": 1}})
+        report = run_session(cfg, model)
+        assert report["summary"]["frames_completed"] == 3
+        assert _events(report).count("announce") <= 3 * 5
+
+
 class TestBackpressure:
     def test_starved_link_drops_instead_of_queueing(self, model):
         cfg = PipelineConfig(frames=30, frame_interval_us=33_333,
@@ -317,6 +337,28 @@ class TestHandshake:
             run_session(cfg, model)
         assert sum(sends) <= (cfg.handshake_timeout_us
                               // cfg.handshake_retry_us + 1)
+
+    def test_failed_handshake_ends_the_session_at_its_deadline(
+            self, model, monkeypatch):
+        # at one byte per second MODEL_SWITCH never arrives in time; no
+        # event runs past the deadline, however far the horizon lies
+        sims = []
+
+        class Recorded(Simulator):
+            def __init__(self):
+                super().__init__()
+                sims.append(self)
+
+        monkeypatch.setattr(pl, "Simulator", Recorded)
+        cfg = PipelineConfig.from_dict({
+            "frames": 3, "stats_images": 4,
+            "link": {"bandwidth_bps": 1, "duration_us": 2 ** 63}})
+        with pytest.raises(SessionError, match="^handshake timeout$"):
+            run_session(cfg, model)
+        [sim] = sims
+        assert sim.now_us == cfg.handshake_timeout_us
+        assert max(int(line.split(",")[0]) for line in sim.log) \
+            <= cfg.handshake_timeout_us
 
     def test_lost_switch_is_retransmitted(self, model):
         cfg = PipelineConfig(frames=2, frame_interval_us=150_000,
@@ -534,6 +576,7 @@ class TestAnyConfig:
             return
         assert len(report["frames"]) == cfg.frames
         assert report["summary"]["max_gauge_excess_bytes"] <= 0
+        assert check_latencies(report, frame_timeline(report)) == []
 
 
 class TestUpperBounds:
@@ -589,14 +632,28 @@ class TestNarrowAlphabet:
 
 
 class TestCorpusStats:
-    def test_cache_is_shared_across_model_objects(self, model):
+    """Corpus stats belong to the model that computed them."""
+
+    @pytest.fixture
+    def fresh(self):
+        """A default-seed model with no stats and no held corpus yet."""
+        return SplitModel()
+
+    def test_twin_model_gives_bitwise_equal_stats(self, model):
         twin = SplitModel(model.seed)
-        assert corpus_stats(model, "stage2", 64) is corpus_stats(twin, "stage2", 64)
+        got, want = corpus_stats(twin, "stage2", 8), corpus_stats(model, "stage2", 8)
+        assert got is not want
+        assert got.per_neuron_mean.tobytes() == want.per_neuron_mean.tobytes()
+        assert got.per_neuron_std.tobytes() == want.per_neuron_std.tobytes()
+        assert (got.aggregate_mean, got.aggregate_std, got.sample_count,
+                got.label) == (want.aggregate_mean, want.aggregate_std,
+                               want.sample_count, want.label)
 
     def test_keyed_by_image_count(self, model):
         small = corpus_stats(model, "stage2", 8)
         assert small is not corpus_stats(model, "stage2", 64)
         assert small.sample_count == 8
+        assert small is corpus_stats(model, "stage2", 8)
 
     def test_keyed_by_seed(self, model):
         other = SplitModel(model.seed + 1)
@@ -605,25 +662,19 @@ class TestCorpusStats:
         want = collect_stats(cut_tensors(other, range(4), "stage2"))
         assert np.array_equal(stats.per_neuron_mean, want.per_neuron_mean)
 
-    @pytest.fixture
-    def fresh(self, monkeypatch):
-        """Empty stats cache and held corpora for this test only."""
-        monkeypatch.setattr(pl, "_STATS_CACHE", {})
-        monkeypatch.setattr(pl, "_HELD_CORPUS", {})
-
     @pytest.mark.parametrize("order", [
         ("stage1", "stage3"), ("stage3", "stage1"), ("stage2", "stage3"),
         ("stage1", "stage2", "stage3")])
-    def test_continued_corpus_gives_the_same_stats(self, model, fresh, order):
+    def test_continued_corpus_gives_the_same_stats(self, fresh, order):
         for cut in order:
-            got = corpus_stats(model, cut, 6)
-            want = collect_stats(cut_tensors(model, range(6), cut))
+            got = corpus_stats(fresh, cut, 6)
+            want = collect_stats(cut_tensors(fresh, range(6), cut))
             assert got.per_neuron_mean.tobytes() == want.per_neuron_mean.tobytes()
             assert got.per_neuron_std.tobytes() == want.per_neuron_std.tobytes()
             assert (got.aggregate_mean, got.aggregate_std, got.sample_count) == (
                 want.aggregate_mean, want.aggregate_std, want.sample_count)
 
-    def test_each_stage_runs_once_per_image(self, model, fresh, monkeypatch):
+    def test_each_stage_runs_once_per_image(self, fresh, monkeypatch):
         calls = {"generate": 0, "conv": 0}
         generate_input, conv3x3 = SplitModel.generate_input, sm._conv3x3
 
@@ -637,26 +688,44 @@ class TestCorpusStats:
 
         monkeypatch.setattr(SplitModel, "generate_input", counting_generate)
         monkeypatch.setattr(sm, "_conv3x3", counting_conv)
-        corpus_stats(model, "stage1", 5)
-        corpus_stats(model, "stage3", 5)
+        corpus_stats(fresh, "stage1", 5)
+        corpus_stats(fresh, "stage3", 5)
         assert calls == {"generate": 5, "conv": 3 * 5}
 
-    def test_held_corpus_is_keyed_by_seed_and_image_count(self, model, fresh):
-        corpus_stats(model, "stage1", 4)
-        held = pl._HELD_CORPUS[(model.seed, 4)]
-        other = SplitModel(model.seed + 1)
-        for m, n in ((other, 4), (model, 5)):
+    def test_held_corpus_is_keyed_by_model_and_image_count(self, fresh):
+        corpus_stats(fresh, "stage1", 4)
+        held = fresh._held_corpus[4]
+        other = SplitModel(fresh.seed + 1)
+        for m, n in ((other, 4), (fresh, 5)):
             got = corpus_stats(m, "stage3", n)
             want = collect_stats(cut_tensors(m, range(n), "stage3"))
             assert np.array_equal(got.per_neuron_mean, want.per_neuron_mean)
-        assert pl._HELD_CORPUS == {(model.seed, 4): held}
+        assert fresh._held_corpus == {4: held}
+        assert other._held_corpus == {}
 
     @pytest.mark.parametrize("order", [("stage3",), ("stage1", "stage3"),
                                        ("stage2", "stage1", "stage3")])
-    def test_nothing_is_held_after_the_last_cut(self, model, fresh, order):
+    def test_nothing_is_held_after_the_last_cut(self, fresh, order):
         for cut in order:
-            corpus_stats(model, cut, 4)
-        assert pl._HELD_CORPUS == {}
+            corpus_stats(fresh, cut, 4)
+        assert fresh._held_corpus == {}
+
+    def test_held_corpus_is_freed_with_its_model(self):
+        # built here, not by a fixture, so that nothing else refers to it
+        model = SplitModel()
+        corpus_bytes = 64 * CUT_POINTS[0].raw_bytes     # 4 MiB of float32
+        tracemalloc.start()
+        try:
+            stats = corpus_stats(model, "stage1", 64)
+            held = tracemalloc.get_traced_memory()[0]
+            del model
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert stats.sample_count == 64
+        assert held >= corpus_bytes
+        assert left < corpus_bytes / 4
 
 
 class TestMeasureProfiles:

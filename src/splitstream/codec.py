@@ -35,10 +35,12 @@ sum of lengths, and the bytes are written one byte position at a time.
 
 The entropy stage is lossless, so the rate loops (``encode_to_target`` and
 ``rate_fidelity_curve``) never write a stream to weigh a quality and never
-parse one back.  A stream's size follows from its symbols alone
-(``_Tokens.stream_size``, the one size formula, which ``_pack`` also
-allocates by), and the plane a stream decodes to is the decoder's own
-reconstruction of those symbols (``_decoded_plane``).
+parse one back.  A stream's size follows from its symbol rows alone
+(``_stream_size``, the one size formula, which ``_pack`` also allocates
+by): it counts blocks, nonzero ACs and values that take a second LEB128
+byte, so a probe of ``encode_to_target`` sizes the rounded coefficients
+as they are, without building tokens.  The plane a stream decodes to is the
+decoder's own reconstruction of those symbols (``_decoded_plane``).
 
 Decoding finds the field of every body byte (DC value, run byte or END,
 AC value) with a parallel prefix scan over per-byte state transitions,
@@ -224,12 +226,33 @@ def _fields(body: np.ndarray) -> np.ndarray:
     return field[:len(body)]
 
 
-def quality_table(quality: int) -> np.ndarray:
-    """Quality-scaled quantization divisors (1..255 each)."""
+def _divisor_rows() -> np.ndarray:
+    """The zigzag-ordered divisors of every quality, read-only: row q holds
+    quality q's, and row 0 only pads the table so a quality is its row.
+    Built a row at a time, so import holds no (100, 64) temporaries."""
+    base = BASE_TABLE.reshape(64)[_ZIGZAG]
+    rows = np.ones((101, 64), dtype=np.int64)
+    for q in range(1, 101):
+        scale = 5000 // q if q < 50 else 200 - 2 * q
+        rows[q] = np.clip((base * scale + 50) // 100, 1, 255)
+    rows.flags.writeable = False
+    return rows
+
+
+_DIVISORS = _divisor_rows()
+
+
+def _divisors(quality: int) -> np.ndarray:
+    """Quality-scaled divisors in zigzag order; the range check keeps quality
+    0 off the padding row and -1 from wrapping to quality 100."""
     if not 1 <= quality <= 100:
         raise ValueError(f"quality must be 1..100, got {quality}")
-    scale = 5000 // quality if quality < 50 else 200 - 2 * quality
-    return np.clip((BASE_TABLE * scale + 50) // 100, 1, 255)
+    return _DIVISORS[quality]
+
+
+def quality_table(quality: int) -> np.ndarray:
+    """Quality-scaled quantization divisors (1..255 each), row-major 8x8."""
+    return _divisors(quality)[_UNZIGZAG].reshape(8, 8)
 
 
 def _block_grid(h: int, w: int) -> tuple[int, int]:
@@ -270,10 +293,23 @@ def _transform(p: TiledPlane) -> _Transformed:
     return _Transformed(coefs.reshape(-1, 64)[:, _ZIGZAG], p.layout, p.levels)
 
 
+def _rounded(t: _Transformed, quality: int) -> np.ndarray:
+    """Quantized coefficients as integer-valued float64, one zigzag-ordered
+    row of 64 per block.
+
+    Each scaled value is rounded half away from zero by adding 0.5 with its
+    sign and truncating.  Rounding to nearest is symmetric under negation,
+    so for every float64 s this is ``sign(s) * floor(|s| + 0.5)``; a signed
+    zero rounds to a zero.
+    """
+    s = t.coefs / _divisors(quality)
+    s += np.copysign(0.5, s)
+    return np.trunc(s, out=s)
+
+
 def _symbols(t: _Transformed, quality: int) -> np.ndarray:
-    """Quantized coefficients, one zigzag-ordered row of 64 per block."""
-    scaled = t.coefs / quality_table(quality).reshape(64)[_ZIGZAG]
-    return (np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)).astype(np.int64)
+    """Quantized coefficients, one zigzag-ordered int64 row of 64 per block."""
+    return _rounded(t, quality).astype(np.int64)
 
 
 def _leb128s_len(values: np.ndarray) -> np.ndarray:
@@ -289,6 +325,23 @@ def _leb128s_len(values: np.ndarray) -> np.ndarray:
     return n
 
 
+def _stream_size(zz: np.ndarray) -> int:
+    """Bytes of the stream that codes symbol rows, int64 or integer-valued
+    float64: the one size formula.
+
+    The header; per block the DC's first byte and END; per nonzero AC its
+    run byte and its value's first byte; and one byte more for each AC value
+    or DC delta outside -64..63.  No value takes a third LEB128 byte, which
+    would start at magnitude 2**13: encoder symbols are bounded by
+    ``_MAX_SYMBOL`` (1024) and DC deltas by ``_MAX_DC_DELTA`` (2048).
+    """
+    coded = zz.copy()                   # each block's DC delta, then its ACs
+    coded[1:, 0] -= zz[:-1, 0]
+    nonzero_ac = np.count_nonzero(coded) - np.count_nonzero(coded[:, 0])
+    return (FTCB_HEADER.size + 2 * len(zz) + 2 * nonzero_ac
+            + np.count_nonzero(coded >= 64) + np.count_nonzero(coded < -64))
+
+
 class _Tokens(NamedTuple):
     """The values a stream codes, in stream order per kind."""
 
@@ -297,15 +350,9 @@ class _Tokens(NamedTuple):
     dc_len: np.ndarray      # LEB128 byte counts of dc and ac
     ac_len: np.ndarray
 
-    def stream_size(self) -> int:
-        # header, then per block: DC, (run byte, value) per nonzero AC, END
-        return (FTCB_HEADER.size + len(self.dc) + len(self.ac)
-                + int(self.dc_len.sum()) + int(self.ac_len.sum()))
-
 
 def _tokens(zz: np.ndarray) -> _Tokens:
-    """The coded values of symbol rows: enough to size their stream, which
-    is how the rate loops weigh a quality without laying out its bytes."""
+    """The coded values of int64 symbol rows, which ``_pack`` lays out."""
     dc = np.diff(zz[:, 0], prepend=0)
     ac = zz[:, 1:][zz[:, 1:] != 0]
     return _Tokens(dc, ac, _leb128s_len(dc), _leb128s_len(ac))
@@ -340,7 +387,7 @@ def _pack(t: _Transformed, quality: int, zz: np.ndarray) -> bytes:
     starts = np.cumsum(lens) - lens + FTCB_HEADER.size
 
     layout = t.layout
-    out = np.empty(tok.stream_size(), dtype=np.uint8)
+    out = np.empty(_stream_size(zz), dtype=np.uint8)
     out[:FTCB_HEADER.size] = np.frombuffer(FTCB_HEADER.pack(
         FTCB_MAGIC, FTCB_VERSION, quality, layout.plane_w, layout.plane_h,
         layout.grid_cols, layout.grid_rows, layout.tile_w, layout.tile_h,
@@ -521,24 +568,25 @@ def encode_to_target(p: TiledPlane, target_bytes: int) -> tuple[bytes, int]:
     """Highest-quality stream whose size fits the target.
 
     Binary search over quality 1..100 (stream size grows with quality).
-    Each probe is sized from its symbols (``_Tokens.stream_size``); only the
-    chosen quality is laid out as bytes.  Returns (bitstream, quality);
-    raises TargetInfeasibleError when even quality 1 exceeds the target.
+    Each probe is sized by ``_stream_size``, the one size formula, straight
+    from its rounded float coefficients; only the chosen quality becomes
+    int64 symbols, tokens and bytes.  Returns (bitstream, quality); raises
+    TargetInfeasibleError when even quality 1 exceeds the target.
     """
     t = _transform(p)
-    best = _symbols(t, 1)
-    min_size = _tokens(best).stream_size()
+    best = _rounded(t, 1)
+    min_size = _stream_size(best)
     if min_size > target_bytes:
         raise TargetInfeasibleError(target_bytes, min_size)
     lo, hi = 1, 100
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        zz = _symbols(t, mid)
-        if _tokens(zz).stream_size() <= target_bytes:
-            lo, best = mid, zz
+        rows = _rounded(t, mid)
+        if _stream_size(rows) <= target_bytes:
+            lo, best = mid, rows
         else:
             hi = mid - 1
-    return _pack(t, lo, best), lo
+    return _pack(t, lo, best.astype(np.int64)), lo
 
 
 def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
@@ -549,7 +597,7 @@ def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
     decode, detile, dequantize) before the server-side forward.  The
     transform half of encode runs once per image, for every quality.  The
     entropy stage is lossless, so a point's size comes from its symbols
-    (``_Tokens.stream_size``) and its plane from the decoder's own
+    (``_stream_size``) and its plane from the decoder's own
     reconstruction of them (``_decoded_plane``): no stream is written or
     parsed.
     """
@@ -561,7 +609,7 @@ def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
         for q in qualities:
             zz = _symbols(t, q)
             plane = _decoded_plane(zz, q, t.layout, t.levels)
-            yield dequantize(detile(plane, spec), stats), _tokens(zz).stream_size()
+            yield dequantize(detile(plane, spec), stats), _stream_size(zz)
 
     count, cells = model.sweep(image_ids, cut, degrade)
     return [{"quality": q, "mean_bytes": size / count, "agreement": hits / count}

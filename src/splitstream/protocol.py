@@ -34,6 +34,7 @@ outlasts the client's work on it.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import struct
@@ -415,14 +416,19 @@ def should_process_frame(client_remain_us: float, server_remain_us: float,
 class FrameAssembler:
     """Order-independent reassembly of one frame's DATA messages.
 
-    It holds only the declared length and the segments; the receiver keeps
-    its own arrival clock for the frame deadline.
+    It holds only the declared length, the segments and their offsets in
+    order; the receiver keeps its own arrival clock for the frame deadline.
+    Accepted segments never overlap, so in offset order each one ends at or
+    before the next one starts, and a new segment can only overlap its two
+    neighbours: an ``add`` looks at no other segment.
     """
 
     def __init__(self, frame_id: int):
         self.frame_id = frame_id
         self.total_len: int | None = None
+        self.bytes_received = 0
         self._segments: dict[int, bytes] = {}
+        self._offsets: list[int] = []       # keys of _segments, sorted
 
     def add(self, msg: WireMessage) -> int:
         """Ingest a DATA message; returns the bytes newly added (0 for a
@@ -446,15 +452,17 @@ class FrameAssembler:
             if existing != msg.payload:
                 raise ReassemblyError(f"conflicting payload at offset {msg.offset}")
             return 0
-        for off, seg in self._segments.items():
-            if off < msg.offset + len(msg.payload) and msg.offset < off + len(seg):
-                raise ReassemblyError(f"overlapping segment at offset {msg.offset}")
+        # two segments overlap when each starts before the other ends, so an
+        # empty one strictly inside another's range overlaps it
+        offsets = self._offsets
+        at = bisect.bisect(offsets, msg.offset)
+        if (at and msg.offset < offsets[at - 1] + len(self._segments[offsets[at - 1]])
+                or at < len(offsets) and offsets[at] < msg.offset + len(msg.payload)):
+            raise ReassemblyError(f"overlapping segment at offset {msg.offset}")
+        offsets.insert(at, msg.offset)
         self._segments[msg.offset] = msg.payload
+        self.bytes_received += len(msg.payload)
         return len(msg.payload)
-
-    @property
-    def bytes_received(self) -> int:
-        return sum(len(s) for s in self._segments.values())
 
     @property
     def complete(self) -> bool:
@@ -471,7 +479,7 @@ class FrameAssembler:
         # ``add`` rejects overlaps, so in offset order each segment starts
         # at or after ``pos`` and the gaps are the holes between segments.
         # An empty segment covers nothing and must not split a gap.
-        for off in sorted(self._segments):
+        for off in self._offsets:
             seg = self._segments[off]
             if not seg:
                 continue

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitstream import (FeatureTensor, QuantizedTensor, QuantizerSpec,
-                         TiledPlane, dequantize, detile, psnr, quantize, tile)
+                         TiledPlane, codec, dequantize, detile, psnr, quantize,
+                         tile)
 from splitstream.codec import (BASE_TABLE, FTCB_HEADER, BadMagicError,
                                BlockCountError, CodecError,
                                TargetInfeasibleError, TruncatedStreamError,
@@ -12,8 +13,8 @@ from splitstream.codec import (BASE_TABLE, FTCB_HEADER, BadMagicError,
                                quality_table, rate_fidelity_curve,
                                undecoded_plane_mask)
 from splitstream.codec import (_MAX_PLANE_PIXELS, _MAX_SYMBOL, _UNZIGZAG,
-                               _ZIGZAG, _decoded_plane, _symbols, _tokens,
-                               _transform)
+                               _ZIGZAG, _decoded_plane, _pack, _rounded,
+                               _stream_size, _symbols, _transform, _Transformed)
 
 import ftcb_reference as reference
 from conftest import cut_tensors
@@ -73,10 +74,15 @@ class TestQualityTable:
             assert t.min() >= 1 and t.max() <= 255
 
     def test_quality_bounds(self):
-        with pytest.raises(ValueError):
-            quality_table(0)
-        with pytest.raises(ValueError):
-            quality_table(101)
+        for quality in (0, 101, -1):
+            with pytest.raises(ValueError):
+                quality_table(quality)
+
+    def test_tables_are_fresh_copies(self):
+        # callers get their own array, never a view of the shared table
+        t = quality_table(50)
+        t[0, 0] = 0
+        assert np.array_equal(quality_table(50), BASE_TABLE)
 
 
 class TestScanOrder:
@@ -130,11 +136,12 @@ class TestContainer:
 
 class TestEncode:
     def test_quality_validated(self):
+        # the divisor table has a padding row at 0, and -1 would index
+        # quality 100's row: both must be refused, not looked up
         p = _const_plane(128)
-        with pytest.raises(ValueError):
-            encode(p, 0)
-        with pytest.raises(ValueError):
-            encode(p, 101)
+        for quality in (0, 101, -1):
+            with pytest.raises(ValueError):
+                encode(p, quality)
 
     def test_deterministic(self):
         p = _smooth_plane(seed=1)
@@ -413,6 +420,29 @@ class TestEncodeToTarget:
             data, _ = encode_to_target(p, target)
             assert len(data) <= target
 
+    def test_one_token_build_and_one_pack_per_call(self, model, corpus_at,
+                                                   monkeypatch):
+        # probes are sized from rounded coefficients; only the chosen
+        # quality becomes tokens and bytes
+        calls = {"_tokens": 0, "_pack": 0}
+
+        def counted(name):
+            fn = getattr(codec, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        p = _stage2_planes(model, corpus_at, [0])[0]
+        target = len(encode(p, 60))
+        for name in calls:
+            monkeypatch.setattr(codec, name, counted(name))
+        data, quality = encode_to_target(p, target)
+        assert calls == {"_tokens": 1, "_pack": 1}
+        monkeypatch.undo()
+        assert quality >= 60 and data == encode(p, quality)
+
     def test_matches_exhaustive_scan(self):
         p = _smooth_plane(seed=8)
         sizes = {q: len(encode(p, q)) for q in range(1, 101)}
@@ -425,6 +455,12 @@ class TestEncodeToTarget:
 
 
 class TestRateFidelityCurve:
+    @pytest.mark.parametrize("quality", [0, -1, 101])
+    def test_quality_validated(self, model, corpus_at, quality):
+        _, stats = corpus_at("stage2", 32)
+        with pytest.raises(ValueError, match="quality"):
+            rate_fidelity_curve(model, range(1), "stage2", [quality], stats)
+
     def test_quality_extremes_order_agreement(self, model, corpus_at):
         _, stats = corpus_at("stage2", 32)
         rows = rate_fidelity_curve(model, range(12), "stage2", [1, 100], stats)
@@ -524,6 +560,34 @@ def _bounded(fn):
     return lambda data: fn(data, _BoundedReader)
 
 
+def _stage2_planes(model, corpus_at, image_ids):
+    """Tiled stage2 planes as a session quantizes them: 256 levels,
+    aggregate statistics of 32 images."""
+    _, stats = corpus_at("stage2", 32)
+    spec = QuantizerSpec(levels=256, clip_width=3.0, mode="aggregate")
+    return [tile(quantize(t, spec, stats))
+            for t in cut_tensors(model, image_ids, "stage2")]
+
+
+def _check_reference_search(p, target):
+    """``encode_to_target`` against a plain binary search that sizes each
+    probe by writing the reference stream."""
+    size = lambda q: len(reference.encode(p, q))
+    if size(1) > target:
+        with pytest.raises(TargetInfeasibleError) as exc:
+            encode_to_target(p, target)
+        assert exc.value.min_size == size(1)
+        return
+    lo, hi = 1, 100
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if size(mid) <= target:
+            lo = mid
+        else:
+            hi = mid - 1
+    assert encode_to_target(p, target) == (reference.encode(p, lo), lo)
+
+
 _planes = st.one_of(
     st.builds(lambda h, w, c, seed: _plane_from_symbols(
         np.random.default_rng(seed).integers(0, 256, size=(h, w, c))),
@@ -556,6 +620,18 @@ class TestReferenceEquivalence:
         data, q = encode_to_target(p, target)
         assert data == reference.encode(p, q)
         assert q >= quality
+
+    @given(_planes, st.data())
+    def test_encode_to_target_matches_reference_search(self, p, data):
+        lo, hi = len(reference.encode(p, 1)), len(reference.encode(p, 100))
+        _check_reference_search(p, data.draw(st.integers(lo - 2, hi + 2)))
+
+    def test_encode_to_target_matches_reference_search_on_stage2(
+            self, model, corpus_at):
+        for p in _stage2_planes(model, corpus_at, [0, 5]):
+            lo, hi = len(reference.encode(p, 1)), len(reference.encode(p, 100))
+            for target in [lo - 1, *np.linspace(lo, hi, 9).astype(int), hi + 1]:
+                _check_reference_search(p, int(target))
 
     @settings(max_examples=10)
     @given(_planes, st.integers(1, 100))
@@ -624,9 +700,51 @@ class TestSymbolPath:
 
     @given(_planes, st.integers(1, 100), st.sampled_from([256, 16]))
     def test_stream_size_is_the_stream_length(self, p, quality, levels):
+        # from int64 symbols and from the float rows the probes size alike
         p = _at_levels(p, levels)
-        size = _tokens(_symbols(_transform(p), quality)).stream_size()
-        assert size == len(encode(p, quality))
+        t = _transform(p)
+        want = len(encode(p, quality))
+        assert _stream_size(_symbols(t, quality)) == want
+        assert _stream_size(_rounded(t, quality)) == want
+
+    def test_stream_size_on_extreme_planes_at_every_quality(self):
+        # constant 0 and 255 give the largest DC symbols, checkerboards of
+        # pixels and of blocks the largest ACs and DC deltas; between them
+        # the coded values sit on both sides of every one-byte LEB128 limit
+        p = _const_plane(0, h=16, w=16, c=4)
+        y, x = np.mgrid[0:p.layout.plane_h, 0:p.layout.plane_w]
+        planes = [p, _const_plane(255, h=16, w=16, c=4)] + [
+            TiledPlane(np.where(odd % 2, 255, 0).astype(np.uint8), p.layout, 256)
+            for odd in (y + x, y // 8 + x // 8)]
+        coded = set()
+        for p in planes:
+            t = _transform(p)
+            for q in range(1, 101):
+                want = len(encode(p, q))
+                zz = _symbols(t, q)
+                assert _stream_size(zz) == want
+                assert _stream_size(_rounded(t, q)) == want
+                coded |= set(np.diff(zz[:, 0], prepend=0).tolist())
+                coded |= set(zz[:, 1:][zz[:, 1:] != 0].tolist())
+        assert {-64, 64} <= coded
+        assert min(coded) < -64 and max(coded) > 64
+        assert any(0 <= v <= 63 for v in coded)
+
+    @pytest.mark.parametrize("quality", [1, 2, 13, 50, 51, 77, 99, 100])
+    def test_rounding_matches_reference_at_ties(self, quality):
+        # rows of exact (k + 0.5) * divisor ties, their neighbours one snap
+        # step away, and signed zeros, through the reference rounding line
+        divisors = quality_table(quality).reshape(64)[_ZIGZAG]
+        k = np.arange(_MAX_SYMBOL)[:, None] + 0.5
+        ties = np.concatenate([k, -k]) * divisors
+        coefs = np.concatenate([ties, ties + 1 / 4096, ties - 1 / 4096,
+                                np.zeros((1, 64)), np.full((1, 64), -0.0)])
+        t = _Transformed(coefs, _const_plane(0).layout, 256)
+        scaled = coefs / quality_table(quality).reshape(64)[_ZIGZAG]
+        want = (np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)).astype(np.int64)
+        assert np.array_equal(_symbols(t, quality), want)
+        assert _stream_size(_rounded(t, quality)) == _stream_size(want)
+        assert _stream_size(want) == len(_pack(t, quality, want))
 
     @given(_planes, st.integers(1, 100), st.sampled_from([256, 16]))
     def test_reconstruction_is_the_decoded_plane(self, p, quality, levels):

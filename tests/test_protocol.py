@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import assembler_reference
 from splitstream import (WIRE_HEADER, BandwidthEstimator, Confirmation,
                          FrameAssembler, MsgType, ProtocolError,
                          ReassemblyError, SendBuffer, WireMessage,
@@ -475,7 +476,122 @@ class TestShouldProcessFrame:
         assert should_process_frame(10_000, 10_000, 10_000)
 
 
+@st.composite
+def _arrivals(draw):
+    """(offset, payload, total_len) of DATA messages for one frame: the
+    pieces of a ``_segment_sets`` frame, shuffled in among duplicates of
+    them, payloads that conflict with them, segments that start or end
+    within two bytes of one of them or anywhere (so they may overlap or run
+    past the end), empty ones among those, and conflicting total lengths."""
+    total, segs = draw(_segment_sets())
+    msgs = [(off, seg, total) for off, seg in segs]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(
+            ["duplicate", "conflict", "near", "random", "empty", "total"]))
+        off, seg, _ = draw(st.sampled_from(msgs))
+        if kind == "conflict":
+            seg = draw(st.binary(max_size=8).filter(lambda b: b != seg))
+        elif kind in ("near", "random", "empty"):
+            new = draw(st.binary(max_size=0 if kind == "empty" else 40))
+            if kind == "random":
+                off = draw(st.integers(0, total + 2))
+            else:
+                edge = draw(st.sampled_from([off, off + len(seg)]))
+                edge += draw(st.integers(-2, 2))
+                off = max(0, edge - len(new) if draw(st.booleans()) else edge)
+            seg = new
+        msgs.insert(draw(st.integers(0, len(msgs))),
+                    (off, seg, total + (kind == "total")))
+    return msgs
+
+
+def _assembler_outcome(call):
+    try:
+        return "ok", call()
+    except ReassemblyError as exc:
+        return type(exc), str(exc)
+
+
+class _CountingDict(dict):
+    """A segment dict that counts the segments read through it."""
+
+    visits = 0
+
+    def __getitem__(self, key):
+        self.visits += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.visits += 1
+        return super().get(key, default)
+
+    def items(self):
+        self.visits += len(self)
+        return super().items()
+
+    def values(self):
+        self.visits += len(self)
+        return super().values()
+
+    def __iter__(self):
+        self.visits += len(self)
+        return super().__iter__()
+
+
 class TestFrameAssembler:
+    @given(_arrivals())
+    @example([(0, b"abc", 5), (1, b"", 5)])        # empty inside a segment
+    @example([(2, b"", 5), (0, b"abc", 5)])        # segment around an empty
+    @example([(3, b"", 5), (0, b"abc", 5)])        # empty at a segment's end
+    @example([(0, b"ab", 5), (0, b"", 5)])         # empty conflicts at offset
+    @example([(1, b"ab", 5), (0, b"abcd", 5)])     # overlap from the left
+    @example([(0, b"ab", 5), (4, b"xy", 5)])       # past the end
+    @example([(0, b"ab", 5), (2, b"xy", 6)])       # total_len conflict
+    def test_matches_reference(self, msgs):
+        # every return value, error and payload as the assembler that
+        # compared each segment with every other one
+        new, ref = FrameAssembler(3), assembler_reference.FrameAssembler(3)
+        for off, seg, total in msgs:
+            msg = _data_msg(3, off, seg, total)
+            assert (_assembler_outcome(lambda: new.add(msg))
+                    == _assembler_outcome(lambda: ref.add(msg)))
+            assert (new.bytes_received, new.complete) == (ref.bytes_received,
+                                                          ref.complete)
+        assert _assembler_outcome(new.payload) == _assembler_outcome(ref.payload)
+
+    @pytest.mark.parametrize("cls", [FrameAssembler,
+                                     assembler_reference.FrameAssembler],
+                             ids=["neighbours", "reference"])
+    def test_add_visits_a_bounded_number_of_segments(self, cls):
+        # a 2000-packet frame in random order, with duplicates, conflicts
+        # and overlaps; each add, and the reads of bytes_received and complete
+        # the server makes after it, visit at most 3 segments however many
+        # the frame holds, where the reference visits all of them
+        n = 2000
+        order = list(range(n))
+        random.Random(5).shuffle(order)
+        asm = cls(1)
+        asm._segments = _CountingDict()
+        most = 0
+        for i, off in enumerate(order):
+            msgs = [_data_msg(1, off, bytes([off % 256]), n)]
+            if i % 7 == 0:
+                msgs += [msgs[0], _data_msg(1, off, b"", n),
+                         _data_msg(1, max(off - 1, 0), b"xy", n)]
+            for msg in msgs:
+                before = asm._segments.visits
+                try:
+                    asm.add(msg)
+                except ReassemblyError:
+                    pass
+                asm.bytes_received, asm.complete
+                most = max(most, asm._segments.visits - before)
+        assert asm.complete and asm.payload() == (bytes(i % 256 for i in range(n)), [])
+        if cls is FrameAssembler:
+            assert most <= 3
+        else:
+            assert most >= n
+
     def test_in_order_assembly(self):
         asm = FrameAssembler(5)
         added = asm.add(_data_msg(5, 0, b"a" * 100, 150))

@@ -29,7 +29,7 @@ from .pipeline import (PipelineConfig, SessionError, corpus_stats,
 from .protocol import ProtocolError
 from .quantizer import QuantizerSpec, dequantize, quantize, sweep
 from .strategy import StrategyProfile, latency_regions
-from .tensor import TensorStats, mse, psnr, read_tensor, write_tensor
+from .tensor import TensorStats, psnr, read_tensor, write_tensor
 from .tiling import detile, tile, write_pgm
 
 __all__ = ["main"]

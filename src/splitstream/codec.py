@@ -28,18 +28,20 @@ platform rounds the last ulp.
 
 Encoding is two steps, so callers that try several qualities on one plane
 transform it once.  The transform (pad, DCT, snap) does not depend on
-quality.  The entropy step quantizes, scans and lays out the tokens with
-array operations: run lengths come from the nonzero mask, each LEB128
-length from the value's magnitude, each token's offset from a cumulative
-sum of lengths, and the bytes are written one byte position at a time.
+quality.  The entropy step quantizes, scans and lays the stream out as one
+list of entries in row-major order: each block's DC delta, then each
+nonzero AC after its run byte.  One rule gives the values coded (``_coded``)
+and one the LEB128 width (``_wide``: a second byte outside -64..63, never a
+third); each entry's offset is a cumulative sum of entry lengths plus the
+END bytes of the blocks before it, and a value takes at most two stores.
 
 The entropy stage is lossless, so the rate loops (``encode_to_target`` and
 ``rate_fidelity_curve``) never write a stream to weigh a quality and never
 parse one back.  A stream's size follows from its symbol rows alone
 (``_stream_size``, the one size formula, which ``_pack`` also allocates
-by): it counts blocks, nonzero ACs and values that take a second LEB128
-byte, so a probe of ``encode_to_target`` sizes the rounded coefficients
-as they are, without building tokens.  The plane a stream decodes to is the
+by): it counts blocks, nonzero ACs and wide values, so a probe of
+``encode_to_target`` sizes the rounded coefficients as they are, without
+laying out entries.  The plane a stream decodes to is the
 decoder's own reconstruction of those symbols (``_decoded_plane``).
 
 Decoding finds the field of every body byte (DC value, run byte or END,
@@ -149,9 +151,6 @@ def _zigzag_order() -> np.ndarray:
 
 _ZIGZAG = _zigzag_order()
 _UNZIGZAG = np.argsort(_ZIGZAG)
-
-# a signed LEB128 value of k bytes holds magnitudes below 2**(7k - 1)
-_LEB128_LIMITS = [1 << (7 * k - 1) for k in range(1, 10)]
 
 # Decoder bounds.  A level-shifted block has |pixel| <= 128, and each 1-D
 # DCT pass multiplies the largest magnitude by at most the largest row L1
@@ -312,97 +311,71 @@ def _symbols(t: _Transformed, quality: int) -> np.ndarray:
     return _rounded(t, quality).astype(np.int64)
 
 
-def _leb128s_len(values: np.ndarray) -> np.ndarray:
-    """Bytes in the signed LEB128 form of each value: 7 payload bits per
-    byte, and the last byte's bit 6 carries the sign."""
-    magnitude = values ^ (values >> 63)         # v, or -v - 1 when negative
-    n = np.ones(len(values), dtype=np.int64)
-    for limit in _LEB128_LIMITS:
-        longer = magnitude >= limit
-        if not longer.any():
-            break
-        n += longer
-    return n
+def _coded(zz: np.ndarray) -> np.ndarray:
+    """The values a stream codes for symbol rows: each block's DC delta
+    against the block before it, then its ACs, in the rows' dtype."""
+    coded = zz.copy()
+    coded[1:, 0] -= zz[:-1, 0]
+    return coded
+
+
+def _wide(coded: np.ndarray) -> np.ndarray:
+    """Whether each coded value takes a second signed LEB128 byte: one byte
+    holds -64..63.  None takes a third, which would start at magnitude
+    2**13: encoder symbols are bounded by ``_MAX_SYMBOL`` (1024) and DC
+    deltas by ``_MAX_DC_DELTA`` (2048)."""
+    return (coded >= 64) | (coded < -64)
 
 
 def _stream_size(zz: np.ndarray) -> int:
     """Bytes of the stream that codes symbol rows, int64 or integer-valued
-    float64: the one size formula.
+    float64: the one size formula, which ``_pack`` allocates by.
 
-    The header; per block the DC's first byte and END; per nonzero AC its
-    run byte and its value's first byte; and one byte more for each AC value
-    or DC delta outside -64..63.  No value takes a third LEB128 byte, which
-    would start at magnitude 2**13: encoder symbols are bounded by
-    ``_MAX_SYMBOL`` (1024) and DC deltas by ``_MAX_DC_DELTA`` (2048).
+    The header, then per block an END byte and the entries ``_pack`` lays
+    out: the DC delta, and each nonzero AC with its run byte, each value
+    one byte or, if ``_wide``, two.
     """
-    coded = zz.copy()                   # each block's DC delta, then its ACs
-    coded[1:, 0] -= zz[:-1, 0]
+    coded = _coded(zz)
     nonzero_ac = np.count_nonzero(coded) - np.count_nonzero(coded[:, 0])
     return (FTCB_HEADER.size + 2 * len(zz) + 2 * nonzero_ac
-            + np.count_nonzero(coded >= 64) + np.count_nonzero(coded < -64))
-
-
-class _Tokens(NamedTuple):
-    """The values a stream codes, in stream order per kind."""
-
-    dc: np.ndarray          # DC delta of each block
-    ac: np.ndarray          # each nonzero AC
-    dc_len: np.ndarray      # LEB128 byte counts of dc and ac
-    ac_len: np.ndarray
-
-
-def _tokens(zz: np.ndarray) -> _Tokens:
-    """The coded values of int64 symbol rows, which ``_pack`` lays out."""
-    dc = np.diff(zz[:, 0], prepend=0)
-    ac = zz[:, 1:][zz[:, 1:] != 0]
-    return _Tokens(dc, ac, _leb128s_len(dc), _leb128s_len(ac))
+            + np.count_nonzero(_wide(coded)))
 
 
 def _pack(t: _Transformed, quality: int, zz: np.ndarray) -> bytes:
-    """Lay the symbol rows out as FTCB bytes.
+    """Lay int64 symbol rows out as FTCB bytes.
 
-    Token k of the stream starts at the sum of the lengths before it.  In
-    stream order block b holds 2 + 2 * (its nonzero ACs) tokens, so its DC
-    is token 2 * (b + ACs before b), the i-th nonzero AC overall has its
-    run byte at token 2 * (block + i) + 1 and its value right after, and
-    END closes the block.  A run byte counts the zeros skipped before its
-    AC in its block.
+    The body is one list of entries in row-major order: each block's DC
+    delta, always, and each nonzero AC, preceded by its run byte, the zeros
+    skipped since the entry before it (which is in the same block, since
+    every block starts with its DC).  An entry starts after the lengths of
+    the entries before it, (run byte) + 1 + wide, and after one END per
+    block before its own.  The buffer starts filled with END, so the bytes
+    written over it leave each block's END in place.
     """
-    tok = _tokens(zz)
-    # block and column (0..62 past DC) of each nonzero AC, in stream order
-    ac_block, col = np.divmod(np.flatnonzero(zz[:, 1:] != 0), 63)
-    prev = np.empty_like(col)
-    prev[1:] = col[:-1]
-    prev[np.flatnonzero(np.diff(ac_block, prepend=-1))] = -1
-    n, m = len(tok.dc), len(tok.ac)
-    ac_count = np.bincount(ac_block, minlength=n)
-    ac_after = np.cumsum(ac_count)
-    blocks = np.arange(n)
-    dc_at = 2 * (blocks + ac_after - ac_count)
-    run_at = 2 * (ac_block + np.arange(m)) + 1
-    end_at = 2 * (blocks + ac_after) + 1
-    lens = np.ones(2 * (n + m), dtype=np.int64)
-    lens[dc_at] = tok.dc_len
-    lens[run_at + 1] = tok.ac_len
-    starts = np.cumsum(lens) - lens + FTCB_HEADER.size
+    coded = _coded(zz)
+    keep = coded != 0
+    keep[:, 0] = True
+    at = np.flatnonzero(keep)
+    value = coded.reshape(-1)[at]
+    block, col = np.divmod(at, 64)
+    is_ac = col > 0
+    wide = _wide(value)
+    length = is_ac + 1 + wide
+    start = np.cumsum(length) - length + block + FTCB_HEADER.size
 
     layout = t.layout
-    out = np.empty(_stream_size(zz), dtype=np.uint8)
+    out = np.full(_stream_size(zz), _BLOCK_END, dtype=np.uint8)
     out[:FTCB_HEADER.size] = np.frombuffer(FTCB_HEADER.pack(
         FTCB_MAGIC, FTCB_VERSION, quality, layout.plane_w, layout.plane_h,
         layout.grid_cols, layout.grid_rows, layout.tile_w, layout.tile_h,
         layout.channels, t.levels), dtype=np.uint8)
-    out[starts[run_at]] = col - prev - 1
-    out[starts[end_at]] = _BLOCK_END
-    # LEB128 bytes, one pass per byte position: 7 payload bits each, the
-    # high bit set on every byte but the last
-    values = np.concatenate([tok.dc, tok.ac])
-    at = np.concatenate([starts[dc_at], starts[run_at + 1]])
-    left = np.concatenate([tok.dc_len, tok.ac_len])
-    while len(values):
-        out[at] = (values & 0x7F) | ((left > 1) << 7)
-        more = left > 1
-        values, at, left = values[more] >> 7, at[more] + 1, left[more] - 1
+    ac = np.flatnonzero(is_ac)
+    out[start[ac]] = col[ac] - col[ac - 1] - 1
+    # signed LEB128: 7 payload bits a byte, the high bit set on a first
+    # byte that a second follows
+    first = start + is_ac
+    out[first] = (value & 0x7F) | (wide << 7)
+    out[first[wide] + 1] = (value[wide] >> 7) & 0x7F
     return out.tobytes()
 
 
@@ -570,7 +543,7 @@ def encode_to_target(p: TiledPlane, target_bytes: int) -> tuple[bytes, int]:
     Binary search over quality 1..100 (stream size grows with quality).
     Each probe is sized by ``_stream_size``, the one size formula, straight
     from its rounded float coefficients; only the chosen quality becomes
-    int64 symbols, tokens and bytes.  Returns (bitstream, quality); raises
+    int64 symbols and bytes.  Returns (bitstream, quality); raises
     TargetInfeasibleError when even quality 1 exceeds the target.
     """
     t = _transform(p)

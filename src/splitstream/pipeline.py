@@ -123,6 +123,8 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
+        if not isinstance(d, dict):
+            raise TypeError(f"a config is a JSON object, not {type(d).__name__}")
         d = dict(d)
         link = d.pop("link", {})
         if isinstance(link, dict):

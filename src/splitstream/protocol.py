@@ -39,7 +39,7 @@ import json
 import math
 import struct
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 __all__ = [

@@ -60,7 +60,7 @@ class StrategyProfile:
 
     @property
     def fixed_cost_s(self) -> float:
-        """b: everything except the bandwidth-dependent transfer term."""
+        """I_c + E_c + E_s + I_s: the compute part of b, which adds the RTT."""
         return (
             self.client_infer_s + self.client_encode_s
             + self.server_decode_s + self.server_infer_s
@@ -77,17 +77,23 @@ class NetworkConditions:
             raise ValueError("network conditions must be non-negative")
 
 
+def _intercept(profile: StrategyProfile, rtt_s: float) -> float:
+    """b, the latency at infinite bandwidth: I_c for client_only, otherwise
+    the compute costs plus the round trip."""
+    if profile.kind == "client_only":
+        return profile.client_infer_s
+    return profile.fixed_cost_s + rtt_s
+
+
 def total_latency(profile: StrategyProfile, net: NetworkConditions) -> float:
     """Per-frame latency in seconds; +inf when a network strategy meets a
     dead link."""
+    b = _intercept(profile, net.rtt_s)
     if profile.kind == "client_only":
-        return profile.client_infer_s
+        return b
     if net.bandwidth_bps == 0.0:
         return math.inf
-    return (
-        profile.fixed_cost_s + net.rtt_s
-        + profile.payload_bytes / net.bandwidth_bps
-    )
+    return b + profile.payload_bytes / net.bandwidth_bps
 
 
 def best_strategy(profiles, net: NetworkConditions) -> StrategyProfile:
@@ -109,8 +115,7 @@ def crossover_bandwidth(p1: StrategyProfile, p2: StrategyProfile,
     crossing is B* = (D2 - D1) / (b1 - b2); only a positive finite value
     is a real regime boundary.
     """
-    b1 = p1.client_infer_s if p1.kind == "client_only" else p1.fixed_cost_s + rtt_s
-    b2 = p2.client_infer_s if p2.kind == "client_only" else p2.fixed_cost_s + rtt_s
+    b1, b2 = _intercept(p1, rtt_s), _intercept(p2, rtt_s)
     if b1 == b2:
         return None
     bstar = (p2.payload_bytes - p1.payload_bytes) / (b1 - b2)

@@ -227,9 +227,14 @@ class TestErrors:
         self._expect_error(["stats", "--out", str(tmp_path / "s.json"),
                             "--cut", "nope"], capsys, "unknown cut")
 
-    def test_malformed_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '[["frames", 2], ["stats_images", 4]]',   # pairs, not an object
+        '"ab"',
+    ])
+    def test_malformed_config(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         self._expect_error(["simulate", "--config", str(bad),
                             "--out", str(tmp_path / "r.json")],
                            capsys, "malformed config")

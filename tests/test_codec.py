@@ -420,26 +420,22 @@ class TestEncodeToTarget:
             data, _ = encode_to_target(p, target)
             assert len(data) <= target
 
-    def test_one_token_build_and_one_pack_per_call(self, model, corpus_at,
-                                                   monkeypatch):
+    def test_one_pack_per_call(self, model, corpus_at, monkeypatch):
         # probes are sized from rounded coefficients; only the chosen
-        # quality becomes tokens and bytes
-        calls = {"_tokens": 0, "_pack": 0}
+        # quality is laid out as bytes
+        calls = 0
+        pack = codec._pack
 
-        def counted(name):
-            fn = getattr(codec, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return pack(*args)
 
         p = _stage2_planes(model, corpus_at, [0])[0]
         target = len(encode(p, 60))
-        for name in calls:
-            monkeypatch.setattr(codec, name, counted(name))
+        monkeypatch.setattr(codec, "_pack", counted)
         data, quality = encode_to_target(p, target)
-        assert calls == {"_tokens": 1, "_pack": 1}
+        assert calls == 1
         monkeypatch.undo()
         assert quality >= 60 and data == encode(p, quality)
 
@@ -710,7 +706,8 @@ class TestSymbolPath:
     def test_stream_size_on_extreme_planes_at_every_quality(self):
         # constant 0 and 255 give the largest DC symbols, checkerboards of
         # pixels and of blocks the largest ACs and DC deltas; between them
-        # the coded values sit on both sides of every one-byte LEB128 limit
+        # the coded values sit on both sides of every one-byte LEB128 limit,
+        # where a value's second byte must be written, and only there
         p = _const_plane(0, h=16, w=16, c=4)
         y, x = np.mgrid[0:p.layout.plane_h, 0:p.layout.plane_w]
         planes = [p, _const_plane(255, h=16, w=16, c=4)] + [
@@ -720,7 +717,9 @@ class TestSymbolPath:
         for p in planes:
             t = _transform(p)
             for q in range(1, 101):
-                want = len(encode(p, q))
+                data = encode(p, q)
+                assert data == reference.encode(p, q)
+                want = len(data)
                 zz = _symbols(t, q)
                 assert _stream_size(zz) == want
                 assert _stream_size(_rounded(t, q)) == want

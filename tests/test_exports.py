@@ -1,5 +1,6 @@
 """Every name a module exports in ``__all__`` must exist and have a caller,
-and so must every function and method the package defines.
+and so must every function and method the package defines; every name a
+module imports must be used in it.
 
 A stale entry otherwise fails only on ``from module import *``, and a name
 that nothing in the package uses is API kept alive only by its tests.
@@ -95,6 +96,28 @@ def unused_functions(package_dir: Path) -> list[str]:
                   and not (name.startswith("__") and name.endswith("__")))
 
 
+def _imported(tree: ast.Module):
+    """Each name an import binds in a module, ``from __future__`` apart."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def unused_imports(package_dir: Path) -> list[str]:
+    """``module.name`` for each imported name its module never reads (an
+    attribute of the same name, such as ``report.mse``, is not a read); the
+    package root's imports are its re-exports."""
+    trees, _ = _package(package_dir)
+    return sorted(
+        f"{m}.{name}" for m, t in trees.items() if m != "__init__"
+        for name in set(_imported(t)) - {
+            node.id for node in ast.walk(t)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)})
+
+
 def test_every_module_listed():
     assert {"splitstream.tiling", "splitstream.cli"} <= set(MODULES)
 
@@ -117,3 +140,7 @@ def test_every_export_has_a_caller():
 def test_every_function_has_a_caller():
     unused = unused_functions(Path(splitstream.__file__).parent)
     assert [n for n in unused if n.split(".")[-1] not in CRITERION_API] == []
+
+
+def test_every_import_is_used():
+    assert unused_imports(Path(splitstream.__file__).parent) == []

@@ -38,11 +38,12 @@ END bytes of the blocks before it, and a value takes at most two stores.
 The entropy stage is lossless, so the rate loops (``encode_to_target`` and
 ``rate_fidelity_curve``) never write a stream to weigh a quality and never
 parse one back.  A stream's size follows from its symbol rows alone
-(``_stream_size``, the one size formula, which ``_pack`` also allocates
-by): it counts blocks, nonzero ACs and wide values, so a probe of
-``encode_to_target`` sizes the rounded coefficients as they are, without
-laying out entries.  The plane a stream decodes to is the
-decoder's own reconstruction of those symbols (``_decoded_plane``).
+(``_stream_size``, the one size formula): it counts blocks, nonzero ACs
+and wide values, so a probe of ``encode_to_target`` sizes the rounded
+coefficients as they are, without laying out entries.  ``_pack`` sizes
+its buffer by the end of its own entry list.  The plane a stream decodes
+to is the decoder's own reconstruction of those symbols
+(``_decoded_plane``).
 
 Decoding finds the field of every body byte (DC value, run byte or END,
 AC value) with a parallel prefix scan over per-byte state transitions,
@@ -329,7 +330,7 @@ def _wide(coded: np.ndarray) -> np.ndarray:
 
 def _stream_size(zz: np.ndarray) -> int:
     """Bytes of the stream that codes symbol rows, int64 or integer-valued
-    float64: the one size formula, which ``_pack`` allocates by.
+    float64: the one size formula, which the rate loops size probes by.
 
     The header, then per block an END byte and the entries ``_pack`` lays
     out: the DC delta, and each nonzero AC with its run byte, each value
@@ -349,8 +350,9 @@ def _pack(t: _Transformed, quality: int, zz: np.ndarray) -> bytes:
     skipped since the entry before it (which is in the same block, since
     every block starts with its DC).  An entry starts after the lengths of
     the entries before it, (run byte) + 1 + wide, and after one END per
-    block before its own.  The buffer starts filled with END, so the bytes
-    written over it leave each block's END in place.
+    block before its own, so the stream ends after the header, every
+    entry's length and one END per block.  The buffer starts filled with
+    END, so the bytes written over it leave each block's END in place.
     """
     coded = _coded(zz)
     keep = coded != 0
@@ -364,7 +366,8 @@ def _pack(t: _Transformed, quality: int, zz: np.ndarray) -> bytes:
     start = np.cumsum(length) - length + block + FTCB_HEADER.size
 
     layout = t.layout
-    out = np.full(_stream_size(zz), _BLOCK_END, dtype=np.uint8)
+    out = np.full(FTCB_HEADER.size + int(length.sum()) + len(zz), _BLOCK_END,
+                  dtype=np.uint8)
     out[:FTCB_HEADER.size] = np.frombuffer(FTCB_HEADER.pack(
         FTCB_MAGIC, FTCB_VERSION, quality, layout.plane_w, layout.plane_h,
         layout.grid_cols, layout.grid_rows, layout.tile_w, layout.tile_h,

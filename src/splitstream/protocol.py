@@ -26,7 +26,11 @@ and presumes unconfirmed packets lost once they outlive two round trips.
 and everything previously sent is either confirmed or presumed lost, which
 caps in-flight data at one MSS beyond the presumed-lost pool.  Between a
 send and a confirmation its view changes only when a pending packet ages
-into presumed or declared loss (``next_change_us``).
+into presumed or declared loss (``next_change_us``), so the estimator
+computes that view in one pass over its pending packets and keeps it until
+the next such instant, or until a send or confirmation clears it; the
+send buffer keeps a running count of its unsent bytes.  Reading the gate
+therefore costs no scan between changes.
 ``should_process_frame`` is the capture-time drop rule: skip the frame
 when the wait for the next server slot or the time to drain the backlog
 outlasts the client's work on it.
@@ -217,16 +221,18 @@ class SendBuffer:
 
     def __init__(self):
         self._frames: deque[_QueuedFrame] = deque()
+        self._unsent = 0            # bytes of the queued frames not yet popped
 
     def enqueue(self, frame_id: int, data: bytes) -> None:
         """Queue a frame's whole bitstream behind the frames already queued."""
         if not data:
             raise ValueError(f"frame {frame_id} is empty")
         self._frames.append(_QueuedFrame(frame_id, bytes(data)))
+        self._unsent += len(data)
 
     @property
     def pending_bytes(self) -> int:
-        return sum(len(f.data) - f.next_offset for f in self._frames)
+        return self._unsent
 
     def peek(self) -> tuple[int, int] | None:
         """(frame_id, offset) of the message pop_next would emit, or None."""
@@ -248,6 +254,7 @@ class SendBuffer:
         offset = frame.next_offset
         chunk = frame.data[offset:offset + mss]
         frame.next_offset += len(chunk)
+        self._unsent -= len(chunk)
         if frame.next_offset == total:
             self._frames.popleft()
         return WireMessage(
@@ -276,6 +283,17 @@ class BandwidthEstimator:
     outright.  ``loss_ewma`` starts at 1.0 (an aged packet is assumed gone)
     and is corrected downward whenever a confirmation does arrive late,
     at smoothing factor alpha.
+
+    The loss view (``expected_lost_bytes``, ``unreceived_bytes``,
+    ``next_change_us``) is piecewise constant in integer microseconds: it
+    moves only at a send, a confirmation, or the instant a pending packet
+    ages into presumed or declared loss.  One pass over the pending packets
+    declares the overdue ones and gives both the expected lost bytes and
+    that next instant; the result is kept as ``(from_us, until_us,
+    expected_lost)`` and read for every ``now_us`` in ``[from_us,
+    until_us)``.  ``record_sent`` and ``process_confirmation`` clear it.
+    Every reader, ``next_change_us`` included, first declares the packets
+    overdue at ``now_us``.
     """
 
     WINDOW_US = 1_000_000
@@ -297,6 +315,7 @@ class BandwidthEstimator:
         self._declared: dict[tuple[int, int], int] = {}
         self._samples: deque[tuple[int, int]] = deque()  # (recv_time_us, bytes)
         self._window_bytes = 0      # sum of the sample sizes
+        self._view: tuple[int, float, float] | None = None
 
     # -- sending side bookkeeping
 
@@ -306,10 +325,11 @@ class BandwidthEstimator:
             raise ProtocolError(f"duplicate send of packet {key}")
         self._pending[key] = (now_us, size)
         self.bytes_sent += size
+        self._view = None
 
     def process_confirmation(self, conf: Confirmation, now_us: int) -> None:
         key = (conf.frame_id, conf.packet_offset)
-        self._sweep_declared(now_us)
+        self._loss_view(now_us)     # declares what is overdue at now_us
         if key in self._confirmed:
             return  # duplicate receipt
         if key in self._pending:
@@ -323,19 +343,47 @@ class BandwidthEstimator:
             self.loss_ewma += self.LOSS_ALPHA * (0.0 - self.loss_ewma)
         else:
             raise ProtocolError(f"confirmation for unknown packet {key}")
+        self._view = None
         self._confirmed.add(key)
         self.bytes_confirmed += size
         self._samples.append((conf.recv_time_us, size))
         self._window_bytes += size
 
-    def _sweep_declared(self, now_us: int) -> None:
-        """Move packets older than twice the presumption age to declared-lost."""
-        cutoff = now_us - 2 * self.PRESUME_AFTER_RTTS * self.rtt_us
-        for key in [k for k, (t, _) in self._pending.items() if t < cutoff]:
+    def _loss_view(self, now_us: int) -> tuple[int, float, float]:
+        """``(from_us, until_us, expected_lost)``, valid for every time in
+        ``[from_us, until_us)`` with no send or confirmation in between.
+
+        When the kept view does not cover ``now_us``, one pass over the
+        pending packets moves those older than twice the presumption age to
+        declared-lost, sums the bytes of those past the presumption age, and
+        finds the earliest instant after ``now_us`` at which one ages into
+        presumed loss or into declared loss (inf if none will).
+        """
+        view = self._view
+        if view is not None and view[0] <= now_us < view[1]:
+            return view
+        age = self.PRESUME_AFTER_RTTS * self.rtt_us
+        cutoff = now_us - 2 * age
+        horizon = now_us - age
+        overdue = []
+        aged = 0
+        until = math.inf
+        for key, (sent_us, size) in self._pending.items():
+            if sent_us < cutoff:
+                overdue.append(key)
+            elif sent_us <= horizon:
+                aged += size
+                until = min(until, sent_us + 2 * age + 1)
+            else:
+                until = min(until, sent_us + age)
+        for key in overdue:
             _, size = self._pending.pop(key)
             self._declared[key] = size
             self.bytes_declared_lost += size
             self.loss_ewma += self.LOSS_ALPHA * (1.0 - self.loss_ewma)
+        self._view = view = (now_us, until,
+                             self.bytes_declared_lost + self.loss_ewma * aged)
+        return view
 
     def record_received(self, size: int, now_us: int) -> None:
         """Receiver-side hook: count arrived bytes toward the rate window."""
@@ -346,7 +394,8 @@ class BandwidthEstimator:
 
     def estimate_bandwidth(self, now_us: int) -> float:
         """Bytes per second from confirmations inside the window; a cold or
-        sparse window falls back to the prior."""
+        sparse window falls back to the prior, and a window of zero-byte
+        receipts reads 1 byte/s, never zero."""
         horizon = now_us - self.WINDOW_US
         while self._samples and self._samples[0][0] < horizon:
             self._window_bytes -= self._samples.popleft()[1]
@@ -355,14 +404,11 @@ class BandwidthEstimator:
         span_us = now_us - self._samples[0][0]
         if span_us <= 0:
             return self.PRIOR_BW
-        return self._window_bytes * 1e6 / span_us
+        return max(self._window_bytes * 1e6 / span_us, 1.0)
 
     def expected_lost_bytes(self, now_us: int) -> float:
         """Declared losses plus the presumed share of aged in-flight bytes."""
-        self._sweep_declared(now_us)
-        horizon = now_us - self.PRESUME_AFTER_RTTS * self.rtt_us
-        aged = sum(size for t, size in self._pending.values() if t <= horizon)
-        return self.bytes_declared_lost + self.loss_ewma * aged
+        return self._loss_view(now_us)[2]
 
     def unreceived_bytes(self, now_us: int) -> float:
         return self.bytes_sent - self.bytes_confirmed - self.expected_lost_bytes(now_us)
@@ -372,10 +418,7 @@ class BandwidthEstimator:
         into presumed loss or into declared loss (inf if none will): with no
         send or confirmation in between, ``unreceived_bytes`` holds its value
         until then."""
-        age = self.PRESUME_AFTER_RTTS * self.rtt_us
-        return min((t for sent_us, _ in self._pending.values()
-                    for t in (sent_us + age, sent_us + 2 * age + 1)
-                    if t > now_us), default=math.inf)
+        return self._loss_view(now_us)[1]
 
     def outstanding_bytes(self) -> int:
         """In-flight bytes not yet confirmed or declared lost."""

@@ -719,10 +719,12 @@ class TestSymbolPath:
             for q in range(1, 101):
                 data = encode(p, q)
                 assert data == reference.encode(p, q)
+                # _pack sizes its buffer by the end of its own entry list,
+                # the rate loops by _stream_size: the two must agree
                 want = len(data)
                 zz = _symbols(t, q)
-                assert _stream_size(zz) == want
-                assert _stream_size(_rounded(t, q)) == want
+                assert want == _stream_size(zz)
+                assert want == _stream_size(_rounded(t, q))
                 coded |= set(np.diff(zz[:, 0], prepend=0).tolist())
                 coded |= set(zz[:, 1:][zz[:, 1:] != 0].tolist())
         assert {-64, 64} <= coded

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from conftest import cut_tensors
 import splitstream.model as sm
 import splitstream.pipeline as pl
-from splitstream import (Link, LinkConfig, MsgType, ProtocolError, Simulator,
-                         SplitModel, WireMessage, collect_stats,
+from splitstream import (BandwidthEstimator, Link, LinkConfig, MsgType,
+                         ProtocolError, Simulator, SplitModel, WireMessage,
+                         collect_stats,
                          decode_message, encode, encode_message, make_control,
                          parse_control, quantize, tile)
 from splitstream.concealment import STRATEGIES
@@ -283,6 +284,73 @@ class TestPacingPoll:
         run_session(LONG_RTT, model)
         # 24 packets go out; a tick every 1 ms would ask 6636 times
         assert calls < 200
+
+
+class _ScanCountingDict(dict):
+    """A pending-packet dict that counts the passes made over it."""
+
+    scans = 0
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+class TestSendGateWork:
+    def test_pending_packets_are_scanned_only_when_the_view_can_change(
+            self, model, monkeypatch):
+        # long_rtt_target's shape: dropped captures and idle polls read the
+        # gate thousands of times, yet the loss view moves only at a send, a
+        # confirmation, or one of each packet's two agings
+        made = []
+
+        class Counted(BandwidthEstimator):
+            sends = confirmations = 0
+
+            def __init__(self, rtt_us):
+                super().__init__(rtt_us)
+                self._pending = _ScanCountingDict()
+                made.append(self)
+
+            def record_sent(self, *args):
+                self.sends += 1
+                super().record_sent(*args)
+
+            def process_confirmation(self, *args):
+                self.confirmations += 1
+                super().process_confirmation(*args)
+
+        monkeypatch.setattr(pl, "BandwidthEstimator", Counted)
+        cfg = dataclasses.replace(LONG_RTT, frames=100,
+                                  frame_interval_us=33_333)
+        s = run_session(cfg, model)["summary"]
+        assert s["frames_dropped"] > 80
+        client, server = made
+        assert client.sends > 0 and server.sends == 0
+        for est in made:
+            assert est._pending.scans <= 3 * est.sends + est.confirmations + 1
+
+
+class TestZeroRateEstimate:
+    @pytest.mark.parametrize("seed,loss", [(2, 0.9), (3, 0.9), (5, 0.9),
+                                           (3, 0.95)])
+    def test_window_of_end_markers_ends_in_a_report(self, model, seed, loss):
+        # a window holding only zero-byte re-announce receipts once read as
+        # 0 bytes/s, and the drop rule divided the backlog by it
+        cfg = PipelineConfig(frames=60, stats_images=4, quality=5,
+                             cut="stage3",
+                             link=LinkScenario(loss_prob=loss, seed=seed))
+        report = run_session(cfg, model)
+        assert len(report["frames"]) == 60
+        assert report["summary"]["max_gauge_excess_bytes"] <= 0
 
 
 class TestInvertDropRule:

@@ -3,10 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import assembler_reference
+import estimator_reference
 from splitstream import (WIRE_HEADER, BandwidthEstimator, Confirmation,
                          FrameAssembler, MsgType, ProtocolError,
                          ReassemblyError, SendBuffer, WireMessage,
@@ -266,6 +267,20 @@ class TestSendBuffer:
         with pytest.raises(ValueError, match="mss"):
             buf.pop_next(0)
 
+    @given(st.lists(st.one_of(st.binary(min_size=1, max_size=300),
+                              st.integers(1, 120)), max_size=30))
+    def test_pending_bytes_is_the_unsent_sum(self, ops):
+        # a frame's bytes (enqueue) or an MSS (pop_next), in any order: the
+        # running count is the sum of every queued frame's unsent bytes
+        buf = SendBuffer()
+        for i, op in enumerate(ops):
+            if isinstance(op, bytes):
+                buf.enqueue(i, op)
+            else:
+                buf.pop_next(op)
+            assert buf.pending_bytes == sum(len(f.data) - f.next_offset
+                                            for f in buf._frames)
+
 
 class TestBandwidthEstimator:
     def test_rtt_validated(self):
@@ -297,6 +312,14 @@ class TestBandwidthEstimator:
             est.record_received(50_000, t)
         assert est.estimate_bandwidth(1_000_000) == pytest.approx(2e6)
 
+    def test_zero_byte_window_reads_one_byte_per_second(self):
+        # re-announces are confirmed as zero-byte receipts; a window of
+        # nothing else must not read as a zero rate, which callers divide by
+        est = BandwidthEstimator(rtt_us=10_000)
+        for t in (0, 10, 20, 30):
+            est.record_received(0, t)
+        assert est.estimate_bandwidth(40) == 1.0
+
     def test_stale_samples_expire(self):
         est = BandwidthEstimator(rtt_us=10_000)
         for t in (0, 10, 20, 30):
@@ -325,7 +348,7 @@ class TestBandwidthEstimator:
                     kept.pop(0)
                 span = now - kept[0][0] if kept else 0
                 want = (est.PRIOR_BW if len(kept) < est.MIN_SAMPLES or span <= 0
-                        else sum(n for _, n in kept) * 1e6 / span)
+                        else max(sum(n for _, n in kept) * 1e6 / span, 1.0))
                 assert est.estimate_bandwidth(now) == want
             assert est._window_bytes == sum(n for _, n in est._samples)
 
@@ -407,6 +430,64 @@ class TestBandwidthEstimator:
         # each reader sweeps the estimator, so each point reads a copy
         values = {copy.deepcopy(est).unreceived_bytes(t) for t in points}
         assert len(values) == 1
+
+    @settings(max_examples=300)
+    @given(rtt=st.one_of(st.integers(0, 6), st.integers(0, 20_000)),
+           ops=st.lists(st.tuples(
+               st.sampled_from(["send", "marker", "confirm", "duplicate",
+                                "unknown", "lost", "unreceived", "next"]),
+               st.one_of(st.integers(0, 30), st.integers(0, 100_000)),
+               st.integers(0, 2 ** 16), st.integers(1, 1400)), max_size=60))
+    # a packet read just before, at and after each of its two agings
+    @example(rtt=1, ops=[("send", 0, 0, 100), ("next", 1, 0, 1),
+                         ("next", 1, 0, 1), ("lost", 1, 0, 1),
+                         ("lost", 1, 0, 1), ("confirm", 1, 0, 1)])
+    def test_matches_reference(self, rtt, ops):
+        # sends (some of zero-byte markers), prompt, late, declared,
+        # duplicate and unknown confirmations, and reads, at non-decreasing
+        # times: the kept view reads as the estimator that re-scanned its
+        # pending packets on every read
+        new = BandwidthEstimator(rtt_us=rtt)
+        ref = estimator_reference.BandwidthEstimator(rtt_us=rtt)
+        now, sent, confirmed = 0, [], []
+        for i, (op, step, pick, size) in enumerate(ops):
+            now += step
+            if op in ("send", "marker"):
+                key = (i, size) if op == "marker" else (i, 0)
+                for est in (new, ref):
+                    est.record_sent(*key, 0 if op == "marker" else size, now)
+                sent.append(key)
+            elif op in ("confirm", "duplicate", "unknown"):
+                pool = {"confirm": sent, "duplicate": confirmed}.get(op)
+                key = pool[pick % len(pool)] if pool else (-1, pick)
+                conf = Confirmation(*key, 0, now)
+                assert (_outcome(lambda: new.process_confirmation(conf, now))
+                        == _outcome(lambda: ref.process_confirmation(conf, now)))
+                if op == "confirm" and pool:
+                    confirmed.append(sent.pop(pick % len(sent)))
+            else:
+                reader = {"lost": "expected_lost_bytes",
+                          "unreceived": "unreceived_bytes",
+                          "next": "next_change_us"}[op]
+                assert getattr(new, reader)(now) == getattr(ref, reader)(now)
+            for reader in ("expected_lost_bytes", "unreceived_bytes",
+                           "next_change_us", "estimate_bandwidth"):
+                assert getattr(new, reader)(now) == getattr(ref, reader)(now)
+            assert (new.loss_ewma, new.bytes_declared_lost,
+                    new.outstanding_bytes()) == (ref.loss_ewma,
+                                                 ref.bytes_declared_lost,
+                                                 ref.outstanding_bytes())
+
+    def test_an_earlier_read_is_not_served_from_a_later_view(self):
+        # a packet presumed lost at 20 ms was still in flight at 10 ms
+        new = BandwidthEstimator(rtt_us=10_000)
+        ref = estimator_reference.BandwidthEstimator(rtt_us=10_000)
+        for est in (new, ref):
+            est.record_sent(1, 0, 100, now_us=0)
+        for now in (20_000, 10_000, 30_000, 0):
+            assert ((new.expected_lost_bytes(now), new.next_change_us(now))
+                    == (ref.expected_lost_bytes(now), ref.next_change_us(now)))
+        assert new.expected_lost_bytes(10_000) == 0.0
 
 
 class TestMaySend:
@@ -505,10 +586,10 @@ def _arrivals(draw):
     return msgs
 
 
-def _assembler_outcome(call):
+def _outcome(call):
     try:
         return "ok", call()
-    except ReassemblyError as exc:
+    except ProtocolError as exc:
         return type(exc), str(exc)
 
 
@@ -553,11 +634,11 @@ class TestFrameAssembler:
         new, ref = FrameAssembler(3), assembler_reference.FrameAssembler(3)
         for off, seg, total in msgs:
             msg = _data_msg(3, off, seg, total)
-            assert (_assembler_outcome(lambda: new.add(msg))
-                    == _assembler_outcome(lambda: ref.add(msg)))
+            assert (_outcome(lambda: new.add(msg))
+                    == _outcome(lambda: ref.add(msg)))
             assert (new.bytes_received, new.complete) == (ref.bytes_received,
                                                           ref.complete)
-        assert _assembler_outcome(new.payload) == _assembler_outcome(ref.payload)
+        assert _outcome(new.payload) == _outcome(ref.payload)
 
     @pytest.mark.parametrize("cls", [FrameAssembler,
                                      assembler_reference.FrameAssembler],

@@ -260,7 +260,10 @@ class SplitModel:
         responses are normalized; a stage's inputs are dropped once its
         responses are measured.  The moments stay numpy reductions over that
         full-shape array, in the order ``np.std(axis=(0, 1, 2))`` makes
-        them, so the frozen norms keep their bits.
+        them, so the frozen norms keep their bits.  Freeing that array (8
+        MiB at stage 1) also raises glibc's mmap threshold above the size
+        of a frame's conv and codec arrays, so later passes take them from
+        the heap instead of mapping fresh pages on every call.
         """
         xs = [
             self.generate_input(_CAL_ID_BASE + i).data
@@ -356,19 +359,25 @@ def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     image count, the same bytes as running each image again.  The model
     keeps the stats for its lifetime and holds at most one corpus per
     image count, the deepest built short of the last cut (which nothing
-    could continue); continuing it drops it, and the model's end frees it.
+    could continue); the model's end frees it.
+
+    Memory: the float32 corpus at the cut, plus a few float64 arrays of one
+    tensor's shape in ``collect_stats``.  Continuing a held corpus consumes
+    it: each shallower tensor is dropped as soon as its deeper one is made,
+    so the two corpora are never alive together.
     """
     key = (cut, n_images)
     if key not in model._stats:
         stage = cut_point(cut).stage_index
-        start, sources = model._held_corpus.get(n_images, (0, None))
-        if sources is not None and start < stage:
+        start, held = model._held_corpus.get(n_images, (0, None))
+        if held is not None and start < stage:
             del model._held_corpus[n_images]
+            held.reverse()
+            sources = (held.pop() for _ in range(len(held)))
         else:
             start, sources = 0, (model.generate_input(i) for i in range(n_images))
         tensors = [FeatureTensor(model._stages(t.data, start + 1, stage))
                    for t in sources]
-        del sources     # a continued corpus is freed before the stack below
         model._stats[key] = collect_stats(tensors, label=f"{cut}-{n_images}")
         if stage < len(CUT_POINTS) and n_images not in model._held_corpus:
             model._held_corpus[n_images] = (stage, tensors)

@@ -103,8 +103,10 @@ class TensorStats:
             raise ValueError("per-neuron stats must be matching H x W x C arrays")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
-        if np.any(std < 0):
-            raise ValueError("negative per-neuron std")
+        if not np.all(np.isfinite(std) & (std >= 0)):
+            raise ValueError("per-neuron std must be finite and non-negative")
+        if not (math.isfinite(self.aggregate_std) and self.aggregate_std >= 0):
+            raise ValueError("aggregate_std must be finite and non-negative")
         agg = float(np.mean(mean))
         if not math.isclose(agg, self.aggregate_mean, rel_tol=1e-5, abs_tol=1e-9):
             raise ValueError("aggregate_mean inconsistent with per-neuron means")
@@ -181,17 +183,66 @@ def _moments(stack: np.ndarray, axis) -> tuple:
     return mean, np.sqrt(stack.mean(axis=axis))
 
 
+# values per leaf of the aggregate sum: a float64 copy of at most this many
+# values is summed at a time
+_LEAF = 8192
+
+
+def _flat_sum(flats, lo: int, hi: int, centre=None):
+    """Values ``lo..hi-1`` of the corpus read as one flat float64 array,
+    summed as ``np.add.reduce`` sums that array (squared deviations from
+    ``centre`` when it is given).
+
+    numpy sums a contiguous float64 array pairwise, in one recursion over
+    the whole array: a range of more than 128 values is split at
+    ``n2 = n//2 - (n//2) % 8`` and its halves summed alike.  This splits by the same rule down to ranges of at most
+    ``_LEAF`` values, each a node of numpy's own recursion, and reduces
+    each of those with numpy on a float64 copy of just that range, which
+    may straddle tensors.  A leaf adds its sum to +0.0, so it reads +0.0
+    where numpy's node reads -0.0; the sum of two nodes can differ from
+    numpy's only in that sign, and numpy's total is added to +0.0 too.
+    """
+    n = hi - lo
+    if n > _LEAF:
+        n2 = n // 2 - (n // 2) % 8
+        return (_flat_sum(flats, lo, lo + n2, centre)
+                + _flat_sum(flats, lo + n2, hi, centre))
+    leaf = np.empty(n)
+    k, off = divmod(lo, flats[0].size)
+    at = 0
+    while at < n:
+        piece = flats[k][off:off + n - at]
+        leaf[at:at + piece.size] = piece
+        at += piece.size
+        k, off = k + 1, 0
+    if centre is not None:
+        np.subtract(leaf, centre, out=leaf)
+        np.multiply(leaf, leaf, out=leaf)
+    return np.add.reduce(leaf)
+
+
 def collect_stats(samples, label: str = "") -> TensorStats:
     """Population per-neuron and aggregate moments over >= 2 tensors.
 
-    Memory: besides the float32 tensors it is given, this holds one float64
-    array of the corpus's shape (8 bytes per element, twice the corpus).
-    It is filled from the tensors, centred and squared in place for the
-    per-neuron std, then refilled for the aggregate moments.  The reductions
-    stay numpy calls on that full-shape array, in the order ``np.std`` makes
-    them: its full-array ``sum`` adds in pairwise blocks, so a per-image
-    running sum would change the stats' bits, and with them every quantized
-    tensor and digest built on them.
+    The moments are the bits ``np.mean`` and ``np.std`` give on a float64
+    stack of the corpus, shape ``(N, H, W, C)``, with the ufunc calls they
+    make (sum, divide by the count, subtract the mean, square, sum, divide,
+    square root).  That stack is never built: the sums follow numpy's own
+    reduction order, from the float32 tensors given.
+
+    - Per neuron (``axis=0``), numpy adds the stack image by image into an
+      output that starts at +0.0, so one running float64 sum per neuron,
+      started from zeros, is the same sum.  Starting it from the first
+      tensor would keep a neuron that is -0.0 in every image at -0.0.
+    - Over all values (``axis=None``), numpy sums the flat stack pairwise;
+      ``_flat_sum`` replays that split.
+    - One-element tensors are the exception: numpy's ``axis=0`` reduction
+      of an ``(N, 1, 1, 1)`` stack is the pairwise sum of those N
+      contiguous values, so the per-neuron moments are the aggregate ones.
+
+    Memory: besides the float32 tensors it is given, this holds three
+    float64 arrays of one tensor's shape and one float64 leaf of at most
+    ``_LEAF`` values, whatever the corpus size.
     """
     tensors = list(samples)
     if len(tensors) < 2:
@@ -200,16 +251,31 @@ def collect_stats(samples, label: str = "") -> TensorStats:
     for t in tensors[1:]:
         if t.shape != shape:
             raise ValueError(f"sample shape {t.shape} does not match {shape}")
-    datas = [t.data for t in tensors]
-    stack = np.empty((len(datas),) + shape)
-    per_mean, per_std = _moments(_fill(stack, datas), axis=0)
-    _, aggregate_std = _moments(_fill(stack, datas), axis=None)
+    count = len(tensors)
+    flats = [t.data.reshape(-1) for t in tensors]
+    values = count * flats[0].size
+    flat_mean = _flat_sum(flats, 0, values) / values
+    aggregate_std = np.sqrt(_flat_sum(flats, 0, values, flat_mean) / values)
+    if flats[0].size == 1:
+        per_mean = np.full(shape, flat_mean)
+        per_std = np.full(shape, aggregate_std)
+    else:
+        per_mean = np.zeros(shape)
+        for t in tensors:
+            np.add(per_mean, t.data, out=per_mean)
+        np.true_divide(per_mean, count, out=per_mean)
+        per_std, dev = np.zeros(shape), np.empty(shape)
+        for t in tensors:
+            np.subtract(t.data, per_mean, out=dev)
+            np.multiply(dev, dev, out=dev)
+            np.add(per_std, dev, out=per_std)
+        np.sqrt(np.true_divide(per_std, count, out=per_std), out=per_std)
     return TensorStats(
         per_neuron_mean=per_mean,
         per_neuron_std=per_std,
         aggregate_mean=float(per_mean.mean()),
         aggregate_std=float(aggregate_std),
-        sample_count=len(tensors),
+        sample_count=count,
         label=label,
     )
 

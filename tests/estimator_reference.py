@@ -95,7 +95,8 @@ class BandwidthEstimator:
 
     def estimate_bandwidth(self, now_us: int) -> float:
         """Bytes per second from confirmations inside the window; a cold or
-        sparse window falls back to the prior."""
+        sparse window falls back to the prior, and a window of zero-byte
+        receipts reads 1 byte/s, never zero."""
         horizon = now_us - self.WINDOW_US
         while self._samples and self._samples[0][0] < horizon:
             self._window_bytes -= self._samples.popleft()[1]
@@ -104,7 +105,7 @@ class BandwidthEstimator:
         span_us = now_us - self._samples[0][0]
         if span_us <= 0:
             return self.PRIOR_BW
-        return self._window_bytes * 1e6 / span_us
+        return max(self._window_bytes * 1e6 / span_us, 1.0)
 
     def expected_lost_bytes(self, now_us: int) -> float:
         """Declared losses plus the presumed share of aged in-flight bytes."""

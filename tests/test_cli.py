@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -214,6 +215,30 @@ class TestEncodeDecode:
         assert len(bitstream.read_bytes()) <= 3000
         meta = json.loads(Path(str(bitstream) + ".meta.json").read_text())
         assert 1 <= meta["quality"] <= 100
+
+
+    @pytest.mark.parametrize("field, value, mode", [
+        ("aggregate_std", math.nan, "aggregate"),
+        ("aggregate_std", math.inf, "aggregate"),
+        ("aggregate_std", -1.0, "aggregate"),
+        ("per_neuron_std", math.nan, "per_neuron"),
+    ])
+    def test_stats_with_a_bad_std_are_refused(self, prepared, tmp_path, capsys,
+                                              field, value, mode):
+        # a NaN, infinite or negative std once quantized into a stream
+        src, stats_path = prepared
+        d = json.loads(stats_path.read_text())
+        if field == "per_neuron_std":
+            d[field][3][5][7] = value
+        else:
+            d[field] = value
+        bad = tmp_path / "bad_stats.json"
+        bad.write_text(json.dumps(d))
+        bitstream = tmp_path / "bad.ftcb"
+        assert main(["encode", "--input", str(src), "--out", str(bitstream),
+                     "--stats", str(bad), "--mode", mode]) == 1
+        assert "must be finite and non-negative" in capsys.readouterr().err
+        assert not bitstream.exists()
 
 
 class TestErrors:

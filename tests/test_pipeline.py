@@ -778,6 +778,22 @@ class TestCorpusStats:
             corpus_stats(fresh, cut, 4)
         assert fresh._held_corpus == {}
 
+    def test_continuing_never_holds_both_corpora(self, fresh):
+        # each stage1 tensor is dropped once its stage3 tensor is made, so
+        # continuing peaks below the size of the stage3 corpus it builds
+        stage3_bytes = 64 * CUT_POINTS[2].raw_bytes     # 1 MiB of float32
+        tracemalloc.start()
+        try:
+            corpus_stats(fresh, "stage1", 64)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            corpus_stats(fresh, "stage3", 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fresh._held_corpus == {}
+        assert peak - before < stage3_bytes
+
     def test_held_corpus_is_freed_with_its_model(self):
         # built here, not by a fixture, so that nothing else refers to it
         model = SplitModel()

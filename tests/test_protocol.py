@@ -442,6 +442,10 @@ class TestBandwidthEstimator:
     @example(rtt=1, ops=[("send", 0, 0, 100), ("next", 1, 0, 1),
                          ("next", 1, 0, 1), ("lost", 1, 0, 1),
                          ("lost", 1, 0, 1), ("confirm", 1, 0, 1)])
+    # four confirmed zero-byte markers fill the window: 1 byte/s, not zero
+    @example(rtt=0, ops=[("marker", 0, 0, 1)] * 4 + [("confirm", 0, 0, 1)]
+             + [("send", 0, 0, 1)] * 9 + [("send", 1, 0, 1)]
+             + [("confirm", 0, 0, 1)] * 3)
     def test_matches_reference(self, rtt, ops):
         # sends (some of zero-byte markers), prompt, late, declared,
         # duplicate and unknown confirmations, and reads, at non-decreasing

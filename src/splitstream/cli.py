@@ -27,7 +27,8 @@ from .motion import estimate_global_translation, predict, scale_to_tensor
 from .pipeline import (PipelineConfig, SessionError, corpus_stats,
                        measure_profiles, run_session)
 from .protocol import ProtocolError
-from .quantizer import QuantizerSpec, dequantize, quantize, sweep
+from .quantizer import (QuantizedTensor, QuantizerSpec, dequantize, quantize,
+                        sweep)
 from .strategy import StrategyProfile, latency_regions
 from .tensor import TensorStats, psnr, read_tensor, write_tensor
 from .tiling import detile, tile, write_pgm
@@ -104,14 +105,19 @@ def _stats_to_dict(stats: TensorStats) -> dict:
 
 
 def _stats_from_dict(d: dict) -> TensorStats:
-    return TensorStats(
-        per_neuron_mean=np.asarray(d["per_neuron_mean"], dtype=np.float64),
-        per_neuron_std=np.asarray(d["per_neuron_std"], dtype=np.float64),
-        aggregate_mean=float(d["aggregate_mean"]),
-        aggregate_std=float(d["aggregate_std"]),
-        sample_count=int(d["sample_count"]),
-        label=d.get("label", ""),
-    )
+    # any JSON value can stand in a stats file, and an integer too large for
+    # a float raises OverflowError
+    try:
+        return TensorStats(
+            per_neuron_mean=np.asarray(d["per_neuron_mean"], dtype=np.float64),
+            per_neuron_std=np.asarray(d["per_neuron_std"], dtype=np.float64),
+            aggregate_mean=float(d["aggregate_mean"]),
+            aggregate_std=float(d["aggregate_std"]),
+            sample_count=int(d["sample_count"]),
+            label=d.get("label", ""),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CliError(f"malformed stats: {exc}") from None
 
 
 def _self_stats(t) -> TensorStats:
@@ -265,7 +271,18 @@ def _cmd_encode(args) -> int:
         stats = _stats_from_dict(json.loads(Path(args.stats).read_text()))
     else:
         stats = _self_stats(t)
-    plane = tile(quantize(t, spec, stats))
+    q = quantize(t, spec, stats)
+    # decode may meet any symbol, and refuses a tensor float32 cannot hold:
+    # both ends of the clip interval must reconstruct to finite values
+    try:
+        with np.errstate(over="ignore"):
+            for end in (0, spec.levels - 1):
+                dequantize(QuantizedTensor(np.full(q.shape, end, np.uint8), spec),
+                           stats)
+    except ValueError:
+        raise CliError("stats reconstruct values beyond float32 at clip "
+                       f"width {spec.clip_width}") from None
+    plane = tile(q)
     if args.target_bytes:
         bits, quality = encode_to_target(plane, args.target_bytes)
     else:

@@ -61,7 +61,13 @@ class LinkConfig:
 
 
 class Simulator:
-    """Event queue plus the shared session log."""
+    """Event queue plus the shared session log.
+
+    Queued callbacks usually point back at the endpoints that own the
+    simulator, so a run leaves reference cycles behind while events are
+    still pending; whoever runs it calls ``close`` once it is done, and
+    the cycles unwind by reference counting alone.
+    """
 
     def __init__(self):
         self.now_us = 0
@@ -82,6 +88,10 @@ class Simulator:
         """Schedule ``fn`` like ``after``; while ``idle_until(now) > now`` at
         a due time, skip it whole periods ahead instead of running it."""
         self.after(delay_us, _Poll(int(delay_us), fn, idle_until))
+
+    def close(self) -> None:
+        """Drop every pending event; ``now_us`` and ``log`` stay readable."""
+        self._queue.clear()
 
     def log_event(self, event: str, frame_id: int = 0, offset: int = 0,
                   length: int = 0) -> None:

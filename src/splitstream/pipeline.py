@@ -526,7 +526,9 @@ def run_session(config: PipelineConfig,
     """Simulate a whole session and return the report dict.
 
     The report is deterministic for a given config (link seed included);
-    serialize with sort_keys for stable bytes.
+    serialize with sort_keys for stable bytes.  Whether it returns or
+    raises, the session's simulator, endpoints and links are freed on
+    return by reference counting, with no wait for the cyclic collector.
     """
     cfg = config
     if not isinstance(cfg.link, LinkScenario):
@@ -597,12 +599,18 @@ def run_session(config: PipelineConfig,
     uplink.deliver = server.on_uplink
     downlink.deliver = client.on_downlink
 
-    client.start()
-    # a failed handshake ends the session at its deadline
-    sim.run_until(min(cfg.handshake_timeout_us, duration))
-    if client.failed:
-        raise SessionError(client.failed)
-    sim.run_until(duration)
+    try:
+        client.start()
+        # a failed handshake ends the session at its deadline
+        sim.run_until(min(cfg.handshake_timeout_us, duration))
+        if client.failed:
+            raise SessionError(client.failed)
+        sim.run_until(duration)
+    finally:
+        # the links join client and server in a ring, and pending events
+        # point back at both: cut both so the session is freed on return
+        uplink.deliver = downlink.deliver = None
+        sim.close()
 
     frames = []
     for k in range(cfg.frames):

@@ -99,10 +99,14 @@ class TensorStats:
     def __post_init__(self):
         mean = np.ascontiguousarray(self.per_neuron_mean, dtype=np.float64)
         std = np.ascontiguousarray(self.per_neuron_std, dtype=np.float64)
-        if mean.shape != std.shape or mean.ndim != 3:
+        if mean.shape != std.shape or mean.ndim != 3 or mean.size == 0:
             raise ValueError("per-neuron stats must be matching H x W x C arrays")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("per-neuron mean must be finite")
+        if not math.isfinite(self.aggregate_mean):
+            raise ValueError("aggregate_mean must be finite")
         if not np.all(np.isfinite(std) & (std >= 0)):
             raise ValueError("per-neuron std must be finite and non-negative")
         if not (math.isfinite(self.aggregate_std) and self.aggregate_std >= 0):

@@ -1,17 +1,21 @@
+import contextlib
 import csv
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitstream import (decode, dequantize, detile, encode, pipeline,
                          quantize, tile)
 from splitstream.cli import main
 from splitstream.pipeline import corpus_stats
 from splitstream.quantizer import QuantizerSpec
-from splitstream.tensor import read_tensor
+from splitstream.tensor import FeatureTensor, read_tensor, write_tensor
 
 
 def _rows(path):
@@ -239,6 +243,107 @@ class TestEncodeDecode:
                      "--stats", str(bad), "--mode", mode]) == 1
         assert "must be finite and non-negative" in capsys.readouterr().err
         assert not bitstream.exists()
+
+    @pytest.mark.parametrize("mode", ["aggregate", "per_neuron"])
+    def test_stats_with_an_infinite_mean_are_refused(self, prepared, tmp_path,
+                                                     capsys, mode):
+        # an infinite aggregate is "close" to the mean of neurons one of
+        # which is infinite; decode refused the stream once written
+        src, stats_path = prepared
+        d = json.loads(stats_path.read_text())
+        d["per_neuron_mean"][3][5][7] = math.inf
+        d["aggregate_mean"] = math.inf
+        bad = tmp_path / "bad_stats.json"
+        bad.write_text(json.dumps(d))
+        assert "Infinity" in bad.read_text()
+        bitstream = tmp_path / "bad.ftcb"
+        assert main(["encode", "--input", str(src), "--out", str(bitstream),
+                     "--stats", str(bad), "--mode", mode]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "per-neuron mean must be finite" in err
+        assert not bitstream.exists()
+
+
+# numbers a stats file may hold, ordinary and extreme: non-finite, past
+# float32, past float64 (an int JSON writes but no float holds) and subnormal
+_STATS_NUMBERS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 1e-320, 3e38, 1e39, 1e300, -1e300, 1.7e308,
+                     math.inf, -math.inf, math.nan, 10 ** 400, -(10 ** 400)]),
+    st.integers(-3, 10))
+_STATS_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                        st.lists(st.integers(), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(),
+                                        max_size=1))
+_STATS_SHAPE = (2, 3, 4)
+
+
+@st.composite
+def _stats_documents(draw):
+    """A stats file: well formed, with extreme numbers, with fields of the
+    wrong kind or missing, or not an object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(_STATS_JUNK, st.lists(_STATS_NUMBERS, max_size=3)))
+
+    def per_neuron():
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.one_of(_STATS_JUNK, _STATS_NUMBERS))
+        shape = draw(st.sampled_from([_STATS_SHAPE, _STATS_SHAPE, (2, 3),
+                                      (1, 1, 1), (0, 3, 4)]))
+        arr = np.full(shape, draw(_STATS_NUMBERS), dtype=object)
+        if arr.size and draw(st.booleans()):
+            arr.flat[draw(st.integers(0, arr.size - 1))] = draw(_STATS_NUMBERS)
+        return arr.tolist()
+
+    doc = {"label": draw(st.one_of(st.just("drawn"), _STATS_JUNK)),
+           "per_neuron_mean": per_neuron(), "per_neuron_std": per_neuron()}
+    try:
+        means = np.asarray(doc["per_neuron_mean"], dtype=np.float64)
+        with np.errstate(all="ignore"):
+            consistent = float(means.mean()) if means.size else 0.0
+    except (TypeError, ValueError, OverflowError):
+        consistent = 0.0
+    doc["aggregate_mean"] = draw(st.one_of(st.just(consistent),
+                                           _STATS_NUMBERS, _STATS_JUNK))
+    doc["aggregate_std"] = draw(st.one_of(_STATS_NUMBERS, _STATS_JUNK))
+    doc["sample_count"] = draw(st.one_of(_STATS_NUMBERS, _STATS_JUNK))
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=1)):
+        del doc[key]
+    return doc
+
+
+class TestAnyStats:
+    @pytest.fixture(scope="class")
+    def tensor_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("any_stats") / "t.ftsr"
+        data = np.arange(24, dtype=np.float32).reshape(_STATS_SHAPE) / 7.0
+        write_tensor(FeatureTensor(data), path)
+        return path
+
+    @settings(max_examples=200)
+    @given(doc=_stats_documents(),
+           mode=st.sampled_from(["aggregate", "per_neuron"]))
+    def test_every_stats_file_ends_in_a_decodable_stream_or_an_error(
+            self, tensor_path, doc, mode):
+        folder = tensor_path.parent
+        stats_path, stream = folder / "stats.json", folder / "out.ftcb"
+        stats_path.write_text(json.dumps(doc))
+        stream.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["encode", "--input", str(tensor_path),
+                         "--out", str(stream), "--stats", str(stats_path),
+                         "--mode", mode])
+        if code == 1:
+            text = err.getvalue()
+            assert text.startswith("error:") and text.count("\n") == 1
+            assert not stream.exists()
+            return
+        assert code == 0 and stream.exists()
+        with contextlib.redirect_stderr(err):
+            assert main(["decode", "--input", str(stream),
+                         "--out", str(folder / "out.ftsr")]) == 0, err.getvalue()
 
 
 class TestErrors:

@@ -98,6 +98,18 @@ class TestSimulator:
         sim.run_until(7)
         assert sim.log == ["7,send,3,100,9"]
 
+    def test_close_drops_pending_events(self):
+        sim = Simulator()
+        ran = []
+        sim.at(5, lambda: sim.log_event("early"))
+        sim.at(20, lambda: ran.append("late"))
+        sim.poll(30, lambda: ran.append("poll"), lambda now: now)
+        sim.run_until(10)
+        sim.close()
+        sim.run_until(100)
+        assert ran == [] and sim.now_us == 100
+        assert sim.log == ["5,early,0,0,0"]
+
 
 class TestLink:
     def test_serialization_plus_delay(self):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import itertools
@@ -17,7 +18,7 @@ import splitstream.model as sm
 import splitstream.pipeline as pl
 from splitstream import (BandwidthEstimator, Link, LinkConfig, MsgType,
                          ProtocolError, Simulator, SplitModel, WireMessage,
-                         collect_stats,
+                         collect_stats, rate_fidelity_curve,
                          decode_message, encode, encode_message, make_control,
                          parse_control, quantize, tile)
 from splitstream.concealment import STRATEGIES
@@ -616,6 +617,73 @@ class TestValidation:
             run_session(cfg)
 
 
+@contextlib.contextmanager
+def _no_cyclic_garbage():
+    """Require that what the block leaves behind is freed by reference
+    counting alone: with automatic collection off during the block, a full
+    collection after it finds nothing unreachable."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# a long_rtt_target session cut down to a few frames: slow lossy link,
+# stop-and-wait polling and rate targeting
+LONG_RTT = PipelineConfig(
+    cut="stage2", target_bytes=10_000, frames=4,
+    link=LinkScenario(bandwidth_bps=1e5, rtt_us=300_000, loss_prob=0.02,
+                      seed=3))
+
+
+class TestSessionTeardown:
+    """A finished session is freed when ``run_session`` returns or raises:
+    the client-server link ring and the events still queued at the horizon
+    would otherwise keep it for the cyclic collector."""
+
+    def test_report(self, model):
+        with _no_cyclic_garbage():
+            report = run_session(LONG_RTT, model)
+        assert report["summary"]["frames_completed"] > 0
+
+    def test_failed_handshake(self, model):
+        # at 1 byte/s no MODEL_SWITCH arrives before the handshake deadline
+        cfg = PipelineConfig.from_dict({
+            "frames": 3, "stats_images": 4,
+            "link": {"bandwidth_bps": 1, "duration_us": 2 ** 40}})
+        with _no_cyclic_garbage():
+            with pytest.raises(SessionError, match="handshake timeout"):
+                run_session(cfg, model)
+
+    def test_model_and_corpus_stats(self):
+        with _no_cyclic_garbage():
+            corpus_stats(SplitModel(), "stage2", 4)
+
+    def test_rate_fidelity_curve(self, model):
+        stats = corpus_stats(model, "stage2", 8)
+        with _no_cyclic_garbage():
+            rate_fidelity_curve(model, [0, 1], "stage2", [20, 80], stats)
+
+    def test_repeated_sessions_hold_no_memory(self, model):
+        # every dead session kept would add its queue, logs and buffers
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            run_session(LONG_RTT, model)
+            after_first = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                run_session(LONG_RTT, model)
+            after_six = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert abs(after_six - after_first) <= 64 * 1024
+
+
 # the extremes of each field's type that a JSON config can carry
 _EXTREMES = st.sampled_from([-1, 0, 1, 2 ** 63, 2 ** 64, math.nan, math.inf,
                              -math.inf, True, "x", {}, None, 1e-320, 1e308])
@@ -637,10 +705,13 @@ class TestAnyConfig:
         for name, value in drawn.items():
             (d["link"] if name in _LINK_FIELDS else d)[name] = value
         cfg = PipelineConfig.from_dict(d)
-        try:
-            report = run_session(
-                cfg, model if cfg.model_seed == model.seed else None)
-        except SessionError:
+        with _no_cyclic_garbage():
+            try:
+                report = run_session(
+                    cfg, model if cfg.model_seed == model.seed else None)
+            except SessionError:
+                report = None
+        if report is None:
             return
         assert len(report["frames"]) == cfg.frames
         assert report["summary"]["max_gauge_excess_bytes"] <= 0

@@ -153,6 +153,26 @@ class TestStats:
                 sample_count=2,
             )
 
+    @pytest.mark.parametrize("per_neuron, aggregate, needle", [
+        (math.inf, math.inf, "per-neuron mean"),
+        (-math.inf, -math.inf, "per-neuron mean"),
+        (math.nan, math.nan, "per-neuron mean"),
+        (0.0, math.inf, "aggregate_mean"),
+        (0.0, math.nan, "aggregate_mean")])
+    def test_mean_must_be_finite(self, per_neuron, aggregate, needle):
+        # an infinite aggregate is "close" to the infinite mean of its
+        # neurons, so the consistency check alone lets both through
+        mean = np.zeros((2, 2, 1))
+        mean[1, 0, 0] = per_neuron
+        with pytest.raises(ValueError, match=f"{needle} must be finite"):
+            TensorStats(
+                per_neuron_mean=mean,
+                per_neuron_std=np.ones((2, 2, 1)),
+                aggregate_mean=aggregate,
+                aggregate_std=1.0,
+                sample_count=4,
+            )
+
 
 def _reference_stats(tensors):
     """The moments as collect_stats first computed them, one full-size

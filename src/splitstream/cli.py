@@ -137,6 +137,8 @@ def _self_stats(t) -> TensorStats:
 
 
 def _cmd_gen_corpus(args) -> int:
+    if args.count < 0:
+        raise CliError(f"--count must be non-negative, got {args.count}")
     if args.cut != "input":
         cut_point(args.cut)       # refused even when --count is 0
     model = SplitModel(args.seed)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Xorshift64Star, bulk_uniform, derive
-from .tensor import FeatureTensor, TensorStats, _fill, _moments, collect_stats
+from .tensor import FeatureTensor, TensorStats, _flat_sum, collect_stats
 
 __all__ = [
     "CutPoint",
@@ -56,6 +56,8 @@ INPUT_CHANNELS = 3
 STAGE_CHANNELS = (16, 32, 64)
 CLASS_NAMES = tuple(f"class_{i}" for i in range(10))
 CALIBRATION_IMAGES = 64
+# calibration images per chunk of _channel_moments' float64 buffer
+_CAL_CHUNK = 32
 
 _CAL_ID_BASE = 1 << 40  # calibration image ids, disjoint from corpus ids
 
@@ -148,6 +150,47 @@ def _conv3x3(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _avgpool2(x: np.ndarray) -> np.ndarray:
     return (x[0::2, 0::2] + x[0::2, 1::2] + x[1::2, 0::2] + x[1::2, 1::2]) * np.float32(0.25)
+
+
+def _channel_moments(raws, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and population std of equally shaped H x W x C
+    float32 arrays: the bits ``stack.mean(axis=(0, 1, 2))`` and
+    ``stack.std(axis=(0, 1, 2))`` give on their float64 stack, which is
+    never built.
+
+    numpy adds the stack's pixel rows one by one, in order, into a
+    per-channel sum that starts at +0.0.  Here each chunk of
+    ``_CAL_CHUNK`` arrays is copied as float64 into rows 1.. of a buffer
+    whose row 0 carries the running sum, so ``np.add.reduce`` over the
+    buffer's rows adds the same rows in the same order.  A second pass does
+    the same over the squared deviations from the mean.  The buffer is a
+    view of ``flat``, a float64 work array of at least
+    ``(1 + _CAL_CHUNK * H * W) * C`` values.  With one channel numpy sums
+    the flat stack pairwise instead, which ``_flat_sum`` replays.
+    """
+    h, w, c = raws[0].shape
+    rows, n = h * w, len(raws) * h * w
+    if c == 1:
+        flats = [r.reshape(-1) for r in raws]
+        mean = _flat_sum(flats, 0, n) / n
+        return np.array([mean]), np.array([np.sqrt(_flat_sum(flats, 0, n, mean) / n)])
+    buf = flat[:(1 + _CAL_CHUNK * rows) * c].reshape(-1, c)
+
+    def total(centre):
+        buf[0] = 0.0
+        for lo in range(0, len(raws), _CAL_CHUNK):
+            end = 1
+            for raw in raws[lo:lo + _CAL_CHUNK]:
+                buf[end:end + rows] = raw.reshape(rows, c)
+                end += rows
+            if centre is not None:
+                np.subtract(buf[1:end], centre, out=buf[1:end])
+                np.multiply(buf[1:end], buf[1:end], out=buf[1:end])
+            buf[0] = np.add.reduce(buf[:end], axis=0)
+        return buf[0] / n
+
+    mean = total(None)
+    return mean, np.sqrt(total(mean))
 
 
 class SplitModel:
@@ -255,30 +298,31 @@ class SplitModel:
         earlier ones, normalized from the responses just measured, so each
         stage convolves each image once.
 
-        Memory: a stage holds its float32 responses plus one float64 array
-        of their shape, centred and squared in place and freed before the
-        responses are normalized; a stage's inputs are dropped once its
-        responses are measured.  The moments stay numpy reductions over that
-        full-shape array, in the order ``np.std(axis=(0, 1, 2))`` makes
-        them, so the frozen norms keep their bits.  Freeing that array (8
-        MiB at stage 1) also raises glibc's mmap threshold above the size
-        of a frame's conv and codec arrays, so later passes take them from
-        the heap instead of mapping fresh pages on every call.
+        Memory: a stage's inputs are made one image at a time, and each
+        image's response replaces the one it was made from, so calibration
+        holds one stage's float32 responses (4 MiB at stage 1) plus the
+        ``_channel_moments`` buffer: ``1 + 32 * H * W`` rows of C float64
+        values at stage 1 (4 MiB), whose prefix every later stage reuses.
+        glibc maps a block that large on its own, so the heap stays compact
+        while calibration runs; freeing the mapping when calibration ends
+        raises glibc's mmap and trim thresholds to its size and twice that,
+        above the size of a frame's conv and codec arrays, so later passes
+        take those from the heap instead of faulting in fresh pages on
+        every call.  A one-image buffer (128 KiB) leaves them low enough
+        for steady passes to fault again.
         """
-        xs = [
-            self.generate_input(_CAL_ID_BASE + i).data
-            for i in range(CALIBRATION_IMAGES)
-        ]
+        first = CUT_POINTS[0]
+        flat = np.empty((1 + _CAL_CHUNK * first.height * first.width) * first.channels)
+        raws = [None] * CALIBRATION_IMAGES
         for stage in range(1, len(STAGE_CHANNELS) + 1):
-            raws = [self._stage_raw(x, stage) for x in xs]
-            del xs
-            mean_c, std_c = _moments(
-                _fill(np.empty((len(raws),) + raws[0].shape), raws), axis=(0, 1, 2))
+            for i in range(CALIBRATION_IMAGES):
+                x = (self._normalize(raws[i], stage - 1) if stage > 1
+                     else self.generate_input(_CAL_ID_BASE + i).data)
+                raws[i] = self._stage_raw(x, stage)
+            mean_c, std_c = _channel_moments(raws, flat)
             std_c = np.maximum(std_c, 1e-6)
             self._norm_scale.append((1.0 / std_c).astype(np.float32))
             self._norm_offset.append((-mean_c / std_c).astype(np.float32))
-            if stage < len(STAGE_CHANNELS):
-                xs = [self._normalize(raw, stage) for raw in raws]
 
     # ------------------------------------------------------------------ manifest
 

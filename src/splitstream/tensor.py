@@ -170,23 +170,6 @@ def psnr(a: FeatureTensor, b: FeatureTensor, mask: np.ndarray | None = None) -> 
     return DistortionReport(err, 10.0 * math.log10(rng * rng / err))
 
 
-def _fill(stack: np.ndarray, arrays) -> np.ndarray:
-    """Copy each float32 array into its float64 slot of ``stack``."""
-    for i, a in enumerate(arrays):
-        stack[i] = a
-    return stack
-
-
-def _moments(stack: np.ndarray, axis) -> tuple:
-    """Mean and population std of ``stack`` over ``axis``, bit for bit as
-    ``stack.mean(axis)`` and ``stack.std(axis)`` give them, with the ufunc
-    calls ``np.std`` makes; the centred squares overwrite ``stack``."""
-    mean = stack.mean(axis=axis)
-    np.subtract(stack, mean, out=stack)
-    np.multiply(stack, stack, out=stack)
-    return mean, np.sqrt(stack.mean(axis=axis))
-
-
 # values per leaf of the aggregate sum: a float64 copy of at most this many
 # values is summed at a time
 _LEAF = 8192

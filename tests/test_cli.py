@@ -446,6 +446,14 @@ class TestErrors:
                             "--count", "1", "--cut", "stage7"], capsys,
                            "unknown cut")
 
+    def test_negative_corpus_count(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert main(["gen-corpus", "--out", str(out), "--count", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--count" in err
+        assert not (out / "manifest.json").exists()
+
     def test_decode_without_meta(self, tmp_path, capsys):
         blob = tmp_path / "orphan.ftcb"
         blob.write_bytes(b"\x00" * 8)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import conv_reference
 from conftest import cut_tensors
@@ -11,8 +12,8 @@ from splitstream import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER,
                          FeatureTensor, SplitModel, cut_point, loss_sweep,
                          rate_fidelity_curve, sweep)
 from splitstream import model as model_module
-from splitstream.model import (_CAL_ID_BASE, CALIBRATION_IMAGES, STAGE_CHANNELS,
-                               _conv3x3)
+from splitstream.model import (_CAL_CHUNK, _CAL_ID_BASE, CALIBRATION_IMAGES,
+                               STAGE_CHANNELS, _channel_moments, _conv3x3)
 
 
 def test_class_names_and_border():
@@ -188,12 +189,37 @@ def test_calibration_norms_match_reference(model, seed):
     assert [a.tobytes() for a in m._norm_offset] == [a.tobytes() for a in offsets]
 
 
-def test_calibration_holds_one_float64_copy(traced_peak):
-    # a stage's float32 responses plus one float64 array of their shape:
-    # 12 bytes per stage1 response element, plus 1 MiB of slack
+def test_calibration_holds_responses_and_one_chunk_buffer(traced_peak):
+    # a stage's float32 responses plus one float64 buffer of 1 + 32 * H * W
+    # rows at stage 1 (4 + 4 MiB), plus 1 MiB for one image's temporaries
     stage1 = CUT_POINTS[0]
-    elements = CALIBRATION_IMAGES * stage1.height * stage1.width * stage1.channels
-    assert traced_peak(SplitModel, 3) <= 12 * elements + 2 ** 20
+    pixels = stage1.height * stage1.width
+    responses = 4 * CALIBRATION_IMAGES * pixels * stage1.channels
+    buffer = 8 * (1 + _CAL_CHUNK * pixels) * stage1.channels
+    assert traced_peak(SplitModel, 3) <= responses + buffer + 2 ** 20
+
+
+_MOMENT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 3.4e38, -3.4e38, 1e-38, -1e30]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hnp.arrays(np.float32,
+                  st.tuples(st.integers(1, 2 * _CAL_CHUNK + 1), st.integers(1, 3),
+                            st.integers(1, 3), st.integers(1, 5)),
+                  elements=_MOMENT_VALUES, fill=_MOMENT_VALUES))
+def test_channel_moments_match_the_float64_stack(stack):
+    # image counts on both sides of each chunk edge, a short last chunk,
+    # one channel (numpy's pairwise sum) and many, signed zeros and values
+    # whose squares need float64's range
+    n, h, w, c = stack.shape
+    flat = np.full((1 + _CAL_CHUNK * h * w) * c, np.nan)
+    mean, std = _channel_moments(list(stack), flat)
+    wide = stack.astype(np.float64)
+    assert mean.tobytes() == wide.mean(axis=(0, 1, 2)).tobytes()
+    assert std.tobytes() == wide.std(axis=(0, 1, 2)).tobytes()
 
 
 def test_calibration_norms_pinned(model):

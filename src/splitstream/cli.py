@@ -19,8 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import (CodecError, decode, encode, encode_to_target,
-                    rate_fidelity_curve)
+from .codec import CodecError, decode, pack, rate_fidelity_curve
 from .concealment import STRATEGIES, loss_sweep
 from .model import CUT_POINTS, SplitModel, cut_point
 from .motion import estimate_global_translation, predict, scale_to_tensor
@@ -273,23 +272,17 @@ def _cmd_encode(args) -> int:
         stats = _stats_from_dict(json.loads(Path(args.stats).read_text()))
     else:
         stats = _self_stats(t)
-    q = quantize(t, spec, stats)
+    bits, quality = pack(t, spec, stats, args.quality, args.target_bytes)
     # decode may meet any symbol, and refuses a tensor float32 cannot hold:
     # both ends of the clip interval must reconstruct to finite values
     try:
         with np.errstate(over="ignore"):
             for end in (0, spec.levels - 1):
-                dequantize(QuantizedTensor(np.full(q.shape, end, np.uint8), spec),
+                dequantize(QuantizedTensor(np.full(t.shape, end, np.uint8), spec),
                            stats)
     except ValueError:
         raise CliError("stats reconstruct values beyond float32 at clip "
                        f"width {spec.clip_width}") from None
-    plane = tile(q)
-    if args.target_bytes:
-        bits, quality = encode_to_target(plane, args.target_bytes)
-    else:
-        quality = args.quality
-        bits = encode(plane, quality)
     Path(args.out).write_bytes(bits)
     _write_json(args.out + ".meta.json", {
         "shape": list(t.shape),
@@ -300,7 +293,7 @@ def _cmd_encode(args) -> int:
         "stats": _stats_to_dict(stats),
     })
     if args.pgm:
-        write_pgm(plane, args.pgm)
+        write_pgm(tile(quantize(t, spec, stats)), args.pgm)
     print(f"{len(bits)} bytes at quality {quality} -> {args.out}")
     return 0
 

@@ -45,6 +45,10 @@ its buffer by the end of its own entry list.  The plane a stream decodes
 to is the decoder's own reconstruction of those symbols
 (``_decoded_plane``).
 
+``pack`` and ``unpack`` are the one frame path: tensor -> quantize -> tile
+-> encode (at a quality or a byte target), and stream -> decode -> detile
+-> dequantize -> conceal the blocks that lost bytes left undecoded.
+
 Decoding finds the field of every body byte (DC value, run byte or END,
 AC value) with a parallel prefix scan over per-byte state transitions,
 then reads values, block boundaries and AC positions from those fields
@@ -62,8 +66,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .concealment import LossMask, conceal
 from .quantizer import QuantizerSpec, dequantize, quantize
-from .tiling import TileLayout, TiledPlane, detile, tile
+from .tensor import FeatureTensor, TensorStats
+from .tiling import TileLayout, TiledPlane, channel_tiles, detile, layout_for, tile
 
 __all__ = [
     "CodecError",
@@ -78,6 +84,8 @@ __all__ = [
     "undecoded_plane_mask",
     "encode_to_target",
     "rate_fidelity_curve",
+    "pack",
+    "unpack",
     "FTCB_HEADER",
 ]
 
@@ -569,13 +577,10 @@ def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
                         levels: int = 256, clip_width: float = 3.0) -> list[dict]:
     """Mean bitstream size and argmax agreement per quality setting.
 
-    Each image runs the full compression path (quantize, tile, encode,
-    decode, detile, dequantize) before the server-side forward.  The
-    transform half of encode runs once per image, for every quality.  The
-    entropy stage is lossless, so a point's size comes from its symbols
-    (``_stream_size``) and its plane from the decoder's own
-    reconstruction of them (``_decoded_plane``): no stream is written or
-    parsed.
+    Each image takes ``pack`` and ``unpack``'s path, but its transform
+    runs once for every quality, and the lossless entropy stage is skipped:
+    a point's size comes from its symbols (``_stream_size``) and its plane
+    from the decoder's reconstruction of them (``_decoded_plane``).
     """
     spec = QuantizerSpec(levels=levels, clip_width=clip_width, mode="aggregate")
     qualities = [int(q) for q in qualities]
@@ -590,3 +595,38 @@ def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
     count, cells = model.sweep(image_ids, cut, degrade)
     return [{"quality": q, "mean_bytes": size / count, "agreement": hits / count}
             for q, (hits, size) in zip(qualities, cells)]
+
+
+def pack(t: FeatureTensor, spec: QuantizerSpec, stats: TensorStats,
+         quality: int, target_bytes: int = 0) -> tuple[bytes, int]:
+    """(stream, quality) of a tensor, quantized and tiled: encoded at
+    ``quality``, or by ``encode_to_target`` if ``target_bytes`` is nonzero."""
+    plane = tile(quantize(t, spec, stats))
+    if target_bytes:
+        return encode_to_target(plane, target_bytes)
+    return encode(plane, quality), quality
+
+
+def unpack(data: bytes, spec: QuantizerSpec, stats: TensorStats, gaps=(),
+           strategy: str = "dataset_mean", side=None) -> FeatureTensor:
+    """The tensor a stream carries: strictly decoded if ``gaps``, the lost
+    (start, end) byte ranges, are none; else decoded up to the first gap
+    (the DC delta chain spoils every later block, and all of a plane whose
+    header was lost) with the rest filled by ``strategy``, which may need
+    ``side``, the per-channel means."""
+    if not gaps:
+        return dequantize(detile(decode(data), spec), stats)
+    try:
+        plane, blocks_ok, _total = decode_prefix(data[:gaps[0][0]])
+    except CodecError:
+        layout = layout_for(*stats.shape)
+        missing = np.ones((layout.plane_h, layout.plane_w), dtype=bool)
+        mid = np.full(missing.shape, spec.levels // 2, dtype=np.uint8)
+        plane = TiledPlane(mid, layout, spec.levels)
+    else:
+        missing = undecoded_plane_mask(plane.layout, blocks_ok)
+    t = dequantize(detile(plane, spec), stats)
+    if not missing.any():
+        return t
+    return conceal(t, LossMask(channel_tiles(missing, plane.layout)), strategy,
+                   stats=stats, side=side)

@@ -1,12 +1,12 @@
 """End-to-end split-inference sessions over the simulated network.
 
 ``run_session`` plays a whole capture-compress-stream-infer loop between a
-client endpoint and a server endpoint on one ``Simulator``:
+client endpoint and a server endpoint on one ``Simulator``, with
+``codec.pack`` and ``codec.unpack`` the whole frame path:
 
     MODEL_SWITCH -> MODEL_READY, then per frame
-    generate -> forward_client -> quantize -> tile -> encode -> packetize
-    -> (simulated link) -> reassemble -> decode -> detile -> dequantize
-    -> conceal gaps -> forward_server -> RESULT
+    generate -> forward_client -> pack -> packetize -> (simulated link)
+    -> reassemble -> unpack -> forward_server -> RESULT
 
 The client paces DATA packets through the ``may_send`` gate: while the
 gate is shut it polls it every ``pacing_us`` with ``Simulator.poll``,
@@ -16,8 +16,8 @@ is falling behind; the drain time fed to that rule covers the unsent
 backlog as well as in-flight bytes, so a persistent bottleneck surfaces
 as recorded frame drops rather than queue growth.  The server confirms
 every DATA message, waits for stragglers until the frame deadline, then
-processes whatever arrived, mapping missing bitstream bytes to missing
-tensor elements for concealment.
+processes whatever arrived, concealing what the missing bytes carried
+(under strategy ``"none"`` a damaged frame fails).
 
 Lost payload is never retransmitted (concealment covers it), but frame
 existence is made reliable: if no confirmation for a frame has come back
@@ -47,10 +47,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .codec import (CodecError, TargetInfeasibleError, decode, decode_prefix,
-                    encode, encode_to_target, quality_table,
-                    undecoded_plane_mask)
-from .concealment import STRATEGIES, LossMask, conceal, side_channel_means
+from . import codec
+from .codec import TargetInfeasibleError, pack, quality_table, unpack
+from .concealment import STRATEGIES, side_channel_means
 from .model import (CLASS_NAMES, CUT_POINTS, MODEL_NAME, CutPoint, SplitModel,
                     corpus_stats, cut_point)
 from .netsim import Link, LinkConfig, Simulator
@@ -59,10 +58,9 @@ from .protocol import (BandwidthEstimator, Confirmation, FrameAssembler,
                        decode_message, encode_message, frame_deadline_us,
                        gate_shut_until, make_control, may_send, parse_control,
                        should_process_frame)
-from .quantizer import QuantizerSpec, dequantize, quantize
+from .quantizer import QuantizerSpec
 from .strategy import StrategyProfile
 from .tensor import TensorStats, collect_stats
-from .tiling import TiledPlane, channel_tiles, detile, layout_for, tile
 
 __all__ = [
     "LinkScenario",
@@ -72,6 +70,8 @@ __all__ = [
     "measure_profiles",
     "corpus_stats",
 ]
+
+encode = codec.encode   # never called here; a tracer test checks this binding
 
 FRAME_ROW_KEYS = ("frameNumber", "sentBytes", "dropped", "concealedRanges",
                   "latency_us", "agree", "status")
@@ -284,14 +284,11 @@ class _Client:
         if keep:
             cut = self.session.cut.name
             t = self.model.forward_client(self.model.generate_input(k), cut)
-            plane = tile(quantize(t, self.session.spec, self.stats))
-            if self.cfg.target_bytes:
-                try:
-                    bits, _quality = encode_to_target(plane, self.cfg.target_bytes)
-                except TargetInfeasibleError:   # no quality fits the target
-                    keep = False
-            else:
-                bits = encode(plane, self.cfg.quality)
+            try:
+                bits = pack(t, self.session.spec, self.stats, self.cfg.quality,
+                            self.cfg.target_bytes)[0]
+            except TargetInfeasibleError:   # no quality fits the target
+                keep = False
         if not keep:
             rec["dropped"] = True
             rec["status"] = "dropped"
@@ -464,21 +461,13 @@ class _Server:
         asm = self.assemblers.pop(fid)
         data, gaps = asm.payload()
 
-        strategy = self.session.conceal
-        if gaps and strategy == "none":
+        if gaps and self.session.conceal == "none":
             self.failed_frames.add(fid)
             self.sim.log_event("frame_fail", fid, 0, len(gaps))
             return
 
-        plane, mask_plane = self._decode_with_gaps(data, gaps)
-        t_hat = dequantize(detile(plane, self.session.spec), self.stats)
-        if mask_plane.any():
-            elem_mask = channel_tiles(mask_plane, plane.layout)
-            t_final = conceal(t_hat, LossMask(elem_mask), strategy,
-                              stats=self.stats, side=self.side_store.get(fid))
-        else:
-            t_final = t_hat
-
+        t_final = unpack(data, self.session.spec, self.stats, gaps,
+                         self.session.conceal, self.side_store.get(fid))
         scores = self.model.forward_server(t_final, self.session.cut.name)
         order = np.argsort(scores)[::-1][: self.session.top_k]
         body = {
@@ -498,27 +487,6 @@ class _Server:
             self.downlink.send(encode_message(result))
 
         self.sim.after(self.cfg.server_process_us, _reply)
-
-    def _decode_with_gaps(self, data: bytes,
-                          gaps) -> tuple[TiledPlane, np.ndarray]:
-        """Plane plus a boolean mask of plane pixels needing concealment.
-
-        Only the prefix before the first missing byte is trustworthy; all
-        blocks at or beyond it count as undecoded.  When not even the
-        stream header survived, the whole plane is synthesized as missing.
-        """
-        if not gaps:
-            plane = decode(data)
-            layout = plane.layout
-            return plane, np.zeros((layout.plane_h, layout.plane_w), dtype=bool)
-        try:
-            plane, blocks_ok, _total = decode_prefix(data[: gaps[0][0]])
-        except CodecError:
-            cut, levels = self.session.cut, self.session.spec.levels
-            layout = layout_for(cut.height, cut.width, cut.channels)
-            mid = np.full((layout.plane_h, layout.plane_w), levels // 2, dtype=np.uint8)
-            return TiledPlane(mid, layout, levels), np.ones(mid.shape, dtype=bool)
-        return plane, undecoded_plane_mask(plane.layout, blocks_ok)
 
 
 def run_session(config: PipelineConfig,
@@ -679,11 +647,9 @@ def measure_profiles(model: SplitModel) -> list[StrategyProfile]:
         cli_t, enc_t, dec_t, inf_t, sizes = [], [], [], [], []
         for x in inputs:
             t = x if cut is None else timed(cli_t, model.forward_client, x, cut)
-            bits = timed(enc_t, lambda: encode(tile(quantize(t, spec, stats)),
-                                               cfg.quality))
+            bits = timed(enc_t, lambda: pack(t, spec, stats, cfg.quality)[0])
             sizes.append(len(bits))
-            t_hat = timed(dec_t, lambda: dequantize(detile(decode(bits), spec),
-                                                    stats))
+            t_hat = timed(dec_t, unpack, bits, spec, stats)
             timed(inf_t, infer, t_hat)
         profiles.append(StrategyProfile(
             name="server_only" if cut is None else f"split_{cut}",

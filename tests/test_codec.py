@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitstream import (FeatureTensor, QuantizedTensor, QuantizerSpec,
-                         TiledPlane, codec, dequantize, detile, psnr, quantize,
-                         tile)
+from splitstream import (STRATEGIES, FeatureTensor, LossMask,
+                         QuantizedTensor, QuantizerSpec, TiledPlane, codec,
+                         conceal, dequantize, detile, psnr, quantize,
+                         side_channel_means, tile)
 from splitstream.codec import (BASE_TABLE, FTCB_HEADER, BadMagicError,
                                BlockCountError, CodecError,
                                TargetInfeasibleError, TruncatedStreamError,
                                decode, decode_prefix, encode, encode_to_target,
-                               quality_table, rate_fidelity_curve,
-                               undecoded_plane_mask)
+                               pack, quality_table, rate_fidelity_curve,
+                               undecoded_plane_mask, unpack)
+from splitstream.tiling import channel_tiles
 from splitstream.codec import (_MAX_PLANE_PIXELS, _MAX_SYMBOL, _UNZIGZAG,
                                _ZIGZAG, _decoded_plane, _pack, _rounded,
                                _stream_size, _symbols, _transform, _Transformed)
@@ -502,6 +504,75 @@ class TestRateFidelityCurve:
 
         peak(1)  # warm every lazily built table first
         assert peak(8) - peak(2) < 2 ** 20
+
+
+class TestPackUnpack:
+    SPEC = QuantizerSpec(levels=256, clip_width=3.0, mode="aggregate")
+
+    @pytest.fixture()
+    def frame(self, corpus_at):
+        tensors, stats = corpus_at("stage2", 32)
+        t = tensors[0]
+        return t, stats, side_channel_means(t)
+
+    @staticmethod
+    def _fill(t, stats, side, strategy):
+        every = LossMask(np.ones(t.shape, dtype=bool))
+        return conceal(t, every, strategy, stats=stats, side=side).data
+
+    def test_pack_at_a_quality_is_encode(self, frame):
+        t, stats, _side = frame
+        plane = tile(quantize(t, self.SPEC, stats))
+        assert pack(t, self.SPEC, stats, 80) == (encode(plane, 80), 80)
+
+    def test_pack_to_a_target_is_encode_to_target(self, frame):
+        t, stats, _side = frame
+        plane = tile(quantize(t, self.SPEC, stats))
+        want = encode_to_target(plane, 3000)
+        assert pack(t, self.SPEC, stats, 85, target_bytes=3000) == want
+        assert want[1] != 85
+
+    def test_pack_to_an_infeasible_target_raises(self, frame):
+        t, stats, _side = frame
+        with pytest.raises(TargetInfeasibleError):
+            pack(t, self.SPEC, stats, 85, target_bytes=10)
+
+    def test_unpack_without_gaps_is_the_strict_decode(self, frame):
+        t, stats, _side = frame
+        bits, _ = pack(t, self.SPEC, stats, 85)
+        want = dequantize(detile(decode(bits), self.SPEC), stats)
+        assert np.array_equal(unpack(bits, self.SPEC, stats).data, want.data)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_lost_header_conceals_every_element(self, frame, strategy):
+        t, stats, side = frame
+        bits, _ = pack(t, self.SPEC, stats, 85)
+        damaged = bytes(20) + bits[20:]
+        got = unpack(damaged, self.SPEC, stats, [(0, 20)], strategy, side)
+        assert np.array_equal(got.data, self._fill(t, stats, side, strategy))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_gap_conceals_from_its_block_on(self, frame, strategy):
+        t, stats, side = frame
+        bits, _ = pack(t, self.SPEC, stats, 85)
+        start = len(bits) // 2
+        end = start + 700
+        damaged = bits[:start] + bytes(end - start) + bits[end:]
+        got = unpack(damaged, self.SPEC, stats, [(start, end)], strategy,
+                     side).data
+        # the block raster, as tensor elements: blocks before the one the
+        # gap starts in decode as the whole stream does, the rest are filled
+        layout = decode(bits).layout
+        y, x = np.mgrid[0:layout.plane_h, 0:layout.plane_w]
+        block = channel_tiles((y // 8) * -(-layout.plane_w // 8) + x // 8,
+                              layout)
+        done = decode_prefix(bits[:start])[1]
+        before = block < done
+        assert before.any() and not before.all()
+        clean = unpack(bits, self.SPEC, stats).data
+        fill = self._fill(t, stats, side, strategy)
+        assert np.array_equal(got[before], clean[before])
+        assert np.array_equal(got[~before], fill[~before])
 
 
 def _outcome(fn, data: bytes, messages: bool = True):

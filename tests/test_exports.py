@@ -144,3 +144,26 @@ def test_every_function_has_a_caller():
 
 def test_every_import_is_used():
     assert unused_imports(Path(splitstream.__file__).parent) == []
+
+
+# the frame path's stages; only codec.pack and codec.unpack chain them
+FRAME_STAGES = {"quantize", "dequantize", "tile", "detile", "encode",
+                "encode_to_target", "decode", "decode_prefix",
+                "undecoded_plane_mask", "conceal"}
+
+
+def frame_stages_used(tree: ast.Module) -> set[str]:
+    """Frame stages a module calls, as ``f(...)`` or ``module.f(...)``, or
+    imports (to pass on as a callable)."""
+    found = set(_imported(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            found.add(func.id if isinstance(func, ast.Name)
+                      else getattr(func, "attr", None))
+    return found & FRAME_STAGES
+
+
+def test_pipeline_has_no_second_frame_path():
+    path = Path(splitstream.__file__).parent / "pipeline.py"
+    assert frame_stages_used(ast.parse(path.read_text())) == set()

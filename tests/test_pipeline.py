@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cut_tensors
+import splitstream.codec as codec
 import splitstream.model as sm
 import splitstream.pipeline as pl
 from splitstream import (BandwidthEstimator, Link, LinkConfig, MsgType,
@@ -139,7 +140,7 @@ class TestCleanSession:
 class TestByteExactTransport:
     def test_clean_link_delivers_bitstreams_verbatim(self, model, monkeypatch):
         sent, received = [], []
-        real_encode, real_decode = pl.encode, pl.decode
+        real_encode, real_decode = codec.encode, codec.decode
 
         def spy_encode(plane, quality):
             bits = real_encode(plane, quality)
@@ -150,8 +151,8 @@ class TestByteExactTransport:
             received.append(data)
             return real_decode(data)
 
-        monkeypatch.setattr(pl, "encode", spy_encode)
-        monkeypatch.setattr(pl, "decode", spy_decode)
+        monkeypatch.setattr(codec, "encode", spy_encode)
+        monkeypatch.setattr(codec, "decode", spy_decode)
         cfg = PipelineConfig(frames=4, frame_interval_us=150_000, quality=100,
                              link=LinkScenario(bandwidth_bps=1e7,
                                                rtt_us=2_000, seed=1))

@@ -34,6 +34,8 @@ nonzero AC after its run byte.  One rule gives the values coded (``_coded``)
 and one the LEB128 width (``_wide``: a second byte outside -64..63, never a
 third); each entry's offset is a cumulative sum of entry lengths plus the
 END bytes of the blocks before it, and a value takes at most two stores.
+The transform first refuses, with ``CodecError``, a plane whose layout the
+header cannot carry (``_check_header_fields``).
 
 The entropy stage is lossless, so the rate loops (``encode_to_target`` and
 ``rate_fidelity_curve``) never write a stream to weigh a quality and never
@@ -295,6 +297,7 @@ class _Transformed(NamedTuple):
 def _transform(p: TiledPlane) -> _Transformed:
     """Pad, level-shift, DCT and snap; shared by every quality."""
     _check_plane_size(p.layout.plane_w, p.layout.plane_h)
+    _check_header_fields(p.layout)
     blocks = _blocks_of(p.bytes).astype(np.float64) - 128.0
     coefs = _DCT_M @ blocks @ _DCT_M.T
     coefs = np.rint(coefs * _COEF_SNAP) / _COEF_SNAP
@@ -399,6 +402,19 @@ def _check_plane_size(plane_w: int, plane_h: int) -> None:
     if plane_w * plane_h > _MAX_PLANE_PIXELS:
         raise CodecError(
             f"plane {plane_w}x{plane_h} exceeds {_MAX_PLANE_PIXELS} pixels")
+
+
+def _check_header_fields(layout: TileLayout) -> None:
+    """Refuse a layout ``FTCB_HEADER`` cannot carry: two bytes per plane
+    dimension, one per grid count.  The other fields fit whenever these do:
+    a tile is no larger than its plane, and the channel count is at most
+    the grid's 255 * 255 slots."""
+    for name, value, most in (("plane width", layout.plane_w, 0xFFFF),
+                              ("plane height", layout.plane_h, 0xFFFF),
+                              ("grid columns", layout.grid_cols, 0xFF),
+                              ("grid rows", layout.grid_rows, 0xFF)):
+        if value > most:
+            raise CodecError(f"{name} {value} exceeds the FTCB header's {most}")
 
 
 def _parse_header(data: bytes):

@@ -57,7 +57,7 @@ STAGE_CHANNELS = (16, 32, 64)
 CLASS_NAMES = tuple(f"class_{i}" for i in range(10))
 CALIBRATION_IMAGES = 64
 # calibration images per chunk of _channel_moments' float64 buffer
-_CAL_CHUNK = 32
+_CAL_CHUNK = 8
 
 _CAL_ID_BASE = 1 << 40  # calibration image ids, disjoint from corpus ids
 
@@ -219,10 +219,11 @@ class SplitModel:
         self._norm_scale: list[np.ndarray] = []
         self._norm_offset: list[np.ndarray] = []
         self._calibrate()
-        # corpus_stats state: stats by (cut, n_images), and by n_images the
-        # (stage index, cut tensors) of a corpus a deeper cut can continue
+        # corpus_stats state: stats by (cut, n_images), and the one corpus
+        # the last call left for a deeper cut to continue, as
+        # (n_images, stage index, cut tensors)
         self._stats: dict[tuple[str, int], TensorStats] = {}
-        self._held_corpus: dict[int, tuple[int, list[FeatureTensor]]] = {}
+        self._held_corpus: tuple[int, int, list[FeatureTensor]] | None = None
 
     # ------------------------------------------------------------------ inputs
 
@@ -301,15 +302,17 @@ class SplitModel:
         Memory: a stage's inputs are made one image at a time, and each
         image's response replaces the one it was made from, so calibration
         holds one stage's float32 responses (4 MiB at stage 1) plus the
-        ``_channel_moments`` buffer: ``1 + 32 * H * W`` rows of C float64
-        values at stage 1 (4 MiB), whose prefix every later stage reuses.
+        ``_channel_moments`` buffer: ``1 + 8 * H * W`` rows of C float64
+        values at stage 1 (1 MiB), whose prefix every later stage reuses.
         glibc maps a block that large on its own, so the heap stays compact
         while calibration runs; freeing the mapping when calibration ends
         raises glibc's mmap and trim thresholds to its size and twice that,
-        above the size of a frame's conv and codec arrays, so later passes
-        take those from the heap instead of faulting in fresh pages on
-        every call.  A one-image buffer (128 KiB) leaves them low enough
-        for steady passes to fault again.
+        1 and 2 MiB, still above a frame's largest array (a stage-1 conv
+        output, 256 KiB).  Later passes then take a frame's arrays from the
+        heap instead of faulting in fresh pages on every call: a steady
+        bench pass faults 0-8 pages, with one pass of 43 on
+        ``lossy_stream``.  A one-image buffer (128 KiB) leaves the
+        thresholds low enough for every such pass to fault 63k-67k pages.
         """
         first = CUT_POINTS[0]
         flat = np.empty((1 + _CAL_CHUNK * first.height * first.width) * first.channels)
@@ -398,31 +401,35 @@ class SplitModel:
 def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     """Dataset statistics at a cut, shared by client and server.
 
-    The corpus is images ``0..n_images-1`` run to the cut.  A deeper cut
-    continues the corpus the model holds from a shallower cut for the same
-    image count, the same bytes as running each image again.  The model
-    keeps the stats for its lifetime and holds at most one corpus per
-    image count, the deepest built short of the last cut (which nothing
-    could continue); the model's end frees it.
+    The corpus is images ``0..n_images-1`` run to the cut.  The model keeps
+    the stats for its lifetime, but a corpus lives for one call: a call
+    that builds stats short of the last cut holds its corpus, and the next
+    call takes it.  If that call builds a deeper cut over the same image
+    count, it continues the held corpus, the same bytes as running each
+    image again; any other call, a cached one included, drops it before
+    building anything.  So at most one corpus is alive, and none once a
+    caller has made its next call.
 
     Memory: the float32 corpus at the cut, plus a few float64 arrays of one
     tensor's shape in ``collect_stats``.  Continuing a held corpus consumes
     it: each shallower tensor is dropped as soon as its deeper one is made,
     so the two corpora are never alive together.
     """
+    held, model._held_corpus = model._held_corpus, None
     key = (cut, n_images)
-    if key not in model._stats:
-        stage = cut_point(cut).stage_index
-        start, held = model._held_corpus.get(n_images, (0, None))
-        if held is not None and start < stage:
-            del model._held_corpus[n_images]
-            held.reverse()
-            sources = (held.pop() for _ in range(len(held)))
-        else:
-            start, sources = 0, (model.generate_input(i) for i in range(n_images))
-        tensors = [FeatureTensor(model._stages(t.data, start + 1, stage))
-                   for t in sources]
-        model._stats[key] = collect_stats(tensors, label=f"{cut}-{n_images}")
-        if stage < len(CUT_POINTS) and n_images not in model._held_corpus:
-            model._held_corpus[n_images] = (stage, tensors)
+    if key in model._stats:
+        return model._stats[key]
+    stage = cut_point(cut).stage_index
+    if held is not None and held[0] == n_images and held[1] < stage:
+        _, start, shallow = held
+        shallow.reverse()
+        sources = (shallow.pop() for _ in range(len(shallow)))
+    else:
+        start, sources = 0, (model.generate_input(i) for i in range(n_images))
+    held = None     # a corpus this call does not continue is freed here
+    tensors = [FeatureTensor(model._stages(t.data, start + 1, stage))
+               for t in sources]
+    model._stats[key] = collect_stats(tensors, label=f"{cut}-{n_images}")
+    if stage < len(CUT_POINTS):
+        model._held_corpus = (n_images, stage, tensors)
     return model._stats[key]

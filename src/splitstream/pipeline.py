@@ -151,8 +151,8 @@ _LEAST_VALUES = {
 }
 
 # the greatest value of each integer field whose cost grows with its value:
-# a session schedules every frame at MODEL_READY, and corpus_stats holds and
-# stacks its whole corpus
+# a session schedules every frame at MODEL_READY, and corpus_stats builds its
+# whole float32 corpus at the cut before collect_stats reduces it
 _MOST_VALUES = {"frames": 100_000, "stats_images": 1024}
 
 # a failed handshake resends MODEL_SWITCH every retry period until its

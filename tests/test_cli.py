@@ -265,6 +265,25 @@ class TestEncodeDecode:
         assert not bitstream.exists()
 
 
+    @pytest.mark.parametrize("shape, field", [
+        ((1, 1, 70000), "grid columns 265"),
+        ((1, 70000, 1), "plane width 70000"),
+        ((70000, 1, 1), "plane height 70000"),
+    ])
+    def test_layout_past_the_header_is_refused(self, tmp_path, capsys, shape,
+                                               field):
+        src = tmp_path / "t.ftsr"
+        write_tensor(FeatureTensor(np.linspace(-1, 1, math.prod(shape),
+                                               dtype=np.float32).reshape(shape)),
+                     src)
+        bitstream = tmp_path / "t.ftcb"
+        assert main(["encode", "--input", str(src), "--out", str(bitstream)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert field in err
+        assert not bitstream.exists()
+
+
 # numbers a stats file may hold, ordinary and extreme: non-finite, past
 # float32, past float64 (an int JSON writes but no float holds) and subnormal
 _STATS_NUMBERS = st.one_of(

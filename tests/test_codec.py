@@ -13,7 +13,7 @@ from splitstream.codec import (BASE_TABLE, FTCB_HEADER, BadMagicError,
                                decode, decode_prefix, encode, encode_to_target,
                                pack, quality_table, rate_fidelity_curve,
                                undecoded_plane_mask, unpack)
-from splitstream.tiling import channel_tiles
+from splitstream.tiling import TileLayout, channel_tiles
 from splitstream.codec import (_MAX_PLANE_PIXELS, _MAX_SYMBOL, _UNZIGZAG,
                                _ZIGZAG, _decoded_plane, _pack, _rounded,
                                _stream_size, _symbols, _transform, _Transformed)
@@ -199,6 +199,35 @@ class TestEncode:
         full, done, total = decode_prefix(data)
         assert (done, total) == (total, total)
         assert np.array_equal(full.bytes, back.bytes)
+
+
+    @pytest.mark.parametrize("layout, field", [
+        (TileLayout(256, 1, 1, 1, 1), "grid columns 256"),
+        (TileLayout(1, 256, 1, 1, 1), "grid rows 256"),
+        (TileLayout(2, 1, 32768, 1, 1), "plane width 65536"),
+        (TileLayout(1, 2, 1, 32768, 1), "plane height 65536"),
+        (TileLayout(1, 1, 65536, 1, 1), "plane width 65536"),    # a tile too
+        (TileLayout(1, 1, 1, 65536, 1), "plane height 65536"),
+    ])
+    def test_layout_past_the_header_is_refused(self, layout, field):
+        # each field one past what its header bytes hold; the struct used to
+        # raise a bare struct.error while packing
+        plane = TiledPlane(np.zeros((layout.plane_h, layout.plane_w), np.uint8),
+                           layout, 256)
+        for call in (lambda: encode(plane, 50),
+                     lambda: encode_to_target(plane, 1 << 20)):
+            with pytest.raises(CodecError, match=field):
+                call()
+
+    @pytest.mark.parametrize("layout", [
+        TileLayout(255, 1, 1, 1, 1), TileLayout(1, 255, 1, 1, 1),
+        TileLayout(1, 1, 65535, 1, 1), TileLayout(1, 1, 1, 65535, 1)])
+    def test_layout_at_the_header_limits_round_trips(self, layout):
+        plane = TiledPlane(np.full((layout.plane_h, layout.plane_w), 7, np.uint8),
+                           layout, 256)
+        back = decode(encode(plane, 100))
+        assert back.layout == layout
+        assert np.array_equal(back.bytes, plane.bytes)
 
 
 class TestDecodeErrors:

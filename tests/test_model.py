@@ -190,13 +190,10 @@ def test_calibration_norms_match_reference(model, seed):
 
 
 def test_calibration_holds_responses_and_one_chunk_buffer(traced_peak):
-    # a stage's float32 responses plus one float64 buffer of 1 + 32 * H * W
-    # rows at stage 1 (4 + 4 MiB), plus 1 MiB for one image's temporaries
-    stage1 = CUT_POINTS[0]
-    pixels = stage1.height * stage1.width
-    responses = 4 * CALIBRATION_IMAGES * pixels * stage1.channels
-    buffer = 8 * (1 + _CAL_CHUNK * pixels) * stage1.channels
-    assert traced_peak(SplitModel, 3) <= responses + buffer + 2 ** 20
+    # a stage's float32 responses (4 MiB at stage 1), one float64 buffer of
+    # 1 + 8 * H * W rows at stage 1 (1 MiB), and 1 MiB for one image's
+    # temporaries
+    assert traced_peak(SplitModel, 3) <= 6 * 2 ** 20
 
 
 _MOMENT_VALUES = st.one_of(

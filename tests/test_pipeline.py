@@ -833,22 +833,26 @@ class TestCorpusStats:
         assert calls == {"generate": 5, "conv": 3 * 5}
 
     def test_held_corpus_is_keyed_by_model_and_image_count(self, fresh):
+        # another model's call leaves this model's corpus held; another image
+        # count here builds from the inputs and drops it
         corpus_stats(fresh, "stage1", 4)
-        held = fresh._held_corpus[4]
+        held = fresh._held_corpus
+        assert held[:2] == (4, 1) and len(held[2]) == 4
         other = SplitModel(fresh.seed + 1)
         for m, n in ((other, 4), (fresh, 5)):
             got = corpus_stats(m, "stage3", n)
             want = collect_stats(cut_tensors(m, range(n), "stage3"))
             assert np.array_equal(got.per_neuron_mean, want.per_neuron_mean)
-        assert fresh._held_corpus == {4: held}
-        assert other._held_corpus == {}
+            assert fresh._held_corpus is (held if m is other else None)
+        assert len(held[2]) == 4
+        assert other._held_corpus is None
 
     @pytest.mark.parametrize("order", [("stage3",), ("stage1", "stage3"),
                                        ("stage2", "stage1", "stage3")])
     def test_nothing_is_held_after_the_last_cut(self, fresh, order):
         for cut in order:
             corpus_stats(fresh, cut, 4)
-        assert fresh._held_corpus == {}
+        assert fresh._held_corpus is None
 
     def test_continuing_never_holds_both_corpora(self, fresh):
         # each stage1 tensor is dropped once its stage3 tensor is made, so
@@ -863,8 +867,41 @@ class TestCorpusStats:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fresh._held_corpus == {}
+        assert fresh._held_corpus is None
         assert peak - before < stage3_bytes
+
+    def test_a_cached_call_frees_the_held_corpus(self, fresh):
+        # a session's own corpus_stats call is a cached hit after set-up
+        # built the same stats; it must not keep the corpus for the
+        # process's life
+        corpus_bytes = 64 * CUT_POINTS[1].raw_bytes     # 2 MiB of float32
+        tracemalloc.start()
+        try:
+            stats = corpus_stats(fresh, "stage2", 64)
+            held = tracemalloc.get_traced_memory()[0]
+            assert corpus_stats(fresh, "stage2", 64) is stats
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert fresh._held_corpus is None
+        assert held - left >= corpus_bytes
+
+    def test_another_image_count_never_leaves_two_corpora(self, fresh):
+        # the held 64-image stage1 corpus is dropped before the 32-image
+        # stage2 corpus is built, so the build peaks below where it began
+        built_bytes = 32 * CUT_POINTS[1].raw_bytes      # 1 MiB of float32
+        tracemalloc.start()
+        try:
+            corpus_stats(fresh, "stage1", 64)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            corpus_stats(fresh, "stage2", 32)
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fresh._held_corpus[:2] == (32, 2)
+        assert peak - before < built_bytes
+        assert now < before
 
     def test_held_corpus_is_freed_with_its_model(self):
         # built here, not by a fixture, so that nothing else refers to it

@@ -54,7 +54,11 @@ def _float_list(text: str, log: bool = False) -> list[float]:
         span, _, count = text.partition(":")
         lo, hi = (float(x) for x in span.split(".."))
         n = int(count) if count else 5
+        if n < 1:
+            raise CliError(f"range {text!r} needs a count of at least 1, got {n}")
         if log:
+            if not all(math.isfinite(x) and x > 0 for x in (lo, hi)):
+                raise CliError(f"log range {text!r} needs finite positive ends")
             return list(np.logspace(math.log10(lo), math.log10(hi), n))
         return list(np.linspace(lo, hi, n))
     return [float(x) for x in text.split(",")]
@@ -236,6 +240,9 @@ def _cmd_conceal_sweep(args) -> int:
 
 
 def _cmd_latency_regions(args) -> int:
+    if not math.isfinite(args.rtt):
+        raise CliError(f"--rtt must be finite, got {args.rtt}")
+    bandwidths = _float_list(args.bandwidths, log=True)
     if args.profiles:
         data = json.loads(Path(args.profiles).read_text())
         profiles = [StrategyProfile(**p) for p in data["profiles"]]
@@ -244,8 +251,7 @@ def _cmd_latency_regions(args) -> int:
         if args.profiles_out:
             _write_json(args.profiles_out,
                         {"profiles": [asdict(p) for p in profiles]})
-    rows = latency_regions(profiles, _float_list(args.bandwidths, log=True),
-                           rtt_s=args.rtt)
+    rows = latency_regions(profiles, bandwidths, rtt_s=args.rtt)
     _write_csv(args.out, rows)
     print(f"{len(rows)} bandwidth points -> {args.out}")
     return 0

@@ -51,6 +51,11 @@ class LossMask:
         object.__setattr__(self, "missing", arr)
 
 
+def _check_rate(rate: float) -> None:
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"rate must be in [0, 1], got {rate}")
+
+
 def make_mask(shape, kind: str, rate: float, seed: int) -> LossMask:
     """Random loss mask over a tensor shape.
 
@@ -59,8 +64,7 @@ def make_mask(shape, kind: str, rate: float, seed: int) -> LossMask:
     channels, chosen uniformly without replacement.
     """
     h, w, c = shape
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
+    _check_rate(rate)
     if kind == "by_element":
         draws = bulk_uniform(derive(seed, "mask_elem"), h * w * c)
         missing = (draws < rate).reshape(h, w, c)
@@ -134,7 +138,11 @@ def loss_sweep(model, image_ids, cut, kinds, rates, strategies,
 
     Masks are drawn per image from seeds derived off the sweep seed, so a
     given (kind, rate) pair sees identical damage under every strategy.
+    Every rate is checked before any image runs: a mask seed derives from
+    ``int(rate * 1e6)``, which an infinite or NaN rate cannot give.
     """
+    for rate in rates:
+        _check_rate(rate)
     cells = [(kind, float(rate), strategy)
              for kind in kinds for rate in rates for strategy in strategies]
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Xorshift64Star, bulk_uniform, derive
-from .tensor import FeatureTensor, TensorStats, _flat_sum, collect_stats
+from .tensor import (FeatureTensor, PackedCorpus, TensorStats, _flat_sum,
+                     collect_stats)
 
 __all__ = [
     "CutPoint",
@@ -171,9 +172,9 @@ def _channel_moments(raws, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h, w, c = raws[0].shape
     rows, n = h * w, len(raws) * h * w
     if c == 1:
-        flats = [r.reshape(-1) for r in raws]
-        mean = _flat_sum(flats, 0, n) / n
-        return np.array([mean]), np.array([np.sqrt(_flat_sum(flats, 0, n, mean) / n)])
+        read = lambda k: raws[k].reshape(-1)  # noqa: E731
+        mean = _flat_sum(read, rows, 0, n) / n
+        return np.array([mean]), np.array([np.sqrt(_flat_sum(read, rows, 0, n, mean) / n)])
     buf = flat[:(1 + _CAL_CHUNK * rows) * c].reshape(-1, c)
 
     def total(centre):
@@ -410,26 +411,33 @@ def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     building anything.  So at most one corpus is alive, and none once a
     caller has made its next call.
 
-    Memory: the float32 corpus at the cut, plus a few float64 arrays of one
-    tensor's shape in ``collect_stats``.  Continuing a held corpus consumes
-    it: each shallower tensor is dropped as soon as its deeper one is made,
-    so the two corpora are never alive together.
+    Memory: a corpus short of the last cut is ReLU output, about half
+    zeros, so it is held as a ``PackedCorpus`` of its nonzero values and a
+    one-bit mask (8.6 MiB for 256 stage1 tensors, 16 MiB as float32).  The
+    last cut has no ReLU and is never held, so its corpus stays a list of
+    float32 tensors.  ``collect_stats`` adds a few float64 arrays of one
+    tensor's shape.  Continuing a held corpus consumes it: each shallower
+    tensor is dropped as soon as its deeper one is made, so the two
+    corpora are never alive together.
     """
     held, model._held_corpus = model._held_corpus, None
     key = (cut, n_images)
     if key in model._stats:
         return model._stats[key]
-    stage = cut_point(cut).stage_index
+    point = cut_point(cut)
+    stage = point.stage_index
     if held is not None and held[0] == n_images and held[1] < stage:
         _, start, shallow = held
-        shallow.reverse()
-        sources = (shallow.pop() for _ in range(len(shallow)))
+        sources = shallow.drain()
     else:
-        start, sources = 0, (model.generate_input(i) for i in range(n_images))
+        start = 0
+        sources = (model.generate_input(i).data for i in range(n_images))
     held = None     # a corpus this call does not continue is freed here
-    tensors = [FeatureTensor(model._stages(t.data, start + 1, stage))
-               for t in sources]
-    model._stats[key] = collect_stats(tensors, label=f"{cut}-{n_images}")
-    if stage < len(CUT_POINTS):
-        model._held_corpus = (n_images, stage, tensors)
+    last = stage == len(CUT_POINTS)
+    corpus = [] if last else PackedCorpus((point.height, point.width, point.channels))
+    for x in sources:
+        corpus.append(FeatureTensor(model._stages(x, start + 1, stage)))
+    model._stats[key] = collect_stats(corpus, label=f"{cut}-{n_images}")
+    if not last:
+        model._held_corpus = (n_images, stage, corpus)
     return model._stats[key]

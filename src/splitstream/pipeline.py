@@ -151,8 +151,9 @@ _LEAST_VALUES = {
 }
 
 # the greatest value of each integer field whose cost grows with its value:
-# a session schedules every frame at MODEL_READY, and corpus_stats builds its
-# whole float32 corpus at the cut before collect_stats reduces it
+# a session schedules every frame at MODEL_READY, and corpus_stats holds its
+# whole corpus at the cut while collect_stats reduces it (ReLU zeros packed
+# away short of the last cut, all float32 at it)
 _MOST_VALUES = {"frames": 100_000, "stats_images": 1024}
 
 # a failed handshake resends MODEL_SWITCH every retry period until its

@@ -19,6 +19,7 @@ File format (FTSR, little-endian):
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ __all__ = [
     "mse",
     "psnr",
     "collect_stats",
+    "PackedCorpus",
     "read_tensor",
     "write_tensor",
     "FTSR_MAGIC",
@@ -170,15 +172,64 @@ def psnr(a: FeatureTensor, b: FeatureTensor, mask: np.ndarray | None = None) -> 
     return DistortionReport(err, 10.0 * math.log10(rng * rng / err))
 
 
+class PackedCorpus:
+    """Equally shaped float32 tensors held without their zeros.
+
+    Each tensor is kept as a ``np.packbits`` mask of the elements whose
+    float32 bit pattern is nonzero, plus those elements' values in order.
+    The mask is read from the bits, not the values, so a -0.0 is kept as a
+    value with its sign and every tensor expands to the bytes it was
+    packed from.  A ReLU output is about half zeros, so a corpus of them
+    takes about half the bytes of its float32 tensors.
+    """
+
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        self.size = math.prod(self.shape)
+        self._packed: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def append(self, tensor: FeatureTensor) -> None:
+        if tensor.shape != self.shape:
+            raise ValueError(f"sample shape {tensor.shape} does not match {self.shape}")
+        flat = tensor.data.reshape(-1)
+        mask = flat.view(np.uint32) != 0
+        self._packed.append((np.packbits(mask), np.compress(mask, flat)))
+
+    def _expand(self, bits: np.ndarray, values: np.ndarray) -> np.ndarray:
+        # set by positions, not through the boolean mask: on a half-zero
+        # mask numpy's boolean set branches per element and takes about
+        # three times as long (as its boolean get does beside np.compress)
+        mask = np.unpackbits(bits, count=self.size).view(bool)
+        flat = np.zeros(self.size, dtype=np.float32)
+        flat[np.flatnonzero(mask)] = values
+        return flat
+
+    def flat(self, k: int) -> np.ndarray:
+        """Tensor ``k``'s values, flat, expanded afresh."""
+        return self._expand(*self._packed[k])
+
+    def drain(self):
+        """Yield the tensors in order as H x W x C arrays, each dropped from
+        the corpus as it is yielded."""
+        self._packed.reverse()
+        while self._packed:
+            yield self._expand(*self._packed.pop()).reshape(self.shape)
+
+
 # values per leaf of the aggregate sum: a float64 copy of at most this many
 # values is summed at a time
 _LEAF = 8192
 
 
-def _flat_sum(flats, lo: int, hi: int, centre=None):
+def _flat_sum(flat, size: int, lo: int, hi: int, centre=None):
     """Values ``lo..hi-1`` of the corpus read as one flat float64 array,
     summed as ``np.add.reduce`` sums that array (squared deviations from
-    ``centre`` when it is given).
+    ``centre`` when it is given).  ``flat(k)`` gives tensor ``k``'s
+    ``size`` values, flat; leaves are read in order, so a tensor that two
+    leaves share is read by each in turn.
 
     numpy sums a contiguous float64 array pairwise, in one recursion over
     the whole array: a range of more than 128 values is split at
@@ -192,13 +243,13 @@ def _flat_sum(flats, lo: int, hi: int, centre=None):
     n = hi - lo
     if n > _LEAF:
         n2 = n // 2 - (n // 2) % 8
-        return (_flat_sum(flats, lo, lo + n2, centre)
-                + _flat_sum(flats, lo + n2, hi, centre))
+        return (_flat_sum(flat, size, lo, lo + n2, centre)
+                + _flat_sum(flat, size, lo + n2, hi, centre))
     leaf = np.empty(n)
-    k, off = divmod(lo, flats[0].size)
+    k, off = divmod(lo, size)
     at = 0
     while at < n:
-        piece = flats[k][off:off + n - at]
+        piece = flat(k)[off:off + n - at]
         leaf[at:at + piece.size] = piece
         at += piece.size
         k, off = k + 1, 0
@@ -209,7 +260,8 @@ def _flat_sum(flats, lo: int, hi: int, centre=None):
 
 
 def collect_stats(samples, label: str = "") -> TensorStats:
-    """Population per-neuron and aggregate moments over >= 2 tensors.
+    """Population per-neuron and aggregate moments over >= 2 tensors, given
+    as FeatureTensors or as a ``PackedCorpus``.
 
     The moments are the bits ``np.mean`` and ``np.std`` give on a float64
     stack of the corpus, shape ``(N, H, W, C)``, with the ufunc calls they
@@ -227,36 +279,45 @@ def collect_stats(samples, label: str = "") -> TensorStats:
       of an ``(N, 1, 1, 1)`` stack is the pairwise sum of those N
       contiguous values, so the per-neuron moments are the aggregate ones.
 
-    Memory: besides the float32 tensors it is given, this holds three
-    float64 arrays of one tensor's shape and one float64 leaf of at most
-    ``_LEAF`` values, whatever the corpus size.
+    Both forms are read through one accessor that keeps the last tensor
+    read, and each of the four passes reads the tensors in order, so a
+    packed tensor is expanded once per pass.
+
+    Memory: besides the corpus it is given, this holds three float64
+    arrays of one tensor's shape, one float32 tensor and one float64 leaf
+    of at most ``_LEAF`` values, whatever the corpus size.
     """
-    tensors = list(samples)
-    if len(tensors) < 2:
+    if isinstance(samples, PackedCorpus):
+        count, shape, read = len(samples), samples.shape, samples.flat
+    else:
+        tensors = list(samples)
+        count, shape = len(tensors), tensors[0].shape if tensors else None
+        for t in tensors[1:]:
+            if t.shape != shape:
+                raise ValueError(f"sample shape {t.shape} does not match {shape}")
+        read = lambda k: tensors[k].data.reshape(-1)  # noqa: E731
+    if count < 2:
         raise ValueError("need at least 2 samples for stats")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise ValueError(f"sample shape {t.shape} does not match {shape}")
-    count = len(tensors)
-    flats = [t.data.reshape(-1) for t in tensors]
-    values = count * flats[0].size
-    flat_mean = _flat_sum(flats, 0, values) / values
-    aggregate_std = np.sqrt(_flat_sum(flats, 0, values, flat_mean) / values)
-    if flats[0].size == 1:
+    flat = functools.lru_cache(maxsize=1)(read)
+    size = math.prod(shape)
+    values = count * size
+    flat_mean = _flat_sum(flat, size, 0, values) / values
+    aggregate_std = np.sqrt(_flat_sum(flat, size, 0, values, flat_mean) / values)
+    if size == 1:
         per_mean = np.full(shape, flat_mean)
         per_std = np.full(shape, aggregate_std)
     else:
-        per_mean = np.zeros(shape)
-        for t in tensors:
-            np.add(per_mean, t.data, out=per_mean)
+        per_mean = np.zeros(size)
+        for k in range(count):
+            np.add(per_mean, flat(k), out=per_mean)
         np.true_divide(per_mean, count, out=per_mean)
-        per_std, dev = np.zeros(shape), np.empty(shape)
-        for t in tensors:
-            np.subtract(t.data, per_mean, out=dev)
+        per_std, dev = np.zeros(size), np.empty(size)
+        for k in range(count):
+            np.subtract(flat(k), per_mean, out=dev)
             np.multiply(dev, dev, out=dev)
             np.add(per_std, dev, out=per_std)
         np.sqrt(np.true_divide(per_std, count, out=per_std), out=per_std)
+        per_mean, per_std = per_mean.reshape(shape), per_std.reshape(shape)
     return TensorStats(
         per_neuron_mean=per_mean,
         per_neuron_std=per_std,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitstream import (decode, dequantize, detile, encode, pipeline,
+from splitstream import (cli, decode, dequantize, detile, encode, pipeline,
                          quantize, tile)
 from splitstream.cli import main
 from splitstream.pipeline import corpus_stats
@@ -455,6 +455,43 @@ class TestErrors:
         self._expect_error(["conceal-sweep", "--out", str(tmp_path / "c.csv"),
                             "--strategies", "zero,nope"], capsys,
                            "unknown strategy")
+
+    @pytest.mark.parametrize("rates", ["inf", "nan", "-inf", "0.1,inf"])
+    def test_conceal_sweep_refuses_a_rate_out_of_range(self, tmp_path, capsys,
+                                                       rates):
+        out = tmp_path / "c.csv"
+        assert main(["conceal-sweep", "--out", str(out), "--count", "3",
+                     f"--rates={rates}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rate must be in [0, 1]")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--rtt", "nan"], "--rtt"),
+        (["--rtt", "inf"], "--rtt"),
+        (["--rtt=-inf"], "--rtt"),
+        (["--bandwidths", "1e3..inf:5"], "finite positive"),
+        (["--bandwidths", "nan..1e9"], "finite positive"),
+        (["--bandwidths", "0..1e3"], "finite positive"),
+        (["--bandwidths=-1e3..1e3"], "finite positive"),
+        (["--bandwidths", "1e3..1e9:-5"], "at least 1"),
+        (["--bandwidths", "1e3..1e9:0"], "at least 1"),
+    ])
+    def test_latency_regions_refuses_a_bad_grid(self, tmp_path, capsys,
+                                                monkeypatch, flags, needle):
+        def unreachable(*args):
+            raise AssertionError("profiles measured before the flags were checked")
+
+        # refused before any profile is measured or written
+        monkeypatch.setattr(cli, "measure_profiles", unreachable)
+        out, profiles = tmp_path / "r.csv", tmp_path / "p.json"
+        assert main(["latency-regions", "--out", str(out),
+                     "--profiles-out", str(profiles)] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+        assert not out.exists() and not profiles.exists()
 
     def test_bad_shift_syntax(self, tmp_path, capsys):
         self._expect_error(["motion-demo", "--out", str(tmp_path / "m.csv"),

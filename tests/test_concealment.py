@@ -217,6 +217,18 @@ class TestLossSweep:
                 stats)
         assert loss_sweep(*args, seed=9) == loss_sweep(*args, seed=9)
 
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), -0.5, 1.5])
+    def test_every_rate_is_checked_before_any_image_runs(self, rate):
+        # a mask seed derives from int(rate * 1e6), which an infinite or NaN
+        # rate cannot give; a bad last rate is refused before the first runs
+        class NoModel:
+            def sweep(self, *args):
+                raise AssertionError("an image ran before the rates were checked")
+
+        with pytest.raises(ValueError, match=r"rate must be in \[0, 1\]"):
+            loss_sweep(NoModel(), range(2), "stage2", ["by_element"],
+                       [0.1, rate], ["zero"], None, seed=5)
+
     def test_memory_does_not_grow_with_image_count(self, model, corpus_at,
                                                      traced_peak):
         # one image's tensors at a time: fourteen more stage1 images (64 KiB

@@ -771,6 +771,12 @@ class TestNarrowAlphabet:
         assert s["frames_completed"] > 0
 
 
+def _held_bytes(model) -> int:
+    """Bytes of the masks and values of the corpus a model holds."""
+    return sum(bits.nbytes + values.nbytes
+               for bits, values in model._held_corpus[2]._packed)
+
+
 class TestCorpusStats:
     """Corpus stats belong to the model that computed them."""
 
@@ -870,14 +876,22 @@ class TestCorpusStats:
         assert fresh._held_corpus is None
         assert peak - before < stage3_bytes
 
+    def test_a_stage1_corpus_peaks_below_its_float32_bytes(self, fresh,
+                                                             traced_peak):
+        # the held corpus is packed as it is built, about half the 4 MiB of
+        # its float32 tensors, so no moment holds all of those
+        float32_bytes = 64 * CUT_POINTS[0].raw_bytes
+        assert traced_peak(corpus_stats, fresh, "stage1", 64) < float32_bytes
+        assert _held_bytes(fresh) < 0.6 * float32_bytes
+
     def test_a_cached_call_frees_the_held_corpus(self, fresh):
         # a session's own corpus_stats call is a cached hit after set-up
         # built the same stats; it must not keep the corpus for the
         # process's life
-        corpus_bytes = 64 * CUT_POINTS[1].raw_bytes     # 2 MiB of float32
         tracemalloc.start()
         try:
             stats = corpus_stats(fresh, "stage2", 64)
+            corpus_bytes = _held_bytes(fresh)
             held = tracemalloc.get_traced_memory()[0]
             assert corpus_stats(fresh, "stage2", 64) is stats
             left = tracemalloc.get_traced_memory()[0]
@@ -906,10 +920,10 @@ class TestCorpusStats:
     def test_held_corpus_is_freed_with_its_model(self):
         # built here, not by a fixture, so that nothing else refers to it
         model = SplitModel()
-        corpus_bytes = 64 * CUT_POINTS[0].raw_bytes     # 4 MiB of float32
         tracemalloc.start()
         try:
             stats = corpus_stats(model, "stage1", 64)
+            corpus_bytes = _held_bytes(model)
             held = tracemalloc.get_traced_memory()[0]
             del model
             gc.collect()

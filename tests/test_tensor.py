@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from splitstream import (FTSR_HEADER, FTSR_MAGIC, FeatureTensor, TensorStats,
                          collect_stats, mse, psnr, read_tensor, write_tensor)
+from splitstream.tensor import PackedCorpus
 
 
 def _ft(arr):
@@ -235,6 +236,65 @@ class TestStatsMatchReference:
         assert _f64_bytes(s.aggregate_std) == _f64_bytes(agg_std)
         assert s.sample_count == len(tensors) and s.label == "ref"
         assert s.per_neuron_mean.dtype == s.per_neuron_std.dtype == np.float64
+
+
+def _packed(tensors) -> PackedCorpus:
+    corpus = PackedCorpus(tensors[0].shape)
+    for t in tensors:
+        corpus.append(t)
+    return corpus
+
+
+class TestPackedCorpus:
+    @given(_corpora())
+    @example(_mixed(8, (1, 1, 1), 0))
+    @example(_mixed(79, (3, 5, 7), 3))
+    def test_stats_and_tensors_bitwise_equal_to_the_list_form(self, tensors):
+        packed = _packed(tensors)
+        got = collect_stats(packed, label="ref")
+        want = collect_stats(tensors, label="ref")
+        assert got.per_neuron_mean.tobytes() == want.per_neuron_mean.tobytes()
+        assert got.per_neuron_std.tobytes() == want.per_neuron_std.tobytes()
+        assert _f64_bytes(got.aggregate_mean) == _f64_bytes(want.aggregate_mean)
+        assert _f64_bytes(got.aggregate_std) == _f64_bytes(want.aggregate_std)
+        assert (got.sample_count, got.label) == (want.sample_count, want.label)
+        # every tensor, -0.0 included, expands to the bytes it was packed from
+        for k, t in enumerate(tensors):
+            assert packed.flat(k).tobytes() == t.data.tobytes()
+        drained = list(packed.drain())
+        assert len(packed) == 0
+        assert [d.shape for d in drained] == [t.shape for t in tensors]
+        assert [d.tobytes() for d in drained] == [t.data.tobytes() for t in tensors]
+
+    def test_each_pass_expands_each_tensor_once(self, monkeypatch):
+        # the aggregate sum's two leaves per 32x32x16 tensor share one
+        # expansion; the four passes are two sums and two per-neuron loops
+        rng = np.random.default_rng(2)
+        packed = _packed([_ft(np.maximum(rng.standard_normal((32, 32, 16)), 0))
+                          for _ in range(5)])
+        expanded = []
+        flat = PackedCorpus.flat
+        monkeypatch.setattr(PackedCorpus, "flat",
+                            lambda self, k: expanded.append(k) or flat(self, k))
+        collect_stats(packed)
+        assert expanded == [0, 1, 2, 3, 4] * 4
+
+    def test_holds_the_nonzero_values_and_a_bit_mask(self):
+        data = np.zeros((4, 4, 8), dtype=np.float32)
+        data[0, :, :3] = [1.5, -0.0, 2.0]
+        packed = _packed([_ft(data)])
+        (bits, values), = packed._packed
+        assert bits.nbytes == 128 // 8
+        assert values.tobytes() == np.float32([1.5, -0.0, 2.0] * 4).tobytes()
+
+    def test_rejects_a_tensor_of_another_shape(self):
+        packed = PackedCorpus((2, 2, 1))
+        with pytest.raises(ValueError, match="does not match"):
+            packed.append(_ft(np.zeros((2, 1, 2))))
+
+    def test_needs_two_tensors(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            collect_stats(_packed([_ft(np.ones((2, 2, 1)))]))
 
 
 class TestStatsMemory:

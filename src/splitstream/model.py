@@ -27,6 +27,10 @@ is how many degraded frames keep the argmax of their clean run.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +65,13 @@ CALIBRATION_IMAGES = 64
 _CAL_CHUNK = 8
 
 _CAL_ID_BASE = 1 << 40  # calibration image ids, disjoint from corpus ids
+
+# fewest images a sweep gives each chunk.  On a 2-core Xeon VM a forked
+# child adds about 6 ms and two busy processes each run slower than one:
+# split in two, a 2-image stage3 rate_fidelity_curve call went from 10.8 to
+# 12.9 ms and an 8-image one broke even (36.0 -> 35.7 ms), while an 8-image
+# stage1 call went from 144 to 87 ms
+_MIN_CHUNK_IMAGES = 4
 
 
 @dataclass(frozen=True)
@@ -378,25 +389,133 @@ class SplitModel:
         """Clean-argmax agreement over a grid of degradations: the one loop
         every agreement sweep runs.
 
-        Images run one at a time, in id order: the cut tensor, its clean
-        argmax, then ``degrade(image_id, tensor)``, which yields one
-        ``(degraded tensor, measure)`` per grid cell, in the same cell order
-        for every image.  Returns the image count and, per cell, how many
-        degraded tensors kept their clean argmax and the sum of their
-        measures in id order.  The loop holds one image's tensors at a time,
-        whatever the image count.
+        Each image runs alone: the cut tensor, its clean argmax, then
+        ``degrade(image_id, tensor)``, which yields one ``(degraded tensor,
+        measure)`` per grid cell, in the same cell order for every image.
+        Returns the image count and, per cell, how many degraded tensors
+        kept their clean argmax and the sum of their measures in id order.
+        Each process holds one image's tensors at a time, whatever the
+        image count.
+
+        The ids are split into contiguous chunks, one per usable core (see
+        ``_chunks``).  This process runs the first chunk and a forked child
+        runs each other one, images in id order within a chunk; every
+        image's outcome is merged here in id order, so the result is the
+        same bytes as a one-core run.  ``degrade`` runs in the child that
+        owns its image, so it must not rely on side effects, and its
+        measures must pickle.  If images raise, the sweep raises what the
+        earliest of them in id order raised, and no child outlives the call.
         """
+        ids = list(image_ids)
+        chunks = _chunks(ids, _usable_cores())
         count, hits, totals = 0, {}, {}
-        for image_id in image_ids:
-            tensor = self.forward_client(self.generate_input(image_id), cut)
-            clean = self.argmax(tensor, cut)
-            for k, (degraded, measure) in enumerate(degrade(image_id, tensor)):
-                hits[k] = hits.get(k, 0) + (self.argmax(degraded, cut) == clean)
-                totals[k] = totals.get(k, 0) + measure
-            count += 1
+        children = []
+        try:
+            for chunk in chunks[1:]:
+                children.append(self._fork(chunk, cut, degrade))
+            parts = [self._outcomes(chunks[0], cut, degrade)]
+            parts += [self._received(child, cut, degrade) for child in children]
+            for part in parts:
+                for outcome in part:
+                    for k, (kept, measure) in enumerate(outcome):
+                        hits[k] = hits.get(k, 0) + kept
+                        totals[k] = totals.get(k, 0) + measure
+                    count += 1
+        finally:
+            for process, receiver, _ in children:
+                process.terminate()
+                process.join()
+                receiver.close()
         if not count:
             raise ValueError("empty corpus")
         return count, list(zip(hits.values(), totals.values()))
+
+    def _outcomes(self, image_ids, cut: str, degrade):
+        """Per image, in order: ``(kept its clean argmax, measure)`` for each
+        grid cell."""
+        for image_id in image_ids:
+            tensor = self.forward_client(self.generate_input(image_id), cut)
+            clean = self.argmax(tensor, cut)
+            yield [(self.argmax(degraded, cut) == clean, measure)
+                   for degraded, measure in degrade(image_id, tensor)]
+
+    def _fork(self, chunk: list, cut: str, degrade) -> tuple:
+        """(process, receiving end, chunk) of a child started on a chunk.
+        ``fork`` hands it the model and ``degrade`` without pickling them."""
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        process = ctx.Process(target=self._run_chunk, daemon=True,
+                              args=(chunk, cut, degrade, sender))
+        process.start()
+        sender.close()
+        return process, receiver, chunk
+
+    def _run_chunk(self, chunk: list, cut: str, degrade, sender) -> None:
+        """A child's work: the outcomes of its chunk up to the first image
+        that raises, sent back with that image's exception, or with None if
+        the exception does not survive pickling."""
+        # an interrupt reaches the whole process group; the parent handles
+        # it and ends its children
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        done, error = [], None
+        try:
+            for outcome in self._outcomes(chunk, cut, degrade):
+                done.append(outcome)
+        except Exception as exc:
+            error = exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                error = None
+        sender.send((done, error))
+
+    def _received(self, child: tuple, cut: str, degrade):
+        """A child's outcomes, then the exception its chunk raised, if any."""
+        process, receiver, chunk = child
+        try:
+            done, error = receiver.recv()
+        except EOFError:
+            process.join()
+            raise RuntimeError(f"sweep child exited with code {process.exitcode}"
+                               " before it reported") from None
+        yield from done
+        if len(done) == len(chunk):
+            return
+        if error is not None:
+            raise error
+        # an exception that does not pickle is raised by running its image here
+        failed = chunk[len(done)]
+        for _ in self._outcomes([failed], cut, degrade):
+            pass
+        raise RuntimeError(f"image {failed} raised in a sweep child but not here")
+
+
+def _usable_cores() -> int:
+    """Cores a sweep may fan out over: those this process may run on, or 1
+    where it cannot start a child by ``fork`` safely.  That is where there
+    is no ``fork``, in a daemonic multiprocessing worker, which may start
+    no child, and while other threads run: a child gets only the calling
+    thread, so a lock another thread holds would stay locked in it."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    if cores > 1:
+        import multiprocessing  # only a sweep that may fan out loads it
+
+        if multiprocessing.current_process().daemon:
+            return 1
+    return cores
+
+
+def _chunks(ids: list, cores: int) -> list[list]:
+    """Contiguous chunks of ``ids``: one per core, but no more than give
+    each chunk ``_MIN_CHUNK_IMAGES``, and at least one."""
+    n = max(1, min(cores, len(ids) // _MIN_CHUNK_IMAGES))
+    bounds = [len(ids) * k // n for k in range(n + 1)]
+    return [ids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:

@@ -52,11 +52,10 @@ class StrategyProfile:
             or self.server_decode_s or self.server_infer_s
         ):
             raise ValueError("client_only carries no payload or server costs")
-        if min(
-            self.client_infer_s, self.client_encode_s,
-            self.server_decode_s, self.server_infer_s, self.payload_bytes,
-        ) < 0:
-            raise ValueError("costs must be non-negative")
+        costs = (self.client_infer_s, self.client_encode_s,
+                 self.server_decode_s, self.server_infer_s, self.payload_bytes)
+        if not all(math.isfinite(c) and c >= 0 for c in costs):
+            raise ValueError(f"costs must be finite and non-negative, got {costs}")
 
     @property
     def fixed_cost_s(self) -> float:
@@ -73,8 +72,11 @@ class NetworkConditions:
     rtt_s: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth_bps < 0 or self.rtt_s < 0:
-            raise ValueError("network conditions must be non-negative")
+        # an infinite bandwidth is allowed: b is the latency it gives
+        if not (self.bandwidth_bps >= 0 and 0 <= self.rtt_s < math.inf):
+            raise ValueError("network conditions must be non-negative, with a"
+                             f" finite RTT; got bandwidth {self.bandwidth_bps},"
+                             f" RTT {self.rtt_s}")
 
 
 def _intercept(profile: StrategyProfile, rtt_s: float) -> float:

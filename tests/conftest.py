@@ -1,5 +1,6 @@
 """Shared fixtures: one calibrated model per session, memoized corpora."""
 
+import os
 import tracemalloc
 
 import pytest
@@ -31,6 +32,18 @@ def cut_tensors(model, image_ids, cut: str) -> list:
 def model():
     """Default-seed model; calibration is expensive, build it once."""
     return SplitModel()
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets how many cores the process may use, as ``SplitModel.sweep``
+    sees them, so a test can pin a sweep to one process or fan it out."""
+
+    def pin(n: int):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+
+    return pin
 
 
 @pytest.fixture(scope="session")

@@ -147,6 +147,24 @@ class TestLatencyRegions:
             b"0.0,split_stage2,inf\r\n"
             b"1000000.0,split_stage2,0.16999999999999998\r\n")
 
+    @pytest.mark.parametrize("bandwidths, field", [
+        ("nan,1e6", None),                   # a NaN bandwidth point
+        ("1e3,1e6", "client_infer_s"),       # a NaN cost, which won every row
+        ("1e3,1e6", "payload_bytes"),
+    ])
+    def test_nan_is_refused(self, tmp_path, capsys, bandwidths, field):
+        data = json.loads(json.dumps(self.PROFILES))
+        if field:
+            data["profiles"][1][field] = float("nan")
+        prof = tmp_path / "profiles.json"
+        prof.write_text(json.dumps(data))
+        out = tmp_path / "regions.csv"
+        assert main(["latency-regions", "--out", str(out),
+                     "--profiles", str(prof), "--bandwidths", bandwidths]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nan" in err and not out.exists()
+
 
 class TestSimulate:
     def test_session_report_written(self, tmp_path, capsys):

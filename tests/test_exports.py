@@ -167,3 +167,31 @@ def frame_stages_used(tree: ast.Module) -> set[str]:
 def test_pipeline_has_no_second_frame_path():
     path = Path(splitstream.__file__).parent / "pipeline.py"
     assert frame_stages_used(ast.parse(path.read_text())) == set()
+
+
+# modules that start processes; the package forks in one place only
+FORKING_MODULES = {"multiprocessing", "concurrent"}
+
+
+def forks(tree: ast.Module) -> bool:
+    """Whether a module imports a process-starting module or calls a
+    ``fork``, as ``os.fork(...)`` or a bare ``fork(...)``."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Call) and "fork" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            return True
+    return any(m.split(".")[0] in FORKING_MODULES for m in imported)
+
+
+def test_only_the_model_forks():
+    # SplitModel.sweep is the one fan-out site
+    trees, _ = _package(Path(splitstream.__file__).parent)
+    assert sorted(m for m, t in trees.items() if forks(t)) == ["model"]
+    assert forks(ast.parse("import os\nos.fork()"))
+    assert forks(ast.parse("from concurrent.futures import ProcessPoolExecutor"))
+    assert not forks(ast.parse("import os\nos.getpid()"))

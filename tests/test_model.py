@@ -1,4 +1,7 @@
 import hashlib
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from splitstream import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER,
                          rate_fidelity_curve, sweep)
 from splitstream import model as model_module
 from splitstream.model import (_CAL_CHUNK, _CAL_ID_BASE, CALIBRATION_IMAGES,
-                               STAGE_CHANNELS, _channel_moments, _conv3x3)
+                               STAGE_CHANNELS, _channel_moments, _chunks,
+                               _conv3x3)
 
 
 def test_class_names_and_border():
@@ -115,7 +119,9 @@ def test_zero_tensor_scores_are_head_bias(model):
     assert np.allclose(scores, bias, atol=1e-9)
 
 
-def test_agreement_identity_and_zeroing(model):
+def test_agreement_identity_and_zeroing(model, cores):
+    # one core, so that every image runs in this process and ``seen`` sees it
+    cores(1)
     ids = range(12)
     clean = [model.argmax(t, "stage2") for t in cut_tensors(model, ids, "stage2")]
     zero_scores = model.forward_server(
@@ -151,6 +157,127 @@ def test_agreement_empty_corpus(model):
         loss_sweep(model, [], "stage2", ["by_element"], [0.1], ["zero"], None, 0)
     with pytest.raises(ValueError, match="empty corpus"):
         rate_fidelity_curve(model, [], "stage2", [50], None)
+
+
+def test_chunks_are_contiguous_and_worth_a_child():
+    ids = list(range(10, 19))
+    assert _chunks(ids, 1) == [ids]
+    assert _chunks(ids, 2) == [ids[:4], ids[4:]]
+    # no chunk gets fewer than _MIN_CHUNK_IMAGES images, so 9 images make
+    # two chunks on any number of cores, and 7 make one
+    assert _chunks(ids, 8) == _chunks(ids, 2)
+    assert _chunks(ids[:7], 2) == [ids[:7]]
+    assert _chunks([], 2) == [[]]
+
+
+def test_sweep_runs_later_chunks_in_children(model, cores):
+    parent = os.getpid()
+
+    def degrade(image_id, t):
+        yield t, os.getpid() != parent
+
+    cores(2)
+    count, cells = model.sweep(range(8), "stage3", degrade)
+    assert (count, cells) == (8, [(8, 4)])
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_rows_equal_one_core(model, corpus_at, cores):
+    # every row of every sweep, float mse sums included, is the same value
+    # whether later chunks run in children or all images run here
+    _, stats = corpus_at("stage1", 8)
+    ids = range(100, 110)
+    calls = [
+        lambda: rate_fidelity_curve(model, ids, "stage1", [5, 50, 95], stats),
+        lambda: sweep(model, ids, "stage1", [4, 16], [2.0, 3.0], stats),
+        lambda: loss_sweep(model, ids, "stage1", ["by_element"], [0.3],
+                           ["zero", "dataset_mean"], stats, 4),
+    ]
+    for call in calls:
+        cores(1)
+        one = call()
+        cores(2)
+        assert call() == one
+    assert multiprocessing.active_children() == []
+
+
+class UnpicklableError(Exception):
+    # pickle rebuilds an exception from its message alone, which this
+    # __init__ does not take
+    def __init__(self, image_id, reason):
+        super().__init__(f"image {image_id}: {reason}")
+
+
+def failing_on(bad, error=ValueError):
+    def degrade(image_id, t):
+        if image_id in bad:
+            raise error(image_id, "bad image")
+        yield t, 1.0
+
+    return degrade
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({6}, ValueError),            # in the child's chunk only
+    ({5, 7}, ValueError),         # twice in the child's chunk
+    ({2, 6}, ValueError),         # in both chunks: this process's comes first
+    ({6}, UnpicklableError),      # the image runs again here to raise it
+])
+def test_fan_out_raises_what_one_core_raises(model, cores, bad, error):
+    raised = []
+    for n in (1, 2):
+        cores(n)
+        with pytest.raises(error) as info:
+            model.sweep(range(8), "stage3", failing_on(bad, error))
+        raised.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert raised[0] == raised[1]
+
+
+def test_a_daemonic_worker_sweeps_in_one_process(model, cores):
+    # a daemonic multiprocessing worker may not start children of its own
+    cores(2)
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    worker = ctx.Process(daemon=True, target=lambda: sender.send(
+        model.sweep(range(8), "stage3", failing_on(set()))))
+    worker.start()
+    sender.close()  # so a worker that fails ends the wait with EOFError
+    assert receiver.poll(60) and receiver.recv() == (8, [(8, 8.0)])
+    worker.join(60)
+    assert worker.exitcode == 0
+
+
+def test_a_threaded_process_sweeps_in_one_process(model, cores):
+    # a forked child gets only the calling thread, so with another thread
+    # running every image runs here
+    cores(2)
+    parent, release = os.getpid(), threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    other.start()
+    try:
+        count, cells = model.sweep(
+            range(8), "stage3", lambda i, t: iter([(t, os.getpid() != parent)]))
+    finally:
+        release.set()
+        other.join(60)
+    assert (count, cells) == (8, [(8, 0)])
+
+
+def test_no_child_outlives_an_interrupt_or_a_dead_child(model, cores):
+    cores(2)
+    with pytest.raises(KeyboardInterrupt):
+        model.sweep(range(8), "stage3", failing_on({1}, KeyboardInterrupt))
+    assert multiprocessing.active_children() == []
+
+    def dies(image_id, t):
+        if image_id == 6:
+            os._exit(3)
+        yield t, 0
+
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        model.sweep(range(8), "stage3", dies)
+    assert multiprocessing.active_children() == []
 
 
 def test_calibration_convolves_each_image_once_per_stage(monkeypatch):

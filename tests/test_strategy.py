@@ -34,6 +34,15 @@ class TestProfile:
         with pytest.raises(ValueError, match="non-negative"):
             StrategyProfile(name="x", kind="split", client_infer_s=-0.1)
 
+    @pytest.mark.parametrize("field", ["client_infer_s", "client_encode_s",
+                                       "server_decode_s", "server_infer_s",
+                                       "payload_bytes"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_costs_finite(self, field, value):
+        # a NaN cost would win every comparison it loses
+        with pytest.raises(ValueError, match="finite"):
+            StrategyProfile(name="x", kind="split", **{field: value})
+
     def test_fixed_cost_sums_components(self):
         assert SPLIT.fixed_cost_s == pytest.approx(0.12)
 
@@ -43,6 +52,16 @@ class TestProfile:
         with pytest.raises(ValueError):
             NetworkConditions(bandwidth_bps=1.0, rtt_s=-0.1)
         assert NetworkConditions(bandwidth_bps=0.0).bandwidth_bps == 0.0
+
+    @pytest.mark.parametrize("bw, rtt", [(math.nan, 0.0), (1.0, math.nan),
+                                         (1.0, math.inf), (-math.inf, 0.0)])
+    def test_network_conditions_refuse_nan_and_infinite_rtt(self, bw, rtt):
+        with pytest.raises(ValueError, match="non-negative"):
+            NetworkConditions(bandwidth_bps=bw, rtt_s=rtt)
+
+    def test_infinite_bandwidth_leaves_the_intercept(self):
+        net = NetworkConditions(bandwidth_bps=math.inf, rtt_s=0.01)
+        assert total_latency(SPLIT, net) == SPLIT.fixed_cost_s + 0.01
 
 
 class TestTotalLatency:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -66,11 +67,12 @@ _CAL_CHUNK = 8
 
 _CAL_ID_BASE = 1 << 40  # calibration image ids, disjoint from corpus ids
 
-# fewest images a sweep gives each chunk.  On a 2-core Xeon VM a forked
-# child adds about 6 ms and two busy processes each run slower than one:
-# split in two, a 2-image stage3 rate_fidelity_curve call went from 10.8 to
-# 12.9 ms and an 8-image one broke even (36.0 -> 35.7 ms), while an 8-image
-# stage1 call went from 144 to 87 ms
+# fewest images a fan-out gives each chunk.  On a 2-core Xeon VM a child
+# started by os.fork costs 1-2 ms and two busy processes each run slower
+# than one: split in two, a 7-quality stage3 rate_fidelity_curve call went
+# from 9.4 to 13.0 ms on 2 images, broke even on 6 (26.8 -> 27.2 ms) and
+# gained on 8 (33.7 -> 30.2 ms), while an 8-image stage1 call went from 144
+# to 88 ms
 _MIN_CHUNK_IMAGES = 4
 
 
@@ -311,6 +313,12 @@ class SplitModel:
         earlier ones, normalized from the responses just measured, so each
         stage convolves each image once.
 
+        Each stage fans its images out over the usable cores (see
+        ``_fan_out``): a forked child inherits the previous stage's
+        responses and norms, and this process receives each image's
+        response in id order, so the norms are the same bits as a one-core
+        run's.
+
         Memory: a stage's inputs are made one image at a time, and each
         image's response replaces the one it was made from, so calibration
         holds one stage's float32 responses (4 MiB at stage 1) plus the
@@ -325,15 +333,20 @@ class SplitModel:
         bench pass faults 0-8 pages, with one pass of 43 on
         ``lossy_stream``.  A one-image buffer (128 KiB) leaves the
         thresholds low enough for every such pass to fault 63k-67k pages.
+        A forked child holds its chunk's responses until it sends them,
+        and this process receives them one image at a time, each into the
+        slot of the response it replaces.
         """
         first = CUT_POINTS[0]
         flat = np.empty((1 + _CAL_CHUNK * first.height * first.width) * first.channels)
         raws = [None] * CALIBRATION_IMAGES
         for stage in range(1, len(STAGE_CHANNELS) + 1):
-            for i in range(CALIBRATION_IMAGES):
+            def response(i, stage=stage):
                 x = (self._normalize(raws[i], stage - 1) if stage > 1
                      else self.generate_input(_CAL_ID_BASE + i).data)
-                raws[i] = self._stage_raw(x, stage)
+                return self._stage_raw(x, stage)
+
+            _fan_out(range(CALIBRATION_IMAGES), response, raws.__setitem__)
             mean_c, std_c = _channel_moments(raws, flat)
             std_c = np.maximum(std_c, 1e-6)
             self._norm_scale.append((1.0 / std_c).astype(np.float32))
@@ -394,120 +407,172 @@ class SplitModel:
         measure)`` per grid cell, in the same cell order for every image.
         Returns the image count and, per cell, how many degraded tensors
         kept their clean argmax and the sum of their measures in id order.
-        Each process holds one image's tensors at a time, whatever the
-        image count.
+        Each process holds one image's tensors at a time, whatever the image
+        count.
 
-        The ids are split into contiguous chunks, one per usable core (see
-        ``_chunks``).  This process runs the first chunk and a forked child
-        runs each other one, images in id order within a chunk; every
+        The images fan out over the usable cores (see ``_fan_out``).  Every
         image's outcome is merged here in id order, so the result is the
-        same bytes as a one-core run.  ``degrade`` runs in the child that
-        owns its image, so it must not rely on side effects, and its
-        measures must pickle.  If images raise, the sweep raises what the
-        earliest of them in id order raised, and no child outlives the call.
+        same bytes as a one-core run.
+        ``degrade`` runs in the process that owns its image, so it must not
+        rely on side effects, and its measures must pickle.
         """
-        ids = list(image_ids)
-        chunks = _chunks(ids, _usable_cores())
         count, hits, totals = 0, {}, {}
-        children = []
-        try:
-            for chunk in chunks[1:]:
-                children.append(self._fork(chunk, cut, degrade))
-            parts = [self._outcomes(chunks[0], cut, degrade)]
-            parts += [self._received(child, cut, degrade) for child in children]
-            for part in parts:
-                for outcome in part:
-                    for k, (kept, measure) in enumerate(outcome):
-                        hits[k] = hits.get(k, 0) + kept
-                        totals[k] = totals.get(k, 0) + measure
-                    count += 1
-        finally:
-            for process, receiver, _ in children:
-                process.terminate()
-                process.join()
-                receiver.close()
+
+        def outcome(image_id):
+            tensor = self.forward_client(self.generate_input(image_id), cut)
+            clean = self.argmax(tensor, cut)
+            return [(self.argmax(degraded, cut) == clean, measure)
+                    for degraded, measure in degrade(image_id, tensor)]
+
+        def merge(_image_id, kept_measures):
+            nonlocal count
+            for k, (kept, measure) in enumerate(kept_measures):
+                hits[k] = hits.get(k, 0) + kept
+                totals[k] = totals.get(k, 0) + measure
+            count += 1
+
+        _fan_out(image_ids, outcome, merge)
         if not count:
             raise ValueError("empty corpus")
         return count, list(zip(hits.values(), totals.values()))
 
-    def _outcomes(self, image_ids, cut: str, degrade):
-        """Per image, in order: ``(kept its clean argmax, measure)`` for each
-        grid cell."""
-        for image_id in image_ids:
-            tensor = self.forward_client(self.generate_input(image_id), cut)
-            clean = self.argmax(tensor, cut)
-            yield [(self.argmax(degraded, cut) == clean, measure)
-                   for degraded, measure in degrade(image_id, tensor)]
 
-    def _fork(self, chunk: list, cut: str, degrade) -> tuple:
-        """(process, receiving end, chunk) of a child started on a chunk.
-        ``fork`` hands it the model and ``degrade`` without pickling them."""
-        import multiprocessing
+def _fan_out(ids, run, receive, forked=None) -> None:
+    """``receive(i, run(i))`` for each id, in id order, with the ids run
+    over the usable cores: the package's one fan-out.
 
-        ctx = multiprocessing.get_context("fork")
-        receiver, sender = ctx.Pipe(duplex=False)
-        process = ctx.Process(target=self._run_chunk, daemon=True,
-                              args=(chunk, cut, degrade, sender))
-        process.start()
-        sender.close()
-        return process, receiver, chunk
+    The ids are split into contiguous chunks (see ``_chunks``).  A child
+    started by ``os.fork`` runs each chunk after the first, so it inherits
+    ``run`` and all it reads without pickling them; ``forked(ids)``, if
+    given, is then called here with the ids the children run.  This
+    process runs the first chunk itself, receiving each result as it is
+    made.  A child runs its whole chunk before it writes each result,
+    pickled, down a pipe, so it never waits on a full pipe while this
+    process works, and this process reads one image's result at a time.
+    Where a child cannot be started (``os.fork`` or ``os.pipe`` raises
+    ``OSError``, say at the process limit), this process runs that chunk
+    and every later one itself, after the children's.
 
-    def _run_chunk(self, chunk: list, cut: str, degrade, sender) -> None:
-        """A child's work: the outcomes of its chunk up to the first image
-        that raises, sent back with that image's exception, or with None if
-        the exception does not survive pickling."""
-        # an interrupt reaches the whole process group; the parent handles
-        # it and ends its children
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        done, error = [], None
-        try:
-            for outcome in self._outcomes(chunk, cut, degrade):
-                done.append(outcome)
-        except Exception as exc:
-            error = exc
+    If images raise, this raises what the earliest of them in id order
+    raised; an exception that does not pickle is raised by running its
+    image again here.  No child outlives the call.
+    """
+    ids = list(ids)
+    chunks = _chunks(ids, _usable_cores())
+    children, reaped = [], set()
+    try:
+        for chunk in chunks[1:]:
             try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                error = None
-        sender.send((done, error))
+                children.append(_fork(chunk, run))
+            except OSError:
+                break
+        rest = [i for chunk in chunks[1 + len(children):] for i in chunk]
+        if forked is not None:
+            forked([i for _, _, chunk in children for i in chunk])
+        for i in chunks[0]:
+            receive(i, run(i))
+        for child in children:
+            _received(child, run, receive, reaped)
+        for i in rest:
+            receive(i, run(i))
+    finally:
+        for pid, reader, _ in children:
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            reader.close()
 
-    def _received(self, child: tuple, cut: str, degrade):
-        """A child's outcomes, then the exception its chunk raised, if any."""
-        process, receiver, chunk = child
+
+def _fork(chunk: list, run) -> tuple:
+    """(pid, reading end, chunk) of a child started on a chunk."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
         try:
-            done, error = receiver.recv()
-        except EOFError:
-            process.join()
-            raise RuntimeError(f"sweep child exited with code {process.exitcode}"
-                               " before it reported") from None
-        yield from done
-        if len(done) == len(chunk):
-            return
-        if error is not None:
-            raise error
-        # an exception that does not pickle is raised by running its image here
-        failed = chunk[len(done)]
-        for _ in self._outcomes([failed], cut, degrade):
-            pass
-        raise RuntimeError(f"image {failed} raised in a sweep child but not here")
+            # an interrupt reaches the whole process group; the parent
+            # handles it and ends its children
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                _run_chunk(chunk, run, out)
+            code = 0
+        finally:
+            os._exit(code)  # never back into the caller's frames
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb"), chunk
+
+
+def _run_chunk(chunk: list, run, out) -> None:
+    """A child's work: the results of its chunk up to the first image that
+    raises, then their count, each result and that image's exception, or
+    None if the exception does not survive pickling, each pickled."""
+    done, error = [], None
+    try:
+        for i in chunk:
+            done.append(run(i))
+    except BaseException as exc:
+        error = exc
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            error = None
+    pickle.dump(len(done), out)
+    for result in done:
+        pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+    if len(done) < len(chunk):
+        pickle.dump(error, out, pickle.HIGHEST_PROTOCOL)
+
+
+def _received(child: tuple, run, receive, reaped: set) -> None:
+    """Hands ``receive`` a child's results in id order, then raises the
+    exception its chunk raised, if any."""
+    pid, reader, chunk = child
+
+    def load():
+        try:
+            return pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
+            _, status = os.waitpid(pid, 0)
+            reaped.add(pid)
+            raise RuntimeError(
+                f"a forked child exited with code {os.waitstatus_to_exitcode(status)}"
+                " before it reported") from None
+
+    done = load()
+    for i in chunk[:done]:
+        receive(i, load())
+    if done == len(chunk):
+        return
+    error = load()
+    if error is not None:
+        raise error
+    # an exception that does not pickle is raised by running its image here
+    failed = chunk[done]
+    run(failed)
+    raise RuntimeError(f"image {failed} raised in a forked child but not here")
 
 
 def _usable_cores() -> int:
-    """Cores a sweep may fan out over: those this process may run on, or 1
-    where it cannot start a child by ``fork`` safely.  That is where there
-    is no ``fork``, in a daemonic multiprocessing worker, which may start
-    no child, and while other threads run: a child gets only the calling
-    thread, so a lock another thread holds would stay locked in it."""
+    """Cores a fan-out may use: those this process may run on, or 1 where
+    it cannot start a child by ``fork`` safely.  That is where there is no
+    ``fork``, in a daemonic ``multiprocessing`` worker, which may start no
+    child (told from ``sys.modules``, so the package never loads
+    ``multiprocessing`` itself), and while other threads run: a child gets
+    only the calling thread, so a lock another thread holds would stay
+    locked in it."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1):
         return 1
-    cores = len(os.sched_getaffinity(0))
-    if cores > 1:
-        import multiprocessing  # only a sweep that may fan out loads it
-
-        if multiprocessing.current_process().daemon:
-            return 1
-    return cores
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _chunks(ids: list, cores: int) -> list[list]:
@@ -538,6 +603,15 @@ def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     tensor's shape.  Continuing a held corpus consumes it: each shallower
     tensor is dropped as soon as its deeper one is made, so the two
     corpora are never alive together.
+
+    The images fan out over the usable cores (see ``_fan_out``).  A call
+    that continues a held corpus forks first: each child reads its chunk
+    of the held corpus, which it inherits, and this process then drops
+    the children's shallower tensors at once, so it never holds both
+    tensors of one image.  A child holds its chunk's cut tensors until it
+    sends them, and this process receives them one image at a time and
+    appends each to its corpus in id order, so the stats are the same
+    bytes as a one-core run's.
     """
     held, model._held_corpus = model._held_corpus, None
     key = (cut, n_images)
@@ -547,15 +621,15 @@ def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     stage = point.stage_index
     if held is not None and held[0] == n_images and held[1] < stage:
         _, start, shallow = held
-        sources = shallow.drain()
+        source, forked = shallow.take, shallow.drop
     else:
-        start = 0
-        sources = (model.generate_input(i).data for i in range(n_images))
+        start, forked = 0, None
+        source = lambda i: model.generate_input(i).data  # noqa: E731
     held = None     # a corpus this call does not continue is freed here
     last = stage == len(CUT_POINTS)
     corpus = [] if last else PackedCorpus((point.height, point.width, point.channels))
-    for x in sources:
-        corpus.append(FeatureTensor(model._stages(x, start + 1, stage)))
+    _fan_out(range(n_images), lambda i: model._stages(source(i), start + 1, stage),
+             lambda _i, y: corpus.append(FeatureTensor(y)), forked)
     model._stats[key] = collect_stats(corpus, label=f"{cut}-{n_images}")
     if not last:
         model._held_corpus = (n_images, stage, corpus)

@@ -211,12 +211,16 @@ class PackedCorpus:
         """Tensor ``k``'s values, flat, expanded afresh."""
         return self._expand(*self._packed[k])
 
-    def drain(self):
-        """Yield the tensors in order as H x W x C arrays, each dropped from
-        the corpus as it is yielded."""
-        self._packed.reverse()
-        while self._packed:
-            yield self._expand(*self._packed.pop()).reshape(self.shape)
+    def take(self, k: int) -> np.ndarray:
+        """Tensor ``k`` as an H x W x C array, dropped from the corpus."""
+        bits, values = self._packed[k]
+        self._packed[k] = None
+        return self._expand(bits, values).reshape(self.shape)
+
+    def drop(self, ks) -> None:
+        """Drop tensors ``ks``; the others keep their indices."""
+        for k in ks:
+            self._packed[k] = None
 
 
 # values per leaf of the aggregate sum: a float64 copy of at most this many

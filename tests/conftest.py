@@ -28,6 +28,12 @@ def cut_tensors(model, image_ids, cut: str) -> list:
     return [model.forward_client(model.generate_input(i), cut) for i in image_ids]
 
 
+def no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="session")
 def model():
     """Default-seed model; calibration is expensive, build it once."""
@@ -36,8 +42,9 @@ def model():
 
 @pytest.fixture
 def cores(monkeypatch):
-    """Sets how many cores the process may use, as ``SplitModel.sweep``
-    sees them, so a test can pin a sweep to one process or fan it out."""
+    """Sets how many cores the process may use, as the model's fan-out
+    sees them, so a test can pin a sweep, a calibration or a corpus to one
+    process or fan it out."""
 
     def pin(n: int):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),

@@ -1,7 +1,11 @@
+import errno
 import hashlib
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +14,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import conv_reference
-from conftest import cut_tensors
+from conftest import cut_tensors, no_child_left
 from splitstream import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER,
                          FeatureTensor, SplitModel, cut_point, loss_sweep,
                          rate_fidelity_curve, sweep)
 from splitstream import model as model_module
 from splitstream.model import (_CAL_CHUNK, _CAL_ID_BASE, CALIBRATION_IMAGES,
                                STAGE_CHANNELS, _channel_moments, _chunks,
-                               _conv3x3)
+                               _conv3x3, corpus_stats)
 
 
 def test_class_names_and_border():
@@ -159,7 +163,8 @@ def test_agreement_empty_corpus(model):
         rate_fidelity_curve(model, [], "stage2", [50], None)
 
 
-def test_chunks_are_contiguous_and_worth_a_child():
+def test_chunks_are_contiguous_and_worth_a_child(model, corpus_at, cores,
+                                                 monkeypatch):
     ids = list(range(10, 19))
     assert _chunks(ids, 1) == [ids]
     assert _chunks(ids, 2) == [ids[:4], ids[4:]]
@@ -168,6 +173,35 @@ def test_chunks_are_contiguous_and_worth_a_child():
     assert _chunks(ids, 8) == _chunks(ids, 2)
     assert _chunks(ids[:7], 2) == [ids[:7]]
     assert _chunks([], 2) == [[]]
+    assert len(_chunks(list(range(256)), 2)) == 2
+
+    # the chunk count of each fan-out the calls below make
+    counts = []
+
+    def counted(*args):
+        counts.append(len(_chunks(*args)))
+        return _chunks(*args)
+
+    monkeypatch.setattr(model_module, "_chunks", counted)
+    cores(2)
+    # an 8-image curve splits at either end of the model
+    for cut in ("stage1", "stage3"):
+        counts.clear()
+        rate_fidelity_curve(model, range(8), cut, [2, 50, 95], corpus_at(cut, 8)[1])
+        assert counts == [2]
+    counts.clear()
+    fresh = SplitModel()                            # one fan-out per stage
+    assert counts == [2, 2, 2]
+    counts.clear()
+    for cut, n in (("stage1", 64), ("stage3", 64), ("stage2", 64)):
+        corpus_stats(fresh, cut, n)
+    assert counts == [2, 2, 2]
+    # too few images to split: 5 at stage1, then continued to stage3
+    counts.clear()
+    corpus_stats(fresh, "stage1", 5)
+    corpus_stats(fresh, "stage3", 5)
+    assert counts == [1, 1]
+    no_child_left()
 
 
 def test_sweep_runs_later_chunks_in_children(model, cores):
@@ -179,7 +213,7 @@ def test_sweep_runs_later_chunks_in_children(model, cores):
     cores(2)
     count, cells = model.sweep(range(8), "stage3", degrade)
     assert (count, cells) == (8, [(8, 4)])
-    assert multiprocessing.active_children() == []
+    no_child_left()
 
 
 def test_fan_out_rows_equal_one_core(model, corpus_at, cores):
@@ -198,7 +232,18 @@ def test_fan_out_rows_equal_one_core(model, corpus_at, cores):
         one = call()
         cores(2)
         assert call() == one
-    assert multiprocessing.active_children() == []
+    no_child_left()
+
+
+@pytest.mark.parametrize("seed", [0x5EED, 9])
+def test_calibration_fanned_out_gives_the_same_norms(cores, seed):
+    norms = []
+    for n in (1, 2):
+        cores(n)
+        m = SplitModel(seed)
+        norms.append([a.tobytes() for a in m._norm_scale + m._norm_offset])
+    assert norms[0] == norms[1]
+    no_child_left()
 
 
 class UnpicklableError(Exception):
@@ -230,20 +275,25 @@ def test_fan_out_raises_what_one_core_raises(model, cores, bad, error):
         with pytest.raises(error) as info:
             model.sweep(range(8), "stage3", failing_on(bad, error))
         raised.append((type(info.value), str(info.value)))
-        assert multiprocessing.active_children() == []
+        no_child_left()
     assert raised[0] == raised[1]
 
 
 def test_a_daemonic_worker_sweeps_in_one_process(model, cores):
     # a daemonic multiprocessing worker may not start children of its own
     cores(2)
+
+    def work():
+        worker = os.getpid()
+        sender.send(model.sweep(range(8), "stage3",
+                                lambda i, t: iter([(t, os.getpid() != worker)])))
+
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
-    worker = ctx.Process(daemon=True, target=lambda: sender.send(
-        model.sweep(range(8), "stage3", failing_on(set()))))
+    worker = ctx.Process(daemon=True, target=work)
     worker.start()
     sender.close()  # so a worker that fails ends the wait with EOFError
-    assert receiver.poll(60) and receiver.recv() == (8, [(8, 8.0)])
+    assert receiver.poll(60) and receiver.recv() == (8, [(8, 0)])
     worker.join(60)
     assert worker.exitcode == 0
 
@@ -264,23 +314,114 @@ def test_a_threaded_process_sweeps_in_one_process(model, cores):
     assert (count, cells) == (8, [(8, 0)])
 
 
-def test_no_child_outlives_an_interrupt_or_a_dead_child(model, cores):
+@pytest.fixture(scope="module")
+def uncached():
+    """A model for corpus_stats calls that all fail, so none is cached."""
+    return SplitModel()
+
+
+# each fan-out with 2 cores: the fixture it runs on, if any, the call, and
+# an image id in this process's chunk and one in the child's
+FAN_OUTS = {
+    "sweep": ("model", lambda m: m.sweep(range(8), "stage3", failing_on(set())),
+              1, 6),
+    "calibration": (None, lambda m: SplitModel(), _CAL_ID_BASE + 1,
+                    _CAL_ID_BASE + 40),
+    "corpus_stats": ("uncached", lambda m: corpus_stats(m, "stage2", 64), 1, 40),
+}
+
+
+@pytest.mark.parametrize("fan_out", sorted(FAN_OUTS))
+@pytest.mark.parametrize("case", ["raises", "unpicklable", "interrupt", "exits"])
+def test_no_child_outlives_a_failed_image(request, cores, monkeypatch, fan_out,
+                                          case):
+    fixture, call, here, there = FAN_OUTS[fan_out]
+    m = request.getfixturevalue(fixture) if fixture else None
     cores(2)
-    with pytest.raises(KeyboardInterrupt):
-        model.sweep(range(8), "stage3", failing_on({1}, KeyboardInterrupt))
-    assert multiprocessing.active_children() == []
+    parent, generate_input = os.getpid(), SplitModel.generate_input
+    bad, error = {
+        "raises": (there, ValueError),
+        "unpicklable": (there, UnpicklableError),
+        "interrupt": (here, KeyboardInterrupt),
+        "exits": (there, RuntimeError),
+    }[case]
 
-    def dies(image_id, t):
-        if image_id == 6:
-            os._exit(3)
-        yield t, 0
+    def failing(self, image_id, *args):
+        if image_id == bad:
+            if case == "exits":
+                assert os.getpid() != parent, "the child's image ran here"
+                os._exit(3)
+            raise error(image_id, "bad image")
+        return generate_input(self, image_id, *args)
 
-    with pytest.raises(RuntimeError, match="exited with code 3"):
-        model.sweep(range(8), "stage3", dies)
-    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(SplitModel, "generate_input", failing)
+    with pytest.raises(error) as info:
+        call(m)
+    if case == "exits":
+        assert "exited with code 3" in str(info.value)
+    no_child_left()
 
 
-def test_calibration_convolves_each_image_once_per_stage(monkeypatch):
+@pytest.mark.parametrize("forks_allowed", [0, 1])
+def test_a_fan_out_that_cannot_fork_runs_the_rest_here(cores, monkeypatch,
+                                                       forks_allowed):
+    # at the process limit os.fork raises BlockingIOError; the chunks it
+    # could not start run here, and every result is a one-core run's bytes
+    def results():
+        m = SplitModel()
+        norms = [a.tobytes() for a in m._norm_scale + m._norm_offset]
+        stats = [corpus_stats(m, cut, 64) for cut in ("stage1", "stage3")]
+        rows = rate_fidelity_curve(m, range(12), "stage1", [5, 95], stats[0])
+        return norms, rows, [(s.per_neuron_mean.tobytes(), s.per_neuron_std.tobytes(),
+                              s.aggregate_mean, s.aggregate_std) for s in stats]
+
+    cores(1)
+    one = results()
+    # 3 cores, so each fan-out (64 or 12 images) tries two forks: with
+    # forks_allowed 1 the first of them starts a child and the second fails
+    cores(3)
+    fork, attempts = os.fork, []
+
+    def limited():
+        attempts.append(1)
+        if forks_allowed == 0 or len(attempts) % 2 == 0:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", limited)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert results() == one
+    # 3 calibration stages, 2 corpora and 1 curve
+    assert len(attempts) == 6 * (1 + forks_allowed)
+    assert len(os.listdir("/proc/self/fd")) == fds, "a pipe was left open"
+    no_child_left()
+
+
+def test_fanning_out_loads_no_multiprocessing():
+    # importing multiprocessing raises a process's peak RSS by about 0.6 MiB
+    code = "\n".join([
+        "import os, sys",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        "fork, forks = os.fork, []",
+        "os.fork = lambda: forks.append(1) or fork()",
+        "from splitstream import SplitModel",
+        "from splitstream.pipeline import PipelineConfig, corpus_stats, run_session",
+        "model = SplitModel()",
+        "corpus_stats(model, 'stage2', 64)",
+        "run_session(PipelineConfig(frames=2, stats_images=64), model)",
+        "print(len(forks) > 0, sorted(m for m in sys.modules",
+        "      if m.split('.')[0] in ('multiprocessing', 'concurrent')))",
+    ])
+    src = str(Path(model_module.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.split("\n")[0] == "True []"
+
+
+def test_calibration_convolves_each_image_once_per_stage(monkeypatch, cores):
+    # one core, so that every convolution runs in this process and is counted
+    cores(1)
     calls = []
 
     def counting(x, w):

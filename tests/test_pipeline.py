@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cut_tensors
+from conftest import cut_tensors, no_child_left
 import splitstream.codec as codec
 import splitstream.model as sm
 import splitstream.pipeline as pl
@@ -859,6 +859,30 @@ class TestCorpusStats:
         for cut in order:
             corpus_stats(fresh, cut, 4)
         assert fresh._held_corpus is None
+
+    def test_fan_out_gives_the_same_stats_as_one_core(self, cores, monkeypatch):
+        # every cut from the inputs, and stage1 and stage2 continued to stage3
+        def stats_at(m):
+            got = []
+            for n in (2, 7, 9, 64):
+                for order in (("stage1", "stage3"), ("stage2", "stage3"), ("stage3",)):
+                    m._stats.clear()
+                    for cut in order:
+                        s = corpus_stats(m, cut, n)
+                        got.append((cut, n, s.per_neuron_mean.tobytes(),
+                                    s.per_neuron_std.tobytes(), s.aggregate_mean,
+                                    s.aggregate_std, s.sample_count, s.label))
+            return got
+
+        cores(1)
+        one = stats_at(SplitModel())
+        # 2 cores as they split, then 3 with every image count split, the
+        # odd ones too
+        for n_cores, min_chunk_images in ((2, sm._MIN_CHUNK_IMAGES), (3, 1)):
+            cores(n_cores)
+            monkeypatch.setattr(sm, "_MIN_CHUNK_IMAGES", min_chunk_images)
+            assert stats_at(SplitModel()) == one
+            no_child_left()
 
     def test_continuing_never_holds_both_corpora(self, fresh):
         # each stage1 tensor is dropped once its stage3 tensor is made, so

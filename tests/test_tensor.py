@@ -261,10 +261,14 @@ class TestPackedCorpus:
         # every tensor, -0.0 included, expands to the bytes it was packed from
         for k, t in enumerate(tensors):
             assert packed.flat(k).tobytes() == t.data.tobytes()
-        drained = list(packed.drain())
-        assert len(packed) == 0
-        assert [d.shape for d in drained] == [t.shape for t in tensors]
-        assert [d.tobytes() for d in drained] == [t.data.tobytes() for t in tensors]
+        taken = [packed.take(k) for k in range(len(tensors))]
+        assert packed._packed == [None] * len(tensors)
+        assert [d.shape for d in taken] == [t.shape for t in tensors]
+        assert [d.tobytes() for d in taken] == [t.data.tobytes() for t in tensors]
+        packed = _packed(tensors)
+        packed.drop(range(1, len(tensors)))
+        assert packed._packed[1:] == [None] * (len(tensors) - 1)
+        assert packed.flat(0).tobytes() == tensors[0].data.tobytes()
 
     def test_each_pass_expands_each_tensor_once(self, monkeypatch):
         # the aggregate sum's two leaves per 32x32x16 tensor share one

@@ -334,22 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
         p.add_argument("--seed", type=lambda s: int(s, 0), default=0x5EED,
                        help="model seed")
+        p.add_argument("--out", required=True)
         return p
 
     p = add("gen-corpus", _cmd_gen_corpus, "write a corpus of FTSR tensors")
-    p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--cut", default="input",
                    help="input for raw images, or a cut name for activations")
     p.add_argument("--translate", default=None, help="dx,dy pan in pixels")
 
     p = add("stats", _cmd_stats, "dataset statistics at a cut")
-    p.add_argument("--out", required=True)
     p.add_argument("--cut", default="stage2")
     p.add_argument("--count", type=int, default=64)
 
     p = add("quant-sweep", _cmd_quant_sweep, "agreement/MSE quantizer grid")
-    p.add_argument("--out", required=True)
     p.add_argument("--cut", default="stage2")
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--levels", default="2..16")
@@ -358,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["aggregate", "per_neuron"])
 
     p = add("codec-curve", _cmd_codec_curve, "size/agreement per quality")
-    p.add_argument("--out", required=True)
     p.add_argument("--cut", default="stage2")
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--qualities", default="5,15,25,35,45,55,65,75,85,95")
@@ -366,13 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip-width", type=float, default=3.0)
 
     p = add("motion-demo", _cmd_motion_demo, "global-shift prediction demo")
-    p.add_argument("--out", required=True)
     p.add_argument("--shift", default="16,8", help="dx,dy pan in pixels")
     p.add_argument("--image-id", type=int, default=0)
     p.add_argument("--radius", type=int, default=40)
 
     p = add("conceal-sweep", _cmd_conceal_sweep, "loss concealment grid")
-    p.add_argument("--out", required=True)
     p.add_argument("--cut", default="stage2")
     p.add_argument("--count", type=int, default=16)
     p.add_argument("--kinds", default="by_element,by_channel")
@@ -382,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("latency-regions", _cmd_latency_regions,
             "best strategy per bandwidth")
-    p.add_argument("--out", required=True)
     p.add_argument("--profiles", default=None,
                    help="profiles JSON; omit to measure live")
     p.add_argument("--profiles-out", default=None,
@@ -392,11 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", _cmd_simulate, "run a full session from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
 
     p = add("encode", _cmd_encode, "FTSR tensor -> FTCB bitstream")
     p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--levels", type=int, default=256)
     p.add_argument("--clip-width", type=float, default=3.0)
     p.add_argument("--mode", default="aggregate",
@@ -408,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("decode", _cmd_decode, "FTCB bitstream -> FTSR tensor")
     p.add_argument("--input", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--meta", default=None,
                    help="metadata JSON (default <input>.meta.json)")
     p.add_argument("--pgm", default=None, help="also dump the decoded plane")

@@ -235,9 +235,9 @@ class SplitModel:
         self._calibrate()
         # corpus_stats state: stats by (cut, n_images), and the one corpus
         # the last call left for a deeper cut to continue, as
-        # (n_images, stage index, cut tensors)
+        # (n_images, stage index, cut tensors), a cut short of the last
         self._stats: dict[tuple[str, int], TensorStats] = {}
-        self._held_corpus: tuple[int, int, list[FeatureTensor]] | None = None
+        self._held_corpus: tuple[int, int, PackedCorpus] | None = None
 
     # ------------------------------------------------------------------ inputs
 
@@ -437,25 +437,26 @@ class SplitModel:
         return count, list(zip(hits.values(), totals.values()))
 
 
-def _fan_out(ids, run, receive, forked=None) -> None:
+def _fan_out(ids, run, receive) -> None:
     """``receive(i, run(i))`` for each id, in id order, with the ids run
     over the usable cores: the package's one fan-out.
 
     The ids are split into contiguous chunks (see ``_chunks``).  A child
     started by ``os.fork`` runs each chunk after the first, so it inherits
-    ``run`` and all it reads without pickling them; ``forked(ids)``, if
-    given, is then called here with the ids the children run.  This
-    process runs the first chunk itself, receiving each result as it is
-    made.  A child runs its whole chunk before it writes each result,
-    pickled, down a pipe, so it never waits on a full pipe while this
-    process works, and this process reads one image's result at a time.
+    ``run`` and all it reads without pickling them.  This process runs the
+    first chunk itself, receiving each result as it is made.  A child runs
+    its whole chunk before it writes each result, pickled, down a pipe, so
+    it never waits on a full pipe while this process works, and this
+    process reads one image's result at a time.
     Where a child cannot be started (``os.fork`` or ``os.pipe`` raises
     ``OSError``, say at the process limit), this process runs that chunk
     and every later one itself, after the children's.
 
     If images raise, this raises what the earliest of them in id order
     raised; an exception that does not pickle is raised by running its
-    image again here.  No child outlives the call.
+    image again here.  So the one rule for callers: whatever ``run(i)``
+    reads stays readable in this process until ``receive(i, ...)`` is
+    called, which may free it.  No child outlives the call.
     """
     ids = list(ids)
     chunks = _chunks(ids, _usable_cores())
@@ -467,8 +468,6 @@ def _fan_out(ids, run, receive, forked=None) -> None:
             except OSError:
                 break
         rest = [i for chunk in chunks[1 + len(children):] for i in chunk]
-        if forked is not None:
-            forked([i for _, _, chunk in children for i in chunk])
         for i in chunks[0]:
             receive(i, run(i))
         for child in children:
@@ -601,17 +600,16 @@ def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     last cut has no ReLU and is never held, so its corpus stays a list of
     float32 tensors.  ``collect_stats`` adds a few float64 arrays of one
     tensor's shape.  Continuing a held corpus consumes it: each shallower
-    tensor is dropped as soon as its deeper one is made, so the two
-    corpora are never alive together.
+    tensor is dropped when its deeper one arrives, so the two corpora are
+    never both whole.
 
-    The images fan out over the usable cores (see ``_fan_out``).  A call
-    that continues a held corpus forks first: each child reads its chunk
-    of the held corpus, which it inherits, and this process then drops
-    the children's shallower tensors at once, so it never holds both
-    tensors of one image.  A child holds its chunk's cut tensors until it
-    sends them, and this process receives them one image at a time and
-    appends each to its corpus in id order, so the stats are the same
-    bytes as a one-core run's.
+    The images fan out over the usable cores (see ``_fan_out``).  A child
+    inherits the held corpus and reads its chunk of it; this process keeps
+    each child image's shallower tensor until that image's result arrives,
+    so it can run a failed image again.  A child holds its chunk's cut
+    tensors until it sends them, and this process receives them one image
+    at a time and appends each to its corpus in id order, so the stats are
+    the same bytes as a one-core run's.
     """
     held, model._held_corpus = model._held_corpus, None
     key = (cut, n_images)
@@ -621,15 +619,21 @@ def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     stage = point.stage_index
     if held is not None and held[0] == n_images and held[1] < stage:
         _, start, shallow = held
-        source, forked = shallow.take, shallow.drop
+        source = lambda i: shallow.flat(i).reshape(shallow.shape)  # noqa: E731
+        done = shallow.drop
     else:
-        start, forked = 0, None
+        start, done = 0, lambda _i: None  # noqa: E731
         source = lambda i: model.generate_input(i).data  # noqa: E731
     held = None     # a corpus this call does not continue is freed here
     last = stage == len(CUT_POINTS)
     corpus = [] if last else PackedCorpus((point.height, point.width, point.channels))
+
+    def receive(i, y):
+        corpus.append(FeatureTensor(y))
+        done(i)
+
     _fan_out(range(n_images), lambda i: model._stages(source(i), start + 1, stage),
-             lambda _i, y: corpus.append(FeatureTensor(y)), forked)
+             receive)
     model._stats[key] = collect_stats(corpus, label=f"{cut}-{n_images}")
     if not last:
         model._held_corpus = (n_images, stage, corpus)

@@ -198,7 +198,9 @@ class PackedCorpus:
         mask = flat.view(np.uint32) != 0
         self._packed.append((np.packbits(mask), np.compress(mask, flat)))
 
-    def _expand(self, bits: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def flat(self, k: int) -> np.ndarray:
+        """Tensor ``k``'s values, flat, expanded afresh."""
+        bits, values = self._packed[k]
         # set by positions, not through the boolean mask: on a half-zero
         # mask numpy's boolean set branches per element and takes about
         # three times as long (as its boolean get does beside np.compress)
@@ -207,20 +209,9 @@ class PackedCorpus:
         flat[np.flatnonzero(mask)] = values
         return flat
 
-    def flat(self, k: int) -> np.ndarray:
-        """Tensor ``k``'s values, flat, expanded afresh."""
-        return self._expand(*self._packed[k])
-
-    def take(self, k: int) -> np.ndarray:
-        """Tensor ``k`` as an H x W x C array, dropped from the corpus."""
-        bits, values = self._packed[k]
+    def drop(self, k: int) -> None:
+        """Drop tensor ``k``; the others keep their indices."""
         self._packed[k] = None
-        return self._expand(bits, values).reshape(self.shape)
-
-    def drop(self, ks) -> None:
-        """Drop tensors ``ks``; the others keep their indices."""
-        for k in ks:
-            self._packed[k] = None
 
 
 # values per leaf of the aggregate sum: a float64 copy of at most this many

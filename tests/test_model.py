@@ -320,14 +320,40 @@ def uncached():
     return SplitModel()
 
 
-# each fan-out with 2 cores: the fixture it runs on, if any, the call, and
-# an image id in this process's chunk and one in the child's
+@pytest.fixture
+def continued():
+    """A model that holds a 64-image stage1 corpus for a stage3 call to
+    continue; that call takes the corpus, so each test builds its own."""
+    m = SplitModel()
+    corpus_stats(m, "stage1", 64)
+    return m
+
+
+def by_input_id(m):
+    """Fail an image where its input is made."""
+    return "generate_input", lambda image_id, *args: image_id
+
+
+def by_held_tensor(m):
+    """Fail an image where its held stage1 tensor is continued: a
+    continuation never makes an input."""
+    held = m._held_corpus[2]
+    ids = {held.flat(k).tobytes(): k for k in range(len(held))}
+    return "_stages", lambda x, *args: ids.get(x.tobytes())
+
+
+# each fan-out with 2 cores: the fixture it runs on, if any, the call, an
+# image id in this process's chunk and one in the child's, and where to fail
 FAN_OUTS = {
     "sweep": ("model", lambda m: m.sweep(range(8), "stage3", failing_on(set())),
-              1, 6),
+              1, 6, by_input_id),
     "calibration": (None, lambda m: SplitModel(), _CAL_ID_BASE + 1,
-                    _CAL_ID_BASE + 40),
-    "corpus_stats": ("uncached", lambda m: corpus_stats(m, "stage2", 64), 1, 40),
+                    _CAL_ID_BASE + 40, by_input_id),
+    "corpus_stats": ("uncached", lambda m: corpus_stats(m, "stage2", 64), 1, 40,
+                     by_input_id),
+    "continued_corpus_stats": ("continued",
+                               lambda m: corpus_stats(m, "stage3", 64), 1, 40,
+                               by_held_tensor),
 }
 
 
@@ -335,10 +361,11 @@ FAN_OUTS = {
 @pytest.mark.parametrize("case", ["raises", "unpicklable", "interrupt", "exits"])
 def test_no_child_outlives_a_failed_image(request, cores, monkeypatch, fan_out,
                                           case):
-    fixture, call, here, there = FAN_OUTS[fan_out]
+    fixture, call, here, there, hook = FAN_OUTS[fan_out]
     m = request.getfixturevalue(fixture) if fixture else None
     cores(2)
-    parent, generate_input = os.getpid(), SplitModel.generate_input
+    name, image_of = hook(m)
+    parent, method = os.getpid(), getattr(SplitModel, name)
     bad, error = {
         "raises": (there, ValueError),
         "unpicklable": (there, UnpicklableError),
@@ -346,15 +373,15 @@ def test_no_child_outlives_a_failed_image(request, cores, monkeypatch, fan_out,
         "exits": (there, RuntimeError),
     }[case]
 
-    def failing(self, image_id, *args):
-        if image_id == bad:
+    def failing(self, *args):
+        if image_of(*args) == bad:
             if case == "exits":
                 assert os.getpid() != parent, "the child's image ran here"
                 os._exit(3)
-            raise error(image_id, "bad image")
-        return generate_input(self, image_id, *args)
+            raise error(bad, "bad image")
+        return method(self, *args)
 
-    monkeypatch.setattr(SplitModel, "generate_input", failing)
+    monkeypatch.setattr(SplitModel, name, failing)
     with pytest.raises(error) as info:
         call(m)
     if case == "exits":

@@ -4,7 +4,7 @@ Every subcommand writes its artifact (CSV or JSON) to the path given with
 ``--out`` and exits nonzero with a message on stderr when anything is
 wrong.  Numeric grids accept either comma lists ("5,15,25") or range
 syntax ("2..16" for integers, "1..5:9" for 9 evenly spaced floats,
-log-spaced for bandwidths).
+log-spaced for bandwidths) of at most 1000 points.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .codec import CodecError, decode, pack, rate_fidelity_curve
 from .concealment import STRATEGIES, loss_sweep
 from .model import CUT_POINTS, SplitModel, cut_point
 from .motion import estimate_global_translation, predict, scale_to_tensor
-from .pipeline import (PipelineConfig, SessionError, corpus_stats,
-                       measure_profiles, run_session)
+from .pipeline import (_MOST_VALUES, PipelineConfig, SessionError,
+                       corpus_stats, measure_profiles, run_session)
 from .protocol import ProtocolError
 from .quantizer import (QuantizedTensor, QuantizerSpec, dequantize, quantize,
                         sweep)
@@ -39,13 +39,28 @@ class CliError(Exception):
     pass
 
 
+# the most points a range grid may name; the defaults and the README's
+# examples name at most 255
+_MOST_GRID_POINTS = 1000
+
+
 # ------------------------------------------------------------- small helpers
+
+
+def _points(text: str, n: int) -> int:
+    """``n``, the points range ``text`` names, if that is 1 to
+    ``_MOST_GRID_POINTS``: checked before a grid of that size is built."""
+    if not 1 <= n <= _MOST_GRID_POINTS:
+        raise CliError(f"range {text!r} needs a count of at least 1 and at "
+                       f"most {_MOST_GRID_POINTS}, got {n}")
+    return n
 
 
 def _int_list(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in text.split(".."))
+        _points(text, hi - lo + 1)
+        return list(range(lo, hi + 1))
     return [int(x) for x in text.split(",")]
 
 
@@ -53,9 +68,7 @@ def _float_list(text: str, log: bool = False) -> list[float]:
     if ".." in text:
         span, _, count = text.partition(":")
         lo, hi = (float(x) for x in span.split(".."))
-        n = int(count) if count else 5
-        if n < 1:
-            raise CliError(f"range {text!r} needs a count of at least 1, got {n}")
+        n = _points(text, int(count) if count else 5)
         if log:
             if not all(math.isfinite(x) and x > 0 for x in (lo, hi)):
                 raise CliError(f"log range {text!r} needs finite positive ends")
@@ -123,6 +136,16 @@ def _stats_from_dict(d: dict) -> TensorStats:
         raise CliError(f"malformed stats: {exc}") from None
 
 
+def _corpus(args) -> tuple[SplitModel, TensorStats]:
+    """The model and its stats over ``--count`` images at ``--cut``, with
+    the count capped as a session caps ``stats_images``."""
+    most = _MOST_VALUES["stats_images"]
+    if args.count > most:
+        raise CliError(f"--count must be at most {most}, got {args.count}")
+    model = SplitModel(args.seed)
+    return model, corpus_stats(model, args.cut, args.count)
+
+
 def _self_stats(t) -> TensorStats:
     # single-tensor fallback; good for aggregate mode only
     data = np.asarray(t.data, dtype=np.float64)
@@ -168,30 +191,28 @@ def _cmd_gen_corpus(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    model = SplitModel(args.seed)
-    stats = corpus_stats(model, args.cut, args.count)
+    _, stats = _corpus(args)
     _write_json(args.out, _stats_to_dict(stats))
     print(f"stats over {args.count} images at {args.cut} -> {args.out}")
     return 0
 
 
 def _cmd_quant_sweep(args) -> int:
-    model = SplitModel(args.seed)
-    stats = corpus_stats(model, args.cut, args.count)
-    rows = sweep(model, range(args.count), args.cut,
-                 _int_list(args.levels), _float_list(args.widths),
-                 stats, mode=args.mode)
+    levels, widths = _int_list(args.levels), _float_list(args.widths)
+    model, stats = _corpus(args)
+    rows = sweep(model, range(args.count), args.cut, levels, widths, stats,
+                 mode=args.mode)
     _write_csv(args.out, rows)
     print(f"{len(rows)} grid cells -> {args.out}")
     return 0
 
 
 def _cmd_codec_curve(args) -> int:
-    model = SplitModel(args.seed)
-    stats = corpus_stats(model, args.cut, args.count)
-    rows = rate_fidelity_curve(model, range(args.count), args.cut,
-                               _int_list(args.qualities), stats,
-                               levels=args.levels, clip_width=args.clip_width)
+    qualities = _int_list(args.qualities)
+    model, stats = _corpus(args)
+    rows = rate_fidelity_curve(model, range(args.count), args.cut, qualities,
+                               stats, levels=args.levels,
+                               clip_width=args.clip_width)
     _write_csv(args.out, rows)
     print(f"{len(rows)} rate points -> {args.out}")
     return 0
@@ -225,15 +246,15 @@ def _cmd_motion_demo(args) -> int:
 
 
 def _cmd_conceal_sweep(args) -> int:
-    model = SplitModel(args.seed)
     strategies = args.strategies.split(",")
     for s in strategies:
         if s not in STRATEGIES:
             raise CliError(f"unknown strategy {s!r}; choose from {STRATEGIES}")
-    stats = corpus_stats(model, args.cut, args.count)
+    rates = _float_list(args.rates)
+    model, stats = _corpus(args)
     rows = loss_sweep(model, range(args.count), args.cut,
-                      args.kinds.split(","), _float_list(args.rates),
-                      strategies, stats, seed=args.mask_seed)
+                      args.kinds.split(","), rates, strategies, stats,
+                      seed=args.mask_seed)
     _write_csv(args.out, rows)
     print(f"{len(rows)} sweep cells -> {args.out}")
     return 0

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Xorshift64Star, bulk_uniform, derive
-from .tensor import (FeatureTensor, PackedCorpus, TensorStats, _flat_sum,
-                     collect_stats)
+from .tensor import FeatureTensor, PackedCorpus, TensorStats, collect_stats
 
 __all__ = [
     "CutPoint",
@@ -62,8 +61,6 @@ INPUT_CHANNELS = 3
 STAGE_CHANNELS = (16, 32, 64)
 CLASS_NAMES = tuple(f"class_{i}" for i in range(10))
 CALIBRATION_IMAGES = 64
-# calibration images per chunk of _channel_moments' float64 buffer
-_CAL_CHUNK = 8
 
 _CAL_ID_BASE = 1 << 40  # calibration image ids, disjoint from corpus ids
 
@@ -166,42 +163,31 @@ def _avgpool2(x: np.ndarray) -> np.ndarray:
     return (x[0::2, 0::2] + x[0::2, 1::2] + x[1::2, 0::2] + x[1::2, 1::2]) * np.float32(0.25)
 
 
-def _channel_moments(raws, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _channel_moments(raws) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and population std of equally shaped H x W x C
-    float32 arrays: the bits ``stack.mean(axis=(0, 1, 2))`` and
-    ``stack.std(axis=(0, 1, 2))`` give on their float64 stack, which is
+    float32 arrays, C at least 2: the bits ``stack.mean(axis=(0, 1, 2))``
+    and ``stack.std(axis=(0, 1, 2))`` give on their float64 stack, which is
     never built.
 
     numpy adds the stack's pixel rows one by one, in order, into a
-    per-channel sum that starts at +0.0.  Here each chunk of
-    ``_CAL_CHUNK`` arrays is copied as float64 into rows 1.. of a buffer
-    whose row 0 carries the running sum, so ``np.add.reduce`` over the
-    buffer's rows adds the same rows in the same order.  A second pass does
-    the same over the squared deviations from the mean.  The buffer is a
-    view of ``flat``, a float64 work array of at least
-    ``(1 + _CAL_CHUNK * H * W) * C`` values.  With one channel numpy sums
-    the flat stack pairwise instead, which ``_flat_sum`` replays.
+    per-channel sum that starts at +0.0.  Here each array is copied as
+    float64 into rows 1.. of a ``(1 + H * W, C)`` buffer whose row 0
+    carries the running sum, so ``np.add.reduce`` over the buffer's rows
+    adds the same rows in the same order.  A second pass does the same over
+    the squared deviations from the mean.
     """
     h, w, c = raws[0].shape
-    rows, n = h * w, len(raws) * h * w
-    if c == 1:
-        read = lambda k: raws[k].reshape(-1)  # noqa: E731
-        mean = _flat_sum(read, rows, 0, n) / n
-        return np.array([mean]), np.array([np.sqrt(_flat_sum(read, rows, 0, n, mean) / n)])
-    buf = flat[:(1 + _CAL_CHUNK * rows) * c].reshape(-1, c)
+    buf = np.empty((1 + h * w, c))
 
     def total(centre):
         buf[0] = 0.0
-        for lo in range(0, len(raws), _CAL_CHUNK):
-            end = 1
-            for raw in raws[lo:lo + _CAL_CHUNK]:
-                buf[end:end + rows] = raw.reshape(rows, c)
-                end += rows
+        for raw in raws:
+            buf[1:] = raw.reshape(-1, c)
             if centre is not None:
-                np.subtract(buf[1:end], centre, out=buf[1:end])
-                np.multiply(buf[1:end], buf[1:end], out=buf[1:end])
-            buf[0] = np.add.reduce(buf[:end], axis=0)
-        return buf[0] / n
+                np.subtract(buf[1:], centre, out=buf[1:])
+                np.multiply(buf[1:], buf[1:], out=buf[1:])
+            buf[0] = np.add.reduce(buf, axis=0)
+        return buf[0] / (len(raws) * h * w)
 
     mean = total(None)
     return mean, np.sqrt(total(mean))
@@ -233,6 +219,13 @@ class SplitModel:
         self._norm_scale: list[np.ndarray] = []
         self._norm_offset: list[np.ndarray] = []
         self._calibrate()
+        # the package's one allocator policy: freeing a 1 MiB mapping raises
+        # glibc's mmap and trim thresholds to 1 and 2 MiB, above a frame's
+        # largest array (a 256 KiB stage-1 conv output), so later passes
+        # reuse heap pages; without it a long_rtt_target pass can fault 12k
+        # fresh ones.  Raised before calibration, it would cost that
+        # workload 0.8 MiB of peak RSS
+        np.empty(1 << 17)
         # corpus_stats state: stats by (cut, n_images), and the one corpus
         # the last call left for a deeper cut to continue, as
         # (n_images, stage index, cut tensors), a cut short of the last
@@ -321,24 +314,12 @@ class SplitModel:
 
         Memory: a stage's inputs are made one image at a time, and each
         image's response replaces the one it was made from, so calibration
-        holds one stage's float32 responses (4 MiB at stage 1) plus the
-        ``_channel_moments`` buffer: ``1 + 8 * H * W`` rows of C float64
-        values at stage 1 (1 MiB), whose prefix every later stage reuses.
-        glibc maps a block that large on its own, so the heap stays compact
-        while calibration runs; freeing the mapping when calibration ends
-        raises glibc's mmap and trim thresholds to its size and twice that,
-        1 and 2 MiB, still above a frame's largest array (a stage-1 conv
-        output, 256 KiB).  Later passes then take a frame's arrays from the
-        heap instead of faulting in fresh pages on every call: a steady
-        bench pass faults 0-8 pages, with one pass of 43 on
-        ``lossy_stream``.  A one-image buffer (128 KiB) leaves the
-        thresholds low enough for every such pass to fault 63k-67k pages.
-        A forked child holds its chunk's responses until it sends them,
-        and this process receives them one image at a time, each into the
-        slot of the response it replaces.
+        holds one stage's float32 responses (4 MiB at stage 1) plus one
+        image's float64 rows in ``_channel_moments``.  A forked child holds
+        its chunk's responses until it sends them, and this process
+        receives them one image at a time, each into the slot of the
+        response it replaces.
         """
-        first = CUT_POINTS[0]
-        flat = np.empty((1 + _CAL_CHUNK * first.height * first.width) * first.channels)
         raws = [None] * CALIBRATION_IMAGES
         for stage in range(1, len(STAGE_CHANNELS) + 1):
             def response(i, stage=stage):
@@ -347,7 +328,7 @@ class SplitModel:
                 return self._stage_raw(x, stage)
 
             _fan_out(range(CALIBRATION_IMAGES), response, raws.__setitem__)
-            mean_c, std_c = _channel_moments(raws, flat)
+            mean_c, std_c = _channel_moments(raws)
             std_c = np.maximum(std_c, 1e-6)
             self._norm_scale.append((1.0 / std_c).astype(np.float32))
             self._norm_offset.append((-mean_c / std_c).astype(np.float32))

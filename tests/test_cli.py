@@ -3,6 +3,11 @@ import csv
 import io
 import json
 import math
+import os
+import resource
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -538,3 +543,59 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["encode", "--input", "x", "--out", "y", "--mode", "bogus"])
         assert exc.value.code == 2
+
+
+# address space for a CLI child: ample for the interpreter, numpy and a
+# default sweep, too little for a grid of millions of points
+_CHILD_ADDRESS_SPACE = 512 * 2 ** 20
+
+
+def _limited_cli(argv: list) -> subprocess.CompletedProcess:
+    """``splitstream *argv`` in a child process group with bounded memory,
+    ended whole after 60 s, so that a command that would grow without bound
+    fails with a traceback or a timeout, not by exhausting the machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE,) * 2)
+
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "splitstream", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, preexec_fn=limit,
+        start_new_session=True, env={**os.environ, "PYTHONPATH": src})
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the child and its forked workers
+        proc.communicate()
+        raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+class TestUnboundedInputs:
+    @pytest.mark.parametrize("argv, needle", [
+        (["quant-sweep", "--levels", "2..100000000"], "at most 1000"),
+        (["codec-curve", "--qualities", "1..100000000"], "at most 1000"),
+        (["conceal-sweep", "--rates", "0..1:100000000"], "at most 1000"),
+        (["latency-regions", "--bandwidths", "1e3..1e9:30000000"],
+         "at most 1000"),
+        (["stats", "--count", "100000"], "at most 1024"),
+        (["quant-sweep", "--count", "1025"], "at most 1024"),
+        (["codec-curve", "--count", "1025"], "at most 1024"),
+        (["conceal-sweep", "--count", "1025"], "at most 1024"),
+    ])
+    def test_refused_in_one_error_line(self, tmp_path, argv, needle):
+        out = tmp_path / "out"
+        done = _limited_cli(argv + ["--out", str(out)])
+        assert done.returncode == 1
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+        assert needle in done.stderr
+        assert not out.exists()
+
+    def test_a_range_may_name_a_thousand_points(self):
+        assert cli._int_list("1..1000") == list(range(1, 1001))
+        assert len(cli._float_list("0..1:1000")) == 1000
+        for text in ("1..1001", "5..4"):
+            with pytest.raises(cli.CliError, match="at least 1 and at most 1000"):
+                cli._int_list(text)
+        with pytest.raises(cli.CliError, match="at most 1000, got 1001"):
+            cli._float_list("1e3..1e9:1001", log=True)

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -19,9 +20,9 @@ from splitstream import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER,
                          FeatureTensor, SplitModel, cut_point, loss_sweep,
                          rate_fidelity_curve, sweep)
 from splitstream import model as model_module
-from splitstream.model import (_CAL_CHUNK, _CAL_ID_BASE, CALIBRATION_IMAGES,
-                               STAGE_CHANNELS, _channel_moments, _chunks,
-                               _conv3x3, corpus_stats)
+from splitstream.model import (_CAL_ID_BASE, CALIBRATION_IMAGES, STAGE_CHANNELS,
+                               _channel_moments, _chunks, _conv3x3,
+                               corpus_stats)
 
 
 def test_class_names_and_border():
@@ -485,10 +486,38 @@ def test_calibration_norms_match_reference(model, seed):
 
 
 def test_calibration_holds_responses_and_one_chunk_buffer(traced_peak):
-    # a stage's float32 responses (4 MiB at stage 1), one float64 buffer of
-    # 1 + 8 * H * W rows at stage 1 (1 MiB), and 1 MiB for one image's
-    # temporaries
-    assert traced_peak(SplitModel, 3) <= 6 * 2 ** 20
+    # a stage's float32 responses (4 MiB at stage 1) and one image's rows:
+    # its float64 moments buffer of 1 + H * W rows (128 KiB at stage 1) and
+    # its temporaries, under 1 MiB
+    assert traced_peak(SplitModel, 3) <= 5 * 2 ** 20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="pins glibc's malloc thresholds")
+def test_steady_sessions_reuse_heap_pages():
+    # SplitModel() raises glibc's mmap and trim thresholds once, so a warm
+    # long_rtt_target-shaped session takes its arrays from the heap.  Malloc
+    # thresholds are process state that earlier tests have moved, hence a
+    # fresh interpreter
+    code = "\n".join([
+        "import resource",
+        "from splitstream import SplitModel",
+        "from splitstream.pipeline import LinkScenario, PipelineConfig, run_session",
+        "model = SplitModel()",
+        "cfg = PipelineConfig(cut='stage2', target_bytes=10_000, frames=300,",
+        "    link=LinkScenario(bandwidth_bps=1e5, rtt_us=300_000, loss_prob=0.02))",
+        "run_session(cfg, model)",
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        "run_session(cfg, model)",
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+    ])
+    src = str(Path(model_module.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    # 6-22 faults on a 2-core VM, about 600 there without the raise (on one
+    # core, set-up happens to raise the thresholds anyway)
+    assert int(done.stdout) < 200
 
 
 _MOMENT_VALUES = st.one_of(
@@ -499,16 +528,14 @@ _MOMENT_VALUES = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(hnp.arrays(np.float32,
-                  st.tuples(st.integers(1, 2 * _CAL_CHUNK + 1), st.integers(1, 3),
-                            st.integers(1, 3), st.integers(1, 5)),
+                  st.tuples(st.integers(1, 17), st.integers(1, 3),
+                            st.integers(1, 3), st.integers(2, 5)),
                   elements=_MOMENT_VALUES, fill=_MOMENT_VALUES))
 def test_channel_moments_match_the_float64_stack(stack):
-    # image counts on both sides of each chunk edge, a short last chunk,
-    # one channel (numpy's pairwise sum) and many, signed zeros and values
-    # whose squares need float64's range
-    n, h, w, c = stack.shape
-    flat = np.full((1 + _CAL_CHUNK * h * w) * c, np.nan)
-    mean, std = _channel_moments(list(stack), flat)
+    # one image and many, every channel count from 2 (every calibration
+    # stage has 16 or more), signed zeros and values whose squares need
+    # float64's range
+    mean, std = _channel_moments(list(stack))
     wide = stack.astype(np.float64)
     assert mean.tobytes() == wide.mean(axis=(0, 1, 2)).tobytes()
     assert std.tobytes() == wide.std(axis=(0, 1, 2)).tobytes()

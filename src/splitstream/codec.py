@@ -85,6 +85,7 @@ __all__ = [
     "decode_prefix",
     "undecoded_plane_mask",
     "encode_to_target",
+    "max_stream_size",
     "rate_fidelity_curve",
     "pack",
     "unpack",
@@ -351,6 +352,15 @@ def _stream_size(zz: np.ndarray) -> int:
     nonzero_ac = np.count_nonzero(coded) - np.count_nonzero(coded[:, 0])
     return (FTCB_HEADER.size + 2 * len(zz) + 2 * nonzero_ac
             + np.count_nonzero(_wide(coded)))
+
+
+def max_stream_size(height: int, width: int, channels: int) -> int:
+    """Bytes of the largest stream a tensor of this shape codes to: the
+    header, and per block END, a wide DC delta and 63 wide ACs, each after
+    its run byte."""
+    layout = layout_for(height, width, channels)
+    rows, cols = _block_grid(layout.plane_h, layout.plane_w)
+    return FTCB_HEADER.size + (1 + 2 + 63 * 3) * rows * cols
 
 
 def _pack(t: _Transformed, quality: int, zz: np.ndarray) -> bytes:

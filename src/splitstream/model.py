@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import Xorshift64Star, bulk_uniform, derive
-from .tensor import FeatureTensor, PackedCorpus, TensorStats, collect_stats
+from .tensor import (FeatureTensor, PackedCorpus, TensorStats, _moments,
+                     collect_stats)
 
 __all__ = [
     "CutPoint",
@@ -163,36 +164,6 @@ def _avgpool2(x: np.ndarray) -> np.ndarray:
     return (x[0::2, 0::2] + x[0::2, 1::2] + x[1::2, 0::2] + x[1::2, 1::2]) * np.float32(0.25)
 
 
-def _channel_moments(raws) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and population std of equally shaped H x W x C
-    float32 arrays, C at least 2: the bits ``stack.mean(axis=(0, 1, 2))``
-    and ``stack.std(axis=(0, 1, 2))`` give on their float64 stack, which is
-    never built.
-
-    numpy adds the stack's pixel rows one by one, in order, into a
-    per-channel sum that starts at +0.0.  Here each array is copied as
-    float64 into rows 1.. of a ``(1 + H * W, C)`` buffer whose row 0
-    carries the running sum, so ``np.add.reduce`` over the buffer's rows
-    adds the same rows in the same order.  A second pass does the same over
-    the squared deviations from the mean.
-    """
-    h, w, c = raws[0].shape
-    buf = np.empty((1 + h * w, c))
-
-    def total(centre):
-        buf[0] = 0.0
-        for raw in raws:
-            buf[1:] = raw.reshape(-1, c)
-            if centre is not None:
-                np.subtract(buf[1:], centre, out=buf[1:])
-                np.multiply(buf[1:], buf[1:], out=buf[1:])
-            buf[0] = np.add.reduce(buf, axis=0)
-        return buf[0] / (len(raws) * h * w)
-
-    mean = total(None)
-    return mean, np.sqrt(total(mean))
-
-
 class SplitModel:
     """Fixed-weight three-stage network with client/server split points."""
 
@@ -314,11 +285,11 @@ class SplitModel:
 
         Memory: a stage's inputs are made one image at a time, and each
         image's response replaces the one it was made from, so calibration
-        holds one stage's float32 responses (4 MiB at stage 1) plus one
-        image's float64 rows in ``_channel_moments``.  A forked child holds
-        its chunk's responses until it sends them, and this process
-        receives them one image at a time, each into the slot of the
-        response it replaces.
+        holds one stage's float32 responses (4 MiB at stage 1) plus the
+        float64 buffer of one image's rows in ``tensor._moments``.  A forked
+        child holds its chunk's responses until it sends them, and this
+        process receives them one image at a time, each into the slot of
+        the response it replaces.
         """
         raws = [None] * CALIBRATION_IMAGES
         for stage in range(1, len(STAGE_CHANNELS) + 1):
@@ -328,7 +299,8 @@ class SplitModel:
                 return self._stage_raw(x, stage)
 
             _fan_out(range(CALIBRATION_IMAGES), response, raws.__setitem__)
-            mean_c, std_c = _channel_moments(raws)
+            mean_c, std_c = _moments(lambda i: raws[i].reshape(-1),
+                                     len(raws), raws[0].size, raws[0].shape[2])
             std_c = np.maximum(std_c, 1e-6)
             self._norm_scale.append((1.0 / std_c).astype(np.float32))
             self._norm_offset.append((-mean_c / std_c).astype(np.float32))

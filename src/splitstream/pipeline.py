@@ -169,6 +169,11 @@ class _Session:
     conceal: str
     top_k: int
 
+    @functools.cached_property
+    def max_stream(self) -> int:
+        """Bytes of the largest stream the cut can produce."""
+        return codec.max_stream_size(self.cut.height, self.cut.width, self.cut.channels)
+
 
 def _switch_body(cfg: PipelineConfig) -> dict:
     """The MODEL_SWITCH body a client with this config sends."""
@@ -428,6 +433,9 @@ class _Server:
     def _on_data(self, msg: WireMessage):
         if self.session is None:
             raise ProtocolError("DATA before MODEL_SWITCH handshake")
+        if msg.total_len > self.session.max_stream:
+            raise ProtocolError(f"DATA declares {msg.total_len} bytes, above "
+                                f"the cut's largest stream, {self.session.max_stream}")
         now = self.sim.now_us
         fid = msg.frame_id
         if fid not in self.processed:

@@ -214,16 +214,16 @@ class PackedCorpus:
         self._packed[k] = None
 
 
-# values per leaf of the aggregate sum: a float64 copy of at most this many
+# values per leaf of a pairwise sum: a float64 copy of at most this many
 # values is summed at a time
 _LEAF = 8192
 
 
 def _flat_sum(flat, size: int, lo: int, hi: int, centre=None):
-    """Values ``lo..hi-1`` of the corpus read as one flat float64 array,
+    """Values ``lo..hi-1`` of the arrays read as one flat float64 array,
     summed as ``np.add.reduce`` sums that array (squared deviations from
-    ``centre`` when it is given).  ``flat(k)`` gives tensor ``k``'s
-    ``size`` values, flat; leaves are read in order, so a tensor that two
+    ``centre`` when it is given).  ``flat(k)`` gives array ``k``'s
+    ``size`` values, flat; leaves are read in order, so an array that two
     leaves share is read by each in turn.
 
     numpy sums a contiguous float64 array pairwise, in one recursion over
@@ -231,7 +231,7 @@ def _flat_sum(flat, size: int, lo: int, hi: int, centre=None):
     ``n2 = n//2 - (n//2) % 8`` and its halves summed alike.  This splits by the same rule down to ranges of at most
     ``_LEAF`` values, each a node of numpy's own recursion, and reduces
     each of those with numpy on a float64 copy of just that range, which
-    may straddle tensors.  A leaf adds its sum to +0.0, so it reads +0.0
+    may straddle arrays.  A leaf adds its sum to +0.0, so it reads +0.0
     where numpy's node reads -0.0; the sum of two nodes can differ from
     numpy's only in that sign, and numpy's total is added to +0.0 too.
     """
@@ -254,33 +254,57 @@ def _flat_sum(flat, size: int, lo: int, hi: int, centre=None):
     return np.add.reduce(leaf)
 
 
+def _moments(read, count: int, size: int, width: int):
+    """Mean and population std of each column of the rows of ``width``
+    values that ``count`` flat float32 arrays of ``size`` values form,
+    array ``k`` read by ``read(k)``, in order: the bits ``np.mean`` and
+    ``np.std`` give over all but the last axis of their float64 stack,
+    which is never built.  The package's one replay of numpy's reduction
+    order, on which every pinned norm, stat and digest depends.
+
+    numpy adds rows of more than one value one by one into a sum that
+    starts at +0.0 (from the first row, a column of -0.0 would stay -0.0).
+    Each array's rows go as float64 into rows 1.. of a buffer whose row 0
+    carries the sum, so ``np.add.reduce`` over its rows adds them in that
+    order; a one-row array is added straight in, the same add.  Rows of
+    one value form one contiguous array, which numpy sums pairwise
+    (``_flat_sum``).  The moments are float64 arrays of ``width`` values,
+    scalars for width 1.
+    """
+    rows = size // width
+    n = count * rows
+    buf = np.empty((1 + rows, width)) if width > 1 else None
+
+    def moment(centre):
+        if buf is None:
+            return _flat_sum(read, size, 0, n, centre) / n
+        buf[0] = 0.0
+        for k in range(count):
+            if centre is None:
+                buf[1:] = read(k).reshape(rows, width)
+            else:
+                np.subtract(read(k).reshape(rows, width), centre, out=buf[1:])
+                np.multiply(buf[1:], buf[1:], out=buf[1:])
+            if rows == 1:
+                np.add(buf[0], buf[1], out=buf[0])
+            else:
+                buf[0] = np.add.reduce(buf, axis=0)
+        return buf[0] / n
+
+    mean = moment(None)
+    return mean, np.sqrt(moment(mean))
+
+
 def collect_stats(samples, label: str = "") -> TensorStats:
     """Population per-neuron and aggregate moments over >= 2 tensors, given
-    as FeatureTensors or as a ``PackedCorpus``.
-
-    The moments are the bits ``np.mean`` and ``np.std`` give on a float64
-    stack of the corpus, shape ``(N, H, W, C)``, with the ufunc calls they
-    make (sum, divide by the count, subtract the mean, square, sum, divide,
-    square root).  That stack is never built: the sums follow numpy's own
-    reduction order, from the float32 tensors given.
-
-    - Per neuron (``axis=0``), numpy adds the stack image by image into an
-      output that starts at +0.0, so one running float64 sum per neuron,
-      started from zeros, is the same sum.  Starting it from the first
-      tensor would keep a neuron that is -0.0 in every image at -0.0.
-    - Over all values (``axis=None``), numpy sums the flat stack pairwise;
-      ``_flat_sum`` replays that split.
-    - One-element tensors are the exception: numpy's ``axis=0`` reduction
-      of an ``(N, 1, 1, 1)`` stack is the pairwise sum of those N
-      contiguous values, so the per-neuron moments are the aggregate ones.
-
-    Both forms are read through one accessor that keeps the last tensor
+    as FeatureTensors or as a ``PackedCorpus``: by ``_moments``, the bits
+    ``np.mean`` and ``np.std`` give on the corpus's float64 stack per neuron
+    (``axis=0``) and over all values.  One accessor keeps the last tensor
     read, and each of the four passes reads the tensors in order, so a
-    packed tensor is expanded once per pass.
+    packed tensor is expanded once a pass.
 
-    Memory: besides the corpus it is given, this holds three float64
-    arrays of one tensor's shape, one float32 tensor and one float64 leaf
-    of at most ``_LEAF`` values, whatever the corpus size.
+    Memory: besides the corpus, one float32 tensor and a few float64 arrays
+    of its shape (``_moments``' two-row buffer and the moments).
     """
     if isinstance(samples, PackedCorpus):
         count, shape, read = len(samples), samples.shape, samples.flat
@@ -295,27 +319,11 @@ def collect_stats(samples, label: str = "") -> TensorStats:
         raise ValueError("need at least 2 samples for stats")
     flat = functools.lru_cache(maxsize=1)(read)
     size = math.prod(shape)
-    values = count * size
-    flat_mean = _flat_sum(flat, size, 0, values) / values
-    aggregate_std = np.sqrt(_flat_sum(flat, size, 0, values, flat_mean) / values)
-    if size == 1:
-        per_mean = np.full(shape, flat_mean)
-        per_std = np.full(shape, aggregate_std)
-    else:
-        per_mean = np.zeros(size)
-        for k in range(count):
-            np.add(per_mean, flat(k), out=per_mean)
-        np.true_divide(per_mean, count, out=per_mean)
-        per_std, dev = np.zeros(size), np.empty(size)
-        for k in range(count):
-            np.subtract(flat(k), per_mean, out=dev)
-            np.multiply(dev, dev, out=dev)
-            np.add(per_std, dev, out=per_std)
-        np.sqrt(np.true_divide(per_std, count, out=per_std), out=per_std)
-        per_mean, per_std = per_mean.reshape(shape), per_std.reshape(shape)
+    _, aggregate_std = _moments(flat, count, size, 1)
+    per_mean, per_std = _moments(flat, count, size, size)
     return TensorStats(
-        per_neuron_mean=per_mean,
-        per_neuron_std=per_std,
+        per_neuron_mean=per_mean.reshape(shape),
+        per_neuron_std=per_std.reshape(shape),
         aggregate_mean=float(per_mean.mean()),
         aggregate_std=float(aggregate_std),
         sample_count=count,

@@ -831,6 +831,20 @@ class TestSymbolPath:
         assert min(coded) < -64 and max(coded) > 64
         assert any(0 <= v <= 63 for v in coded)
 
+    @pytest.mark.parametrize("shape", [(32, 32, 16), (16, 16, 32),
+                                       (8, 8, 64), (3, 5, 7)])
+    def test_max_stream_size_bounds_every_stream(self, shape):
+        # it is _stream_size of rows whose every value is nonzero and two
+        # bytes wide, DC deltas included, and noise at quality 100 stays
+        # under it
+        rng = np.random.default_rng(5)
+        p = _plane_from_symbols(rng.integers(0, 256, shape))
+        blocks = len(_transform(p).coefs)
+        widest = np.full((blocks, 64), 100)
+        widest[1::2, 0] = -100
+        assert _stream_size(widest) == codec.max_stream_size(*shape)
+        assert len(encode(p, 100)) < codec.max_stream_size(*shape)
+
     @pytest.mark.parametrize("quality", [1, 2, 13, 50, 51, 77, 99, 100])
     def test_rounding_matches_reference_at_ties(self, quality):
         # rows of exact (k + 0.5) * divisor ties, their neighbours one snap

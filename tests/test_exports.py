@@ -169,6 +169,24 @@ def test_pipeline_has_no_second_frame_path():
     assert frame_stages_used(ast.parse(path.read_text())) == set()
 
 
+def sums_rows(tree: ast.Module) -> bool:
+    """Whether a module calls ``add.reduce``, as ``np.add.reduce(...)`` or
+    ``numpy.add.reduce(...)``."""
+    return any(isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "reduce"
+               and getattr(node.func.value, "attr", None) == "add"
+               for node in ast.walk(tree))
+
+
+def test_only_the_tensor_module_replays_numpy_sums():
+    # every pinned norm, stat and digest rests on one replay of numpy's
+    # float64 reduction order, tensor._moments
+    trees, _ = _package(Path(splitstream.__file__).parent)
+    assert sorted(m for m, t in trees.items() if sums_rows(t)) == ["tensor"]
+    assert sums_rows(ast.parse("np.add.reduce(buf, axis=0)"))
+    assert not sums_rows(ast.parse("np.add(a, b)\nnp.maximum.reduce(a)"))
+
+
 # modules that start processes; the package forks in one place only
 FORKING_MODULES = {"multiprocessing", "concurrent"}
 
@@ -194,7 +212,8 @@ def forks(tree: ast.Module) -> bool:
 
 
 def test_only_the_model_forks():
-    # SplitModel.sweep is the one fan-out site
+    # model._fan_out is the one fan-out: calibration, corpus_stats and
+    # SplitModel.sweep run their images through it
     trees, _ = _package(Path(splitstream.__file__).parent)
     assert sorted(m for m, t in trees.items() if forks(t)) == ["model"]
     assert forks(ast.parse("import os\nos.fork()"))

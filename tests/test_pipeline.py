@@ -479,6 +479,31 @@ class TestHandshake:
         assert len(results) == 1
         assert len(parse_control(results[0])["predictions"]) == 2
 
+    def test_data_longer_than_the_cut_allows_is_refused(self, model,
+                                                        traced_peak):
+        # a DATA header may declare any u32 length; the server would
+        # allocate it at the frame's deadline
+        server = _server(model)[0]
+        server.on_uplink(_switch_wire(cut="stage2"))
+        largest = codec.max_stream_size(16, 16, 32)
+
+        def forged(total_len):
+            return encode_message(WireMessage(
+                MsgType.DATA, 0, 0, total_len, bytes(99)))
+
+        def refuse(total_len):
+            with pytest.raises(ProtocolError, match=f"largest stream, {largest}"):
+                server.on_uplink(forged(total_len))
+            server.sim.run_until(server.sim.now_us + 60_000_000)
+
+        for total_len in (largest + 1, 400_000_000, 2 ** 32 - 1):
+            assert traced_peak(refuse, total_len) < 2 ** 20
+        assert server.assemblers == {} and server.processed == set()
+        # a frame at the bound is taken, and concealed at its deadline
+        server.on_uplink(forged(largest))
+        server.sim.run_until(server.sim.now_us + 60_000_000)
+        assert server.processed == {0}
+
     @given(edits=st.lists(st.tuples(st.integers(0, 10 ** 4), st.integers(0, 255)),
                           min_size=1, max_size=4),
            keep=st.integers(0, 10 ** 4))

@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from splitstream import (FTSR_HEADER, FTSR_MAGIC, FeatureTensor, TensorStats,
                          collect_stats, mse, psnr, read_tensor, write_tensor)
-from splitstream.tensor import PackedCorpus
+from splitstream.tensor import PackedCorpus, _moments
 
 
 def _ft(arr):
@@ -297,6 +297,29 @@ class TestPackedCorpus:
     def test_needs_two_tensors(self):
         with pytest.raises(ValueError, match="at least 2"):
             collect_stats(_packed([_ft(np.ones((2, 2, 1)))]))
+
+
+_MOMENT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 3.4e38, -3.4e38, 1e-38, -1e30]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hnp.arrays(np.float32,
+                  st.tuples(st.integers(1, 17), st.integers(1, 3),
+                            st.integers(1, 3), st.integers(1, 5)),
+                  elements=_MOMENT_VALUES, fill=_MOMENT_VALUES))
+def test_moments_match_the_float64_stack(stack):
+    # one array and many, one channel and several, signed zeros and values
+    # whose squares need float64's range.  Rows of one value (all of them,
+    # one channel, a one-element array) sum pairwise; longer rows in turn
+    n, h, w, c = stack.shape
+    wide = stack.astype(np.float64)
+    for width, axis in ((1, None), (c, (0, 1, 2)), (h * w * c, 0)):
+        mean, std = _moments(lambda k: stack[k].reshape(-1), n, h * w * c, width)
+        assert np.asarray(mean).tobytes() == wide.mean(axis=axis).tobytes()
+        assert np.asarray(std).tobytes() == wide.std(axis=axis).tobytes()
 
 
 class TestStatsMemory:

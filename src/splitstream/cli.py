@@ -350,11 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, model=True):
+        """A subcommand; one that builds a ``SplitModel`` takes its seed."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=fn)
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=0x5EED,
-                       help="model seed")
+        if model:
+            p.add_argument("--seed", type=lambda s: int(s, 0), default=0x5EED,
+                           help="model seed")
         p.add_argument("--out", required=True)
         return p
 
@@ -398,17 +400,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("latency-regions", _cmd_latency_regions,
             "best strategy per bandwidth")
-    p.add_argument("--profiles", default=None,
-                   help="profiles JSON; omit to measure live")
-    p.add_argument("--profiles-out", default=None,
-                   help="also save measured profiles here")
+    profiles = p.add_mutually_exclusive_group()
+    profiles.add_argument("--profiles", default=None,
+                          help="profiles JSON; omit to measure live")
+    profiles.add_argument("--profiles-out", default=None,
+                          help="also save measured profiles here")
     p.add_argument("--bandwidths", default="1e3..1e9:25")
     p.add_argument("--rtt", type=float, default=0.05)
 
-    p = add("simulate", _cmd_simulate, "run a full session from a config")
+    p = add("simulate", _cmd_simulate, "run a full session from a config",
+            model=False)
     p.add_argument("--config", required=True)
 
-    p = add("encode", _cmd_encode, "FTSR tensor -> FTCB bitstream")
+    p = add("encode", _cmd_encode, "FTSR tensor -> FTCB bitstream",
+            model=False)
     p.add_argument("--input", required=True)
     p.add_argument("--levels", type=int, default=256)
     p.add_argument("--clip-width", type=float, default=3.0)
@@ -419,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", default=None, help="stats JSON from `stats`")
     p.add_argument("--pgm", default=None, help="also dump the tiled plane")
 
-    p = add("decode", _cmd_decode, "FTCB bitstream -> FTSR tensor")
+    p = add("decode", _cmd_decode, "FTCB bitstream -> FTSR tensor",
+            model=False)
     p.add_argument("--input", required=True)
     p.add_argument("--meta", default=None,
                    help="metadata JSON (default <input>.meta.json)")

@@ -34,8 +34,10 @@ nonzero AC after its run byte.  One rule gives the values coded (``_coded``)
 and one the LEB128 width (``_wide``: a second byte outside -64..63, never a
 third); each entry's offset is a cumulative sum of entry lengths plus the
 END bytes of the blocks before it, and a value takes at most two stores.
-The transform first refuses, with ``CodecError``, a plane whose layout the
-header cannot carry (``_check_header_fields``).
+Symbol rows, one block's 64 quantized coefficients in zigzag order, are
+one kind from ``_rounded`` to ``_pack``: integer-valued float64, which the
+decoder fills too.  The transform first refuses, with ``CodecError``, a
+plane whose layout the codec cannot carry (``_check_layout``).
 
 The entropy stage is lossless, so the rate loops (``encode_to_target`` and
 ``rate_fidelity_curve``) never write a stream to weigh a quality and never
@@ -63,6 +65,7 @@ narrow alphabet decodes to symbols its quantizer accepts.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from typing import NamedTuple
 
@@ -255,8 +258,10 @@ _DIVISORS = _divisor_rows()
 
 def _divisors(quality: int) -> np.ndarray:
     """Quality-scaled divisors in zigzag order; the range check keeps quality
-    0 off the padding row and -1 from wrapping to quality 100."""
-    if not 1 <= quality <= 100:
+    0 off the padding row and -1 from wrapping to quality 100, and the type
+    check a bool or a fraction from indexing the table."""
+    if (not isinstance(quality, numbers.Integral) or isinstance(quality, bool)
+            or not 1 <= quality <= 100):
         raise ValueError(f"quality must be 1..100, got {quality}")
     return _DIVISORS[quality]
 
@@ -297,8 +302,7 @@ class _Transformed(NamedTuple):
 
 def _transform(p: TiledPlane) -> _Transformed:
     """Pad, level-shift, DCT and snap; shared by every quality."""
-    _check_plane_size(p.layout.plane_w, p.layout.plane_h)
-    _check_header_fields(p.layout)
+    _check_layout(p.layout)
     blocks = _blocks_of(p.bytes).astype(np.float64) - 128.0
     coefs = _DCT_M @ blocks @ _DCT_M.T
     coefs = np.rint(coefs * _COEF_SNAP) / _COEF_SNAP
@@ -319,11 +323,6 @@ def _rounded(t: _Transformed, quality: int) -> np.ndarray:
     return np.trunc(s, out=s)
 
 
-def _symbols(t: _Transformed, quality: int) -> np.ndarray:
-    """Quantized coefficients, one zigzag-ordered int64 row of 64 per block."""
-    return _rounded(t, quality).astype(np.int64)
-
-
 def _coded(zz: np.ndarray) -> np.ndarray:
     """The values a stream codes for symbol rows: each block's DC delta
     against the block before it, then its ACs, in the rows' dtype."""
@@ -341,8 +340,8 @@ def _wide(coded: np.ndarray) -> np.ndarray:
 
 
 def _stream_size(zz: np.ndarray) -> int:
-    """Bytes of the stream that codes symbol rows, int64 or integer-valued
-    float64: the one size formula, which the rate loops size probes by.
+    """Bytes of the stream that codes symbol rows: the one size formula,
+    which the rate loops size probes by.
 
     The header, then per block an END byte and the entries ``_pack`` lays
     out: the DC delta, and each nonzero AC with its run byte, each value
@@ -364,7 +363,7 @@ def max_stream_size(height: int, width: int, channels: int) -> int:
 
 
 def _pack(t: _Transformed, quality: int, zz: np.ndarray) -> bytes:
-    """Lay int64 symbol rows out as FTCB bytes.
+    """Lay symbol rows out as FTCB bytes.
 
     The body is one list of entries in row-major order: each block's DC
     delta, always, and each nonzero AC, preceded by its run byte, the zeros
@@ -374,12 +373,13 @@ def _pack(t: _Transformed, quality: int, zz: np.ndarray) -> bytes:
     block before its own, so the stream ends after the header, every
     entry's length and one END per block.  The buffer starts filled with
     END, so the bytes written over it leave each block's END in place.
+    Only the values written become int64, for LEB128's bit operations.
     """
     coded = _coded(zz)
     keep = coded != 0
     keep[:, 0] = True
     at = np.flatnonzero(keep)
-    value = coded.reshape(-1)[at]
+    value = coded.reshape(-1)[at].astype(np.int64)
     block, col = np.divmod(at, 64)
     is_ac = col > 0
     wide = _wide(value)
@@ -405,20 +405,18 @@ def _pack(t: _Transformed, quality: int, zz: np.ndarray) -> bytes:
 
 def encode(p: TiledPlane, quality: int) -> bytes:
     t = _transform(p)
-    return _pack(t, quality, _symbols(t, quality))
+    return _pack(t, quality, _rounded(t, quality))
 
 
-def _check_plane_size(plane_w: int, plane_h: int) -> None:
-    if plane_w * plane_h > _MAX_PLANE_PIXELS:
-        raise CodecError(
-            f"plane {plane_w}x{plane_h} exceeds {_MAX_PLANE_PIXELS} pixels")
-
-
-def _check_header_fields(layout: TileLayout) -> None:
-    """Refuse a layout ``FTCB_HEADER`` cannot carry: two bytes per plane
-    dimension, one per grid count.  The other fields fit whenever these do:
-    a tile is no larger than its plane, and the channel count is at most
-    the grid's 255 * 255 slots."""
+def _check_layout(layout: TileLayout) -> None:
+    """Refuse a layout the codec does not carry: a plane above
+    ``_MAX_PLANE_PIXELS``, or a field ``FTCB_HEADER`` cannot hold, two bytes
+    per plane dimension and one per grid count.  The other fields fit
+    whenever these do: a tile is no larger than its plane, and the channel
+    count is at most the grid's 255 * 255 slots."""
+    if layout.plane_w * layout.plane_h > _MAX_PLANE_PIXELS:
+        raise CodecError(f"plane {layout.plane_w}x{layout.plane_h} exceeds "
+                         f"{_MAX_PLANE_PIXELS} pixels")
     for name, value, most in (("plane width", layout.plane_w, 0xFFFF),
                               ("plane height", layout.plane_h, 0xFFFF),
                               ("grid columns", layout.grid_cols, 0xFF),
@@ -514,7 +512,7 @@ def _decode_blocks(body: np.ndarray, n_blocks: int,
     if strict and used != len(body):
         raise BlockCountError(f"{len(body) - used} trailing bytes after last block")
     done = min(len(ends), n_blocks)
-    zz = np.zeros((n_blocks, 64), dtype=np.int64)
+    zz = np.zeros((n_blocks, 64))
     zz[:done, 0] = dc[:done]
     kept = np.searchsorted(run_block[:len(ac)], done)
     zz.reshape(-1)[64 * run_block[:kept] + col[:kept]] = ac[:kept]
@@ -524,7 +522,7 @@ def _decode_blocks(body: np.ndarray, n_blocks: int,
 def _reconstruct(zz: np.ndarray, table: np.ndarray, plane_h: int, plane_w: int) -> np.ndarray:
     symbols = zz[:, _UNZIGZAG].reshape(-1, 8, 8)
     coefs = symbols * table
-    blocks = _DCT_M.T @ coefs.astype(np.float64) @ _DCT_M
+    blocks = _DCT_M.T @ coefs.astype(np.float64, copy=False) @ _DCT_M
     pixels = np.clip(np.rint(blocks + 128.0), 0, 255).astype(np.uint8)
     return _unblock(pixels, plane_h, plane_w)
 
@@ -547,7 +545,7 @@ def _decode(data: bytes, strict: bool) -> tuple[TiledPlane, int, int]:
         # every block takes at least a DC byte and its END
         raise TruncatedStreamError(
             f"{len(body)} body bytes cannot hold {n_blocks} blocks")
-    _check_plane_size(layout.plane_w, layout.plane_h)
+    _check_layout(layout)
     zz, done = _decode_blocks(body, n_blocks, strict)
     return _decoded_plane(zz, quality, layout, levels), done, n_blocks
 
@@ -579,14 +577,14 @@ def encode_to_target(p: TiledPlane, target_bytes: int) -> tuple[bytes, int]:
 
     Binary search over quality 1..100 (stream size grows with quality).
     Each probe is sized by ``_stream_size``, the one size formula, straight
-    from its rounded float coefficients; only the chosen quality becomes
-    int64 symbols and bytes.  Returns (bitstream, quality); raises
-    TargetInfeasibleError when even quality 1 exceeds the target.
+    from its symbol rows; only the chosen quality's rows become bytes.
+    Returns (bitstream, quality); raises TargetInfeasibleError when even
+    quality 1 exceeds the target, or the target is NaN.
     """
     t = _transform(p)
     best = _rounded(t, 1)
     min_size = _stream_size(best)
-    if min_size > target_bytes:
+    if not min_size <= target_bytes:
         raise TargetInfeasibleError(target_bytes, min_size)
     lo, hi = 1, 100
     while lo < hi:
@@ -596,7 +594,7 @@ def encode_to_target(p: TiledPlane, target_bytes: int) -> tuple[bytes, int]:
             lo, best = mid, rows
         else:
             hi = mid - 1
-    return _pack(t, lo, best.astype(np.int64)), lo
+    return _pack(t, lo, best), lo
 
 
 def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
@@ -614,7 +612,7 @@ def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
     def degrade(_image_id, tensor):
         t = _transform(tile(quantize(tensor, spec, stats)))
         for q in qualities:
-            zz = _symbols(t, q)
+            zz = _rounded(t, q)
             plane = _decoded_plane(zz, q, t.layout, t.levels)
             yield dequantize(detile(plane, spec), stats), _stream_size(zz)
 

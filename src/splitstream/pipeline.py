@@ -439,7 +439,9 @@ class _Server:
         now = self.sim.now_us
         fid = msg.frame_id
         if fid not in self.processed:
-            asm = self.assemblers.setdefault(fid, FrameAssembler(fid))
+            asm = self.assemblers.get(fid)
+            if asm is None:
+                asm = self.assemblers[fid] = FrameAssembler(fid)
             added = asm.add(msg)
             self.est.record_received(added, now)
             # progress watchdog: each arrival restarts the gap deadline, so

@@ -511,9 +511,10 @@ class FrameAssembler:
     def complete(self) -> bool:
         return self.total_len is not None and self.bytes_received == self.total_len
 
-    def payload(self) -> tuple[bytes, list[tuple[int, int]]]:
+    def payload(self) -> tuple[bytearray, list[tuple[int, int]]]:
         """(assembled bytes, gap ranges).  Gaps are zero-filled in the
-        returned buffer and reported as [start, end) pairs."""
+        returned buffer, a fresh one on each call, and reported as
+        [start, end) pairs."""
         if self.total_len is None:
             raise ReassemblyError("no segments received")
         buf = bytearray(self.total_len)
@@ -532,10 +533,10 @@ class FrameAssembler:
             pos = off + len(seg)
         if pos < self.total_len:
             gaps.append((pos, self.total_len))
-        return bytes(buf), gaps
+        return buf, gaps
 
 
-def reassemble(messages) -> tuple[bytes, list[tuple[int, int]]]:
+def reassemble(messages) -> tuple[bytearray, list[tuple[int, int]]]:
     """One-shot reassembly of an iterable of DATA messages (any order)."""
     it = iter(messages)
     try:

@@ -1,5 +1,8 @@
+import argparse
+import ast
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -8,6 +11,7 @@ import resource
 import signal
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +547,56 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["encode", "--input", "x", "--out", "y", "--mode", "bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [["simulate", "--config", "c.json"],
+                                         ["encode", "--input", "x"],
+                                         ["decode", "--input", "x"]])
+    def test_seed_refused_where_no_model_is_built(self, capsys, command):
+        # simulate takes its model seed from the config's model_seed
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--out", "y", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_profiles_read_and_written_are_exclusive(self, tmp_path, capsys):
+        # read profiles are never measured, so there would be none to save
+        prof, saved = tmp_path / "p.json", tmp_path / "saved.json"
+        prof.write_text(json.dumps(TestLatencyRegions.PROFILES))
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["latency-regions", "--out", str(out), "--profiles", str(prof),
+                  "--profiles-out", str(saved)])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not out.exists() and not saved.exists()
+
+
+def _args_read(fn) -> set[str]:
+    """Attributes ``fn`` reads from ``args``, and those read by the
+    module-level helpers it passes ``args`` to."""
+    read = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and any(isinstance(a, ast.Name) and a.id == "args"
+                      for a in node.args)):
+            read |= _args_read(getattr(cli, node.func.id))
+    return read
+
+
+def test_every_flag_is_read_by_its_command():
+    # a flag whose value no code reads is accepted and does nothing
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = [f"{name} {action.option_strings[0]}"
+              for name, p in sub.choices.items()
+              for action in p._actions
+              if not isinstance(action, argparse._HelpAction)
+              and action.dest not in _args_read(p.get_default("func"))]
+    assert unread == []
 
 
 # address space for a CLI child: ample for the interpreter, numpy and a

@@ -16,7 +16,7 @@ from splitstream.codec import (BASE_TABLE, FTCB_HEADER, BadMagicError,
 from splitstream.tiling import TileLayout, channel_tiles
 from splitstream.codec import (_MAX_PLANE_PIXELS, _MAX_SYMBOL, _UNZIGZAG,
                                _ZIGZAG, _decoded_plane, _pack, _rounded,
-                               _stream_size, _symbols, _transform, _Transformed)
+                               _stream_size, _transform, _Transformed)
 
 import ftcb_reference as reference
 from conftest import cut_tensors
@@ -79,6 +79,13 @@ class TestQualityTable:
         for quality in (0, 101, -1):
             with pytest.raises(ValueError):
                 quality_table(quality)
+
+    def test_bool_quality_refused(self):
+        # True is an int 1 to a range check, but a mask to numpy indexing;
+        # a numpy integer is still a quality
+        with pytest.raises(ValueError, match="quality must be"):
+            quality_table(True)
+        assert np.array_equal(quality_table(np.int64(50)), BASE_TABLE)
 
     def test_tables_are_fresh_copies(self):
         # callers get their own array, never a view of the shared table
@@ -144,6 +151,12 @@ class TestEncode:
         for quality in (0, 101, -1):
             with pytest.raises(ValueError):
                 encode(p, quality)
+
+    @pytest.mark.parametrize("quality", [50.5, 50.0, True])
+    def test_non_integer_quality_refused(self, quality):
+        # refused by the quality check, not by the table lookup
+        with pytest.raises(ValueError, match="quality must be"):
+            encode(_const_plane(128), quality)
 
     def test_deterministic(self):
         p = _smooth_plane(seed=1)
@@ -443,6 +456,12 @@ class TestEncodeToTarget:
             encode_to_target(p, 1)
         assert exc.value.target == 1
         assert exc.value.min_size == len(encode(p, 1))
+
+    def test_nan_target_is_infeasible(self):
+        # no size compares below NaN, so no quality fits it
+        p = _smooth_plane(seed=6)
+        with pytest.raises(TargetInfeasibleError):
+            encode_to_target(p, float("nan"))
 
     def test_result_never_exceeds_target(self):
         p = _smooth_plane(seed=7)
@@ -796,12 +815,9 @@ class TestSymbolPath:
 
     @given(_planes, st.integers(1, 100), st.sampled_from([256, 16]))
     def test_stream_size_is_the_stream_length(self, p, quality, levels):
-        # from int64 symbols and from the float rows the probes size alike
         p = _at_levels(p, levels)
         t = _transform(p)
-        want = len(encode(p, quality))
-        assert _stream_size(_symbols(t, quality)) == want
-        assert _stream_size(_rounded(t, quality)) == want
+        assert _stream_size(_rounded(t, quality)) == len(encode(p, quality))
 
     def test_stream_size_on_extreme_planes_at_every_quality(self):
         # constant 0 and 255 give the largest DC symbols, checkerboards of
@@ -821,10 +837,8 @@ class TestSymbolPath:
                 assert data == reference.encode(p, q)
                 # _pack sizes its buffer by the end of its own entry list,
                 # the rate loops by _stream_size: the two must agree
-                want = len(data)
-                zz = _symbols(t, q)
-                assert want == _stream_size(zz)
-                assert want == _stream_size(_rounded(t, q))
+                zz = _rounded(t, q)
+                assert len(data) == _stream_size(zz)
                 coded |= set(np.diff(zz[:, 0], prepend=0).tolist())
                 coded |= set(zz[:, 1:][zz[:, 1:] != 0].tolist())
         assert {-64, 64} <= coded
@@ -857,7 +871,7 @@ class TestSymbolPath:
         t = _Transformed(coefs, _const_plane(0).layout, 256)
         scaled = coefs / quality_table(quality).reshape(64)[_ZIGZAG]
         want = (np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)).astype(np.int64)
-        assert np.array_equal(_symbols(t, quality), want)
+        assert np.array_equal(_rounded(t, quality), want)
         assert _stream_size(_rounded(t, quality)) == _stream_size(want)
         assert _stream_size(want) == len(_pack(t, quality, want))
 
@@ -865,7 +879,7 @@ class TestSymbolPath:
     def test_reconstruction_is_the_decoded_plane(self, p, quality, levels):
         p = _at_levels(p, levels)
         t = _transform(p)
-        got = _decoded_plane(_symbols(t, quality), quality, t.layout, t.levels)
+        got = _decoded_plane(_rounded(t, quality), quality, t.layout, t.levels)
         want = decode(encode(p, quality))
         assert ((got.bytes.tobytes(), got.layout, got.levels)
                 == (want.bytes.tobytes(), want.layout, want.levels))

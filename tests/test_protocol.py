@@ -749,6 +749,15 @@ class TestFrameAssembler:
             asm.add(_data_msg(3, off, seg, total))
         assert asm.payload() == _reference_payload(asm)
 
+    @pytest.mark.parametrize("packets", [40, 1], ids=["complete", "one_packet"])
+    def test_payload_holds_one_frame_buffer(self, traced_peak, packets):
+        # the zero-filled buffer is the payload itself, not copied again
+        total = 40_000
+        asm = FrameAssembler(2)
+        for i in range(packets):
+            asm.add(_data_msg(2, 1000 * i, bytes([i]) * 1000, total))
+        assert traced_peak(asm.payload) < 1.5 * total
+
     def test_payload_requires_metadata(self):
         with pytest.raises(ReassemblyError, match="no segments"):
             FrameAssembler(0).payload()

@@ -607,6 +607,9 @@ def rate_fidelity_curve(model, image_ids, cut, qualities, stats,
     from the decoder's reconstruction of them (``_decoded_plane``).
     """
     spec = QuantizerSpec(levels=levels, clip_width=clip_width, mode="aggregate")
+    qualities = list(qualities)
+    for q in qualities:
+        _divisors(q)    # a fraction, a bool, 0 or 101 raises before any model work
     qualities = [int(q) for q in qualities]
 
     def degrade(_image_id, tensor):

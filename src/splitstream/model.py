@@ -27,11 +27,15 @@ is how many degraded frames keep the argmax of their clean run.
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
+import select
 import signal
 import sys
 import threading
+import weakref
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -417,7 +421,8 @@ def _fan_out(ids, run, receive) -> None:
     try:
         for chunk in chunks[1:]:
             try:
-                children.append(_fork(chunk, run))
+                children.append((*_fork(
+                    lambda out, chunk=chunk: _run_chunk(chunk, run, out)), chunk))
             except OSError:
                 break
         rest = [i for chunk in chunks[1 + len(children):] for i in chunk]
@@ -435,8 +440,10 @@ def _fan_out(ids, run, receive) -> None:
             reader.close()
 
 
-def _fork(chunk: list, run) -> tuple:
-    """(pid, reading end, chunk) of a child started on a chunk."""
+def _fork(work) -> tuple:
+    """(pid, reading end) of a child started on ``work(writing end)``: the
+    package's one ``os.fork``.  The child exits when ``work`` returns or
+    raises, never back into the caller's frames."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -452,12 +459,12 @@ def _fork(chunk: list, run) -> tuple:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as out:
-                _run_chunk(chunk, run, out)
+                work(out)
             code = 0
         finally:
-            os._exit(code)  # never back into the caller's frames
+            os._exit(code)
     os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb"), chunk
+    return pid, os.fdopen(read_fd, "rb")
 
 
 def _run_chunk(chunk: list, run, out) -> None:
@@ -510,6 +517,156 @@ def _received(child: tuple, run, receive, reaped: set) -> None:
     raise RuntimeError(f"image {failed} raised in a forked child but not here")
 
 
+# each owner's helper between its uses: see take_helper
+_kept: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def take_helper(owner, work) -> Helper | None:
+    """A ``Helper`` for ``owner``: the one ``keep_helper`` kept for it, else
+    a new one running ``work`` (a kept helper runs the work it started
+    with).  None where this process has one usable core (see
+    ``_usable_cores``) or cannot start a child (``os.fork`` or ``os.pipe``
+    raises ``OSError``).  The caller holds the helper alone until it hands
+    it back with ``keep_helper``, or ends it with ``Helper.close``."""
+    if _usable_cores() < 2:
+        return None
+    helper = _kept.pop(owner, None)
+    if helper is not None and os.waitpid(helper.pid, os.WNOHANG)[0]:
+        helper.pid = None       # ended while kept, say by a kill: reaped
+        helper.close()
+        helper = None
+    if helper is None:
+        try:
+            helper = Helper(work)
+        except OSError:
+            return None
+    return helper
+
+
+def keep_helper(owner, helper: Helper) -> None:
+    """Keeps ``helper`` for ``owner``'s next ``take_helper``.  It ends when
+    ``owner`` is collected, at exit, or at ``end_helpers``."""
+    _kept[owner] = helper
+
+
+def end_helpers() -> None:
+    """Ends every kept helper."""
+    while _kept:
+        _kept.popitem()[1].close()
+
+
+atexit.register(end_helpers)
+
+
+class Helper:
+    """A child started by ``_fork`` that answers requests in order, beside
+    this process.
+
+    In the child, ``work(requests, reply)`` iterates the requests as
+    ``submit`` sends them, until this process ends the helper, and calls
+    ``reply`` once per request, in order.  Here, ``reply()`` returns the
+    next reply, blocking until the child has made it, and raises what
+    ``work`` raised (a ``RuntimeError`` where that does not pickle, or
+    where the child ended without replying).  Requests and replies are
+    pickled down two pipes.  ``submit`` loads replies the child has written
+    while it waits to write, so neither process ever waits on a full pipe
+    that the other is waiting to write to.  ``close``, or dropping the last
+    reference, ends the child and reaps it.
+    """
+
+    def __init__(self, work):
+        read_fd, write_fd = os.pipe()       # requests
+
+        def serve(out):
+            os.close(write_fd)
+            with os.fdopen(read_fd, "rb") as requests:
+                _serve(work, requests, out)
+
+        try:
+            self.pid, self._replies = _fork(serve)
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        os.close(read_fd)
+        os.set_blocking(write_fd, False)
+        self._requests = os.fdopen(write_fd, "wb", buffering=0)
+        self._early: deque = deque()    # replies loaded while submitting
+        self._parent = os.getpid()      # a forked copy of this ends nothing
+
+    def reply(self):
+        return self._early.popleft() if self._early else self._load()
+
+    def close(self) -> None:
+        if getattr(self, "_parent", None) != os.getpid():
+            return      # never started, or a forked copy
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        self._requests.close()
+        self._replies.close()
+
+    __del__ = close
+
+    def submit(self, request) -> None:
+        data = memoryview(pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
+        while data:
+            readable, writable, _ = select.select([self._replies],
+                                                  [self._requests], [])
+            if readable:
+                self._early.append(self._load())
+            if writable:
+                try:
+                    data = data[self._requests.write(data) or 0:]
+                except BrokenPipeError:
+                    # the child has ended: its last reply says why
+                    while True:
+                        self._load()
+
+    def _load(self):
+        try:
+            ok, value = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(f"a forked helper exited with code {self._reap()}"
+                               " before it replied") from None
+        if not ok:
+            self._reap()
+            raise value
+        return value
+
+    def _reap(self) -> int:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return os.waitstatus_to_exitcode(status)
+
+
+def _serve(work, requests, out) -> None:
+    """A helper's work: ``work``'s replies, each pickled as (True, reply),
+    then, if it raises, (False, what it raised).  The requests end where
+    the parent closes its end of their pipe."""
+
+    def each_request():
+        while True:
+            try:
+                yield pickle.load(requests)
+            except EOFError:
+                return
+
+    def reply(value):
+        pickle.dump((True, value), out, pickle.HIGHEST_PROTOCOL)
+        out.flush()
+
+    try:
+        work(each_request(), reply)
+    except BaseException as exc:
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"a forked helper raised {exc!r}")
+        pickle.dump((False, exc), out, pickle.HIGHEST_PROTOCOL)
+        raise
+
+
 def _usable_cores() -> int:
     """Cores a fan-out may use: those this process may run on, or 1 where
     it cannot start a child by ``fork`` safely.  That is where there is no
@@ -560,9 +717,10 @@ def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     inherits the held corpus and reads its chunk of it; this process keeps
     each child image's shallower tensor until that image's result arrives,
     so it can run a failed image again.  A child holds its chunk's cut
-    tensors until it sends them, and this process receives them one image
-    at a time and appends each to its corpus in id order, so the stats are
-    the same bytes as a one-core run's.
+    tensors, packed short of the last cut, until it sends them, and this
+    process receives them one image at a time and appends each to its
+    corpus in id order, so the stats are the same bytes as a one-core
+    run's.
     """
     held, model._held_corpus = model._held_corpus, None
     key = (cut, n_images)
@@ -581,12 +739,16 @@ def corpus_stats(model: SplitModel, cut: str, n_images: int) -> TensorStats:
     last = stage == len(CUT_POINTS)
     corpus = [] if last else PackedCorpus((point.height, point.width, point.channels))
 
-    def receive(i, y):
-        corpus.append(FeatureTensor(y))
+    def run(i):
+        # in the form the corpus keeps, made by whichever process runs i
+        t = FeatureTensor(model._stages(source(i), start + 1, stage))
+        return t if last else corpus.pack(t)
+
+    def receive(i, item):
+        corpus.append(item)
         done(i)
 
-    _fan_out(range(n_images), lambda i: model._stages(source(i), start + 1, stage),
-             receive)
+    _fan_out(range(n_images), run, receive)
     model._stats[key] = collect_stats(corpus, label=f"{cut}-{n_images}")
     if not last:
         model._held_corpus = (n_images, stage, corpus)

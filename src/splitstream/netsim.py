@@ -27,6 +27,7 @@ with their length, never silently vanished.
 from __future__ import annotations
 
 import heapq
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -52,6 +53,11 @@ class LinkConfig:
         # serializes in a finite integer number of microseconds
         if not self.bandwidth_bps >= 1.0:      # NaN too
             raise ValueError("bandwidth must be at least 1 byte per second")
+        # a jitter of 1.5 would make randint(jitter + 1) draw a float
+        for name in ("one_way_delay_us", "jitter_us"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.one_way_delay_us < 0 or self.jitter_us < 0:
             raise ValueError("delays must be non-negative")
         if self.jitter_us >= 1 << 64:           # drawn by randint(jitter + 1)

@@ -35,6 +35,18 @@ are the one modelled out-of-band channel, assumed lossless and free;
 dataset statistics are the shared model's own ``corpus_stats``, so both
 ends agree without transmission.  Seeded draws and integer simulated time
 make a config (link seed included) reproduce its report byte for byte.
+
+Inference off the simulated path runs beside it where a second core is
+usable (``_OffPath``): a helper process, forked at the first kept frame of
+a model's first session and kept for its later ones, computes each kept
+frame's clean argmax, the agreement oracle that fills in ``agree`` when
+the report is built, and the server's scores of the stream as submitted.
+The helper is a byte-keyed cache of the server's pure function,
+``_server_scores``, not a channel: the server takes its scores only for a
+frame that arrived with no gap and exactly the submitted bytes, under its
+own session and stats, reads them in order, blocking, and computes every
+other frame itself.  So the report is the same bytes with a helper or
+without one.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ import functools
 import math
 import statistics
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -51,7 +64,7 @@ from . import codec
 from .codec import TargetInfeasibleError, pack, quality_table, unpack
 from .concealment import STRATEGIES, side_channel_means
 from .model import (CLASS_NAMES, CUT_POINTS, MODEL_NAME, CutPoint, SplitModel,
-                    corpus_stats, cut_point)
+                    corpus_stats, cut_point, keep_helper, take_helper)
 from .netsim import Link, LinkConfig, Simulator
 from .protocol import (BandwidthEstimator, Confirmation, FrameAssembler,
                        MsgType, ProtocolError, SendBuffer, WireMessage,
@@ -60,7 +73,7 @@ from .protocol import (BandwidthEstimator, Confirmation, FrameAssembler,
                        should_process_frame)
 from .quantizer import QuantizerSpec
 from .strategy import StrategyProfile
-from .tensor import TensorStats, collect_stats
+from .tensor import FeatureTensor, TensorStats, collect_stats
 
 __all__ = [
     "LinkScenario",
@@ -207,15 +220,129 @@ def _frame_row(k: int) -> dict:
     }
 
 
+def _server_scores(model: SplitModel, session: _Session, stats: TensorStats,
+                   data: bytes, gaps=(), side=None) -> np.ndarray:
+    """The server's class scores for a frame's bytes: the one routine the
+    server runs inline and the helper runs ahead, on intact streams."""
+    return model.forward_server(
+        unpack(data, session.spec, stats, gaps, session.conceal, side),
+        session.cut.name)
+
+
+def _off_path_work(model: SplitModel, requests, reply):
+    """A helper's loop over its model's sessions, one after another: for
+    each kept frame, the server's scores of its stream as submitted, then
+    its clean argmax; at a session's end (None), all its argmaxes."""
+    argmax = {}
+    for request in requests:
+        if request is None:
+            reply(argmax)
+            argmax = {}
+            continue
+        k, clean, bits, context = request
+        if context is not None:         # a session's first kept frame
+            session, stats = context
+        reply(_server_scores(model, session, stats, bits))
+        argmax[k] = model.argmax(clean, session.cut.name)
+
+
+class _OffPath:
+    """Each kept frame's inference off the simulated path: its clean argmax
+    (the agreement oracle), and the server's scores of its intact stream.
+
+    Where a second core is usable, a helper (``model.take_helper``) runs
+    both in submission order while this process simulates: for each frame,
+    the server's scores of the stream as submitted, then the clean argmax,
+    all of which it returns at the end.  The helper is forked at the first
+    kept frame of the model's first session and kept for its later ones
+    (a model never changes once built), so a warm session forks nothing.
+    The server takes the helper's scores only for a frame that arrives
+    with no gap and exactly the submitted bytes, under the session and
+    stats they were computed for, so the helper is a byte-keyed cache of
+    ``_server_scores``, a pure function, and not a channel; and it reads
+    them in order, blocking, so which process computed a result never
+    depends on timing.  Where no helper runs, the argmax is taken here at
+    capture and the server computes every frame's scores itself.
+    """
+
+    def __init__(self, model: SplitModel, session: _Session, stats: TensorStats):
+        self.model = model
+        self.session = session
+        self.stats = stats
+        self.helper = None
+        self.started = False
+        self.argmax: dict[int, int] = {}
+        self.streams: dict[int, bytes] = {}     # submitted, scores unclaimed
+        self.unread: deque[int] = deque()       # frames whose scores are unread
+        self.ready: dict[int, np.ndarray] = {}  # read ahead of their claim
+
+    def submit(self, k: int, clean: FeatureTensor, bits: bytes):
+        context = None
+        if not self.started:
+            self.started = True
+            self.helper = take_helper(
+                self.model, functools.partial(_off_path_work, self.model))
+            context = (self.session, self.stats)
+        if self.helper is None:
+            self.argmax[k] = self.model.argmax(clean, self.session.cut.name)
+            return
+        self.helper.submit((k, clean, bits, context))
+        self.streams[k] = bits
+        self.unread.append(k)
+
+    def scores(self, k: int, data: bytes, gaps, session: _Session,
+               stats: TensorStats) -> np.ndarray | None:
+        """The helper's scores of frame ``k`` if it arrived intact as
+        submitted and the server's session and stats are those they were
+        computed under, else None; either way the frame's stream is let
+        go."""
+        if (gaps or self.streams.get(k) != data or session != self.session
+                or stats is not self.stats):
+            self.streams.pop(k, None)
+            self.ready.pop(k, None)
+            return None
+        while k not in self.ready:
+            self._read()
+        del self.streams[k]
+        return self.ready.pop(k)
+
+    def _read(self):
+        k = self.unread.popleft()
+        scores = self.helper.reply()
+        if k in self.streams:
+            self.ready[k] = scores
+
+    def argmaxes(self) -> dict[int, int]:
+        """Every kept frame's clean argmax.  A helper's last reply; the
+        helper is then kept for the model's next session."""
+        if self.helper is not None:
+            self.streams.clear()
+            self.helper.submit(None)
+            while self.unread:
+                self._read()
+            self.argmax = self.helper.reply()
+            keep_helper(self.model, self.helper)
+            self.helper = None
+        return self.argmax
+
+    def close(self):
+        """Ends a helper not kept by ``argmaxes``: the session failed, and
+        the helper may be mid-request."""
+        if self.helper is not None:
+            self.helper.close()
+
+
 class _Client:
     def __init__(self, sim: Simulator, cfg: PipelineConfig, session: _Session,
-                 model: SplitModel, stats: TensorStats, uplink: Link):
+                 model: SplitModel, stats: TensorStats, uplink: Link,
+                 offpath: _OffPath):
         self.sim = sim
         self.cfg = cfg
         self.session = session
         self.model = model
         self.stats = stats
         self.uplink = uplink
+        self.offpath = offpath
         self.est = BandwidthEstimator(rtt_us=cfg.link.rtt_us)
         self.buffer = SendBuffer()
         self.ready = False
@@ -226,7 +353,6 @@ class _Client:
         self.heard: set[int] = set()   # frames with any CONFIRM back
         self.side_store: dict[int, np.ndarray] = {}
         self.frames: dict[int, dict] = {}
-        self.clean_argmax: dict[int, int] = {}
         self.max_gauge_excess = float("-inf")
         self.max_queue_bytes = 0
 
@@ -300,7 +426,7 @@ class _Client:
             rec["status"] = "dropped"
             self.sim.log_event("frame_drop", k)
             return
-        self.clean_argmax[k] = self.model.argmax(t, cut)
+        self.offpath.submit(k, t, bits)
         self.side_store[k] = side_channel_means(t)
         rec["sentBytes"] = len(bits)
 
@@ -383,20 +509,22 @@ class _Client:
             return
         rec["latency_us"] = self.sim.now_us - rec["capture_us"]
         rec["concealedRanges"] = body.get("concealedRanges", 0)
-        top = body["predictions"][0]["name"] if body["predictions"] else ""
-        rec["agree"] = top == CLASS_NAMES[self.clean_argmax[k]]
+        # agree is filled in from the clean argmax when the report is built
+        rec["top"] = body["predictions"][0]["name"] if body["predictions"] else ""
         rec["status"] = "ok"
         self.sim.log_event("result", k, 0, msg.total_len)
 
 
 class _Server:
     def __init__(self, sim: Simulator, cfg: PipelineConfig, model: SplitModel,
-                 downlink: Link, side_store: dict[int, np.ndarray]):
+                 downlink: Link, side_store: dict[int, np.ndarray],
+                 offpath: _OffPath):
         self.sim = sim
         self.cfg = cfg
         self.model = model
         self.downlink = downlink
         self.side_store = side_store
+        self.offpath = offpath
         # set by the first well-formed MODEL_SWITCH, from its body alone
         self.session: _Session | None = None
         self.stats: TensorStats | None = None
@@ -471,15 +599,16 @@ class _Server:
         self.processed.add(fid)
         asm = self.assemblers.pop(fid)
         data, gaps = asm.payload()
+        scores = self.offpath.scores(fid, data, gaps, self.session, self.stats)
 
         if gaps and self.session.conceal == "none":
             self.failed_frames.add(fid)
             self.sim.log_event("frame_fail", fid, 0, len(gaps))
             return
 
-        t_final = unpack(data, self.session.spec, self.stats, gaps,
-                         self.session.conceal, self.side_store.get(fid))
-        scores = self.model.forward_server(t_final, self.session.cut.name)
+        if scores is None:
+            scores = _server_scores(self.model, self.session, self.stats, data,
+                                    gaps, self.side_store.get(fid))
         order = np.argsort(scores)[::-1][: self.session.top_k]
         body = {
             "frameNumber": fid,
@@ -573,8 +702,9 @@ def run_session(config: PipelineConfig,
     uplink = Link(sim, up_cfg, "up")
     downlink = Link(sim, down_cfg, "down")
 
-    client = _Client(sim, cfg, session, model, stats, uplink)
-    server = _Server(sim, cfg, model, downlink, client.side_store)
+    offpath = _OffPath(model, session, stats)
+    client = _Client(sim, cfg, session, model, stats, uplink, offpath)
+    server = _Server(sim, cfg, model, downlink, client.side_store, offpath)
     uplink.deliver = server.on_uplink
     downlink.deliver = client.on_downlink
 
@@ -585,17 +715,21 @@ def run_session(config: PipelineConfig,
         if client.failed:
             raise SessionError(client.failed)
         sim.run_until(duration)
+        clean_argmax = offpath.argmaxes()
     finally:
         # the links join client and server in a ring, and pending events
         # point back at both: cut both so the session is freed on return
         uplink.deliver = downlink.deliver = None
         sim.close()
+        offpath.close()
 
     frames = []
     for k in range(cfg.frames):
         rec = client.frames.get(k) or _frame_row(k)
         if k in server.failed_frames:
             rec["status"] = "failed"
+        elif rec["status"] == "ok":
+            rec["agree"] = rec["top"] == CLASS_NAMES[clean_argmax[k]]
         frames.append({key: rec[key] for key in FRAME_ROW_KEYS})
 
     completed = [f for f in frames if f["status"] == "ok"]

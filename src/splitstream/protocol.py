@@ -303,8 +303,8 @@ class BandwidthEstimator:
     PRESUME_AFTER_RTTS = 2
 
     def __init__(self, rtt_us: int):
-        if rtt_us < 0:
-            raise ValueError("rtt must be non-negative")
+        if not 0 <= rtt_us < math.inf:          # NaN too
+            raise ValueError(f"rtt must be non-negative and finite, got {rtt_us}")
         self.rtt_us = rtt_us
         self.loss_ewma = 1.0
         self.bytes_sent = 0

@@ -191,12 +191,17 @@ class PackedCorpus:
     def __len__(self) -> int:
         return len(self._packed)
 
-    def append(self, tensor: FeatureTensor) -> None:
+    def pack(self, tensor: FeatureTensor) -> tuple[np.ndarray, np.ndarray]:
+        """(mask bits, nonzero values) of a tensor of the corpus's shape:
+        what ``append`` takes, which any process can make."""
         if tensor.shape != self.shape:
             raise ValueError(f"sample shape {tensor.shape} does not match {self.shape}")
         flat = tensor.data.reshape(-1)
         mask = flat.view(np.uint32) != 0
-        self._packed.append((np.packbits(mask), np.compress(mask, flat)))
+        return np.packbits(mask), np.compress(mask, flat)
+
+    def append(self, packed: tuple[np.ndarray, np.ndarray]) -> None:
+        self._packed.append(packed)
 
     def flat(self, k: int) -> np.ndarray:
         """Tensor ``k``'s values, flat, expanded afresh."""

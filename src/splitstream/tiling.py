@@ -13,6 +13,7 @@ undecoded pixels) onto tensor elements.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,12 @@ class TileLayout:
     channels: int
 
     def __post_init__(self):
-        if min(self.grid_cols, self.grid_rows, self.tile_w, self.tile_h,
-               self.channels) < 1:
+        dims = (self.grid_cols, self.grid_rows, self.tile_w, self.tile_h,
+                self.channels)
+        if any(isinstance(d, bool) or not isinstance(d, numbers.Integral)
+               for d in dims):
+            raise ValueError(f"layout dimensions must be integers, got {dims}")
+        if min(dims) < 1:
             raise ValueError("layout dimensions must be positive")
         if self.grid_cols * self.grid_rows < self.channels:
             raise ValueError("grid too small for channel count")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from splitstream import SplitModel, collect_stats
+from splitstream.model import end_helpers
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -32,6 +33,15 @@ def no_child_left():
     """This process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def reaped():
+    """Ends the helpers that models keep between sessions after each test,
+    then fails the test if it left any other child process behind."""
+    yield
+    end_helpers()
+    no_child_left()
 
 
 @pytest.fixture(scope="session")

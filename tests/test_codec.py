@@ -507,6 +507,20 @@ class TestRateFidelityCurve:
         with pytest.raises(ValueError, match="quality"):
             rate_fidelity_curve(model, range(1), "stage2", [quality], stats)
 
+    @pytest.mark.parametrize("qualities", [[50.5], [True], [50, 0], [50, 101],
+                                           [50.5, True], [80, 50.0]])
+    def test_every_quality_is_checked_before_any_model_work(self, corpus_at,
+                                                            qualities):
+        # int(q) would run 50.5 as 50 and True as 1
+        _, stats = corpus_at("stage2", 32)
+
+        class NoWork:
+            def sweep(self, *args):
+                raise AssertionError("model work before the quality check")
+
+        with pytest.raises(ValueError, match="quality"):
+            rate_fidelity_curve(NoWork(), range(1), "stage2", qualities, stats)
+
     def test_quality_extremes_order_agreement(self, model, corpus_at):
         _, stats = corpus_at("stage2", 32)
         rows = rate_fidelity_curve(model, range(12), "stage2", [1, 100], stats)
@@ -858,6 +872,11 @@ class TestSymbolPath:
         widest[1::2, 0] = -100
         assert _stream_size(widest) == codec.max_stream_size(*shape)
         assert len(encode(p, 100)) < codec.max_stream_size(*shape)
+
+    def test_max_stream_size_refuses_a_fractional_shape(self):
+        # it once returned 24212.0 for a 1000.5-pixel tile
+        with pytest.raises(ValueError, match="integers"):
+            codec.max_stream_size(1000.5, 1, 1)
 
     @pytest.mark.parametrize("quality", [1, 2, 13, 50, 51, 77, 99, 100])
     def test_rounding_matches_reference_at_ties(self, quality):

@@ -1,8 +1,10 @@
 import errno
+import gc
 import hashlib
 import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 import threading
@@ -20,7 +22,8 @@ from splitstream import (CLASS_NAMES, CUT_POINTS, EQUIVARIANCE_BORDER,
                          rate_fidelity_curve, sweep)
 from splitstream import model as model_module
 from splitstream.model import (_CAL_ID_BASE, CALIBRATION_IMAGES, STAGE_CHANNELS,
-                               _chunks, _conv3x3, corpus_stats)
+                               _chunks, _conv3x3, corpus_stats, end_helpers,
+                               keep_helper, take_helper)
 
 
 def test_class_names_and_border():
@@ -311,6 +314,81 @@ def test_a_threaded_process_sweeps_in_one_process(model, cores):
         release.set()
         other.join(60)
     assert (count, cells) == (8, [(8, 0)])
+
+
+class _Owner:
+    """Something a helper can be kept for."""
+
+
+def _echo(requests, reply):
+    # each request's length, after 256 bytes; None ends a round
+    for request in requests:
+        reply("last" if request is None
+              else bytes(256) + len(request).to_bytes(4, "little"))
+
+
+def test_a_helper_never_waits_on_replies_left_unread(cores):
+    # more replies than a pipe holds pile up unread while requests, some
+    # larger than a pipe, are still being written: submit loads replies
+    # while it waits to write, so neither process blocks the other
+    def timed_out(signum, frame):
+        raise TimeoutError("the helper and this process wait on each other")
+
+    cores(2)
+    sizes = [200_000 if i % 100 == 0 else i for i in range(600)]
+    helper = take_helper(_Owner(), _echo)
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        for size in sizes:
+            helper.submit(bytes(size))
+        helper.submit(None)
+        replies = [helper.reply() for _ in sizes]
+        assert helper.reply() == "last"
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        helper.close()
+    assert replies == [bytes(256) + n.to_bytes(4, "little") for n in sizes]
+    no_child_left()
+
+
+def test_no_helper_on_one_core(cores):
+    cores(1)
+    assert take_helper(_Owner(), _echo) is None
+
+
+def test_a_kept_helper_serves_its_owner_until_it_is_collected(cores):
+    cores(2)
+    owner, other = _Owner(), _Owner()
+    helper = take_helper(owner, _echo)
+    keep_helper(owner, helper)
+    fresh = take_helper(other, _echo)       # another owner's is its own
+    assert fresh.pid != helper.pid
+    cores(1)
+    assert take_helper(owner, _echo) is None
+    cores(2)
+    assert take_helper(owner, _echo) is helper
+    assert take_helper(owner, _echo) is not helper     # held alone
+    helper.submit(None)
+    assert helper.reply() == "last"
+    os.kill(fresh.pid, signal.SIGKILL)      # ended while kept: replaced
+    os.waitid(os.P_PID, fresh.pid, os.WEXITED | os.WNOWAIT)
+    keep_helper(other, fresh)
+    replaced = take_helper(other, _echo)
+    assert replaced is not fresh and fresh.pid is None      # reaped
+    replaced.submit(None)
+    assert replaced.reply() == "last"
+    keep_helper(owner, helper)
+    keep_helper(other, replaced)
+    pid = helper.pid
+    del owner, helper
+    gc.collect()
+    with pytest.raises(ChildProcessError):      # ended with its owner
+        os.waitpid(pid, os.WNOHANG)
+    assert os.waitpid(replaced.pid, os.WNOHANG) == (0, 0)
+    end_helpers()
+    no_child_left()
 
 
 @pytest.fixture(scope="module")

@@ -36,6 +36,13 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match="delay"):
             LinkConfig(bandwidth_bps=1e6, jitter_us=-1)
 
+    @pytest.mark.parametrize("field", ["one_way_delay_us", "jitter_us"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, float("nan"), True])
+    def test_delays_are_integers(self, field, value):
+        # a jitter of 1.5 once made Xorshift64Star.randint draw a float
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            LinkConfig(bandwidth_bps=1e6, **{field: value})
+
     def test_loss_prob_range(self):
         with pytest.raises(ValueError, match="loss_prob"):
             LinkConfig(bandwidth_bps=1e6, loss_prob=1.0)

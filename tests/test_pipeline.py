@@ -1,9 +1,13 @@
 import contextlib
+import copy
 import dataclasses
 import gc
 import itertools
 import json
 import math
+import os
+import re
+import signal
 import sys
 import tracemalloc
 from pathlib import Path
@@ -18,7 +22,8 @@ import splitstream.codec as codec
 import splitstream.model as sm
 import splitstream.pipeline as pl
 from splitstream import (BandwidthEstimator, Link, LinkConfig, MsgType,
-                         ProtocolError, Simulator, SplitModel, WireMessage,
+                         ProtocolError, SimulationError, Simulator,
+                         SplitModel, WireMessage,
                          collect_stats, rate_fidelity_curve,
                          decode_message, encode, encode_message, make_control,
                          parse_control, quantize, tile)
@@ -66,7 +71,7 @@ def _server(model) -> tuple["pl._Server", list[bytes]]:
     replies = []
     downlink.deliver = replies.append
     server = pl._Server(sim, PipelineConfig(stats_images=4), model, downlink,
-                        {})
+                        {}, pl._OffPath(model, None, None))
     return server, replies
 
 
@@ -138,7 +143,11 @@ class TestCleanSession:
 
 
 class TestByteExactTransport:
-    def test_clean_link_delivers_bitstreams_verbatim(self, model, monkeypatch):
+    def test_clean_link_delivers_bitstreams_verbatim(self, model, monkeypatch,
+                                                     cores):
+        # on one core the server decodes every stream itself, here; a
+        # helper would decode the submitted streams in its own process
+        cores(1)
         sent, received = [], []
         real_encode, real_decode = codec.encode, codec.decode
 
@@ -458,7 +467,8 @@ class TestHandshake:
     ])
     def test_malformed_switch_is_a_protocol_error(self, model, body):
         # a malformed body is refused before the server replies downlink
-        server = pl._Server(Simulator(), PipelineConfig(), model, None, {})
+        server = pl._Server(Simulator(), PipelineConfig(), model, None, {},
+                            pl._OffPath(model, None, None))
         with pytest.raises(ProtocolError, match="MODEL_SWITCH"):
             server.on_uplink(encode_message(
                 make_control(MsgType.MODEL_SWITCH, 0, body)))
@@ -1031,3 +1041,171 @@ class TestResultContract:
             scores = [p["score"] for p in body["predictions"]]
             assert len(scores) == 7
             assert scores == sorted(scores, reverse=True)
+
+
+def _report_bytes(cfg, model) -> bytes:
+    return json.dumps(run_session(cfg, model), sort_keys=True).encode()
+
+
+def _in_helper(parent: int, act):
+    """A stand-in for ``pl._server_scores`` that runs ``act()`` where it
+    runs in a helper, and the real routine where it runs in ``parent``."""
+    real = pl._server_scores
+
+    def scores(*args):
+        if os.getpid() != parent:
+            act()
+        return real(*args)
+
+    return scores
+
+
+class UnpicklableError(Exception):
+    def __init__(self, reason, detail):
+        super().__init__(f"{reason}: {detail}")
+
+
+def _raise(error):
+    raise error
+
+
+class TestHelper:
+    """A session's helper computes the clean argmax and the server's scores
+    of intact streams in a forked child; the report is the same bytes."""
+
+    @pytest.mark.parametrize("cfg", [
+        CLEAN,
+        dataclasses.replace(LOSSY, frames=12, cut="stage1"),
+        dataclasses.replace(LOSSY, frames=12, cut="stage3"),
+        dataclasses.replace(LONG_RTT, frames=40),
+        dataclasses.replace(LOSSY, frames=12, conceal="none"),
+        dataclasses.replace(LOSSY, frames=12, conceal="channel_mean"),
+        dataclasses.replace(LOSSY, frames=12, downlink_loss_prob=0.3),
+    ], ids=["clean", "stage1", "stage3", "target_bytes", "conceal_none",
+            "channel_mean", "downlink_loss"])
+    def test_same_report_as_one_core(self, model, cores, monkeypatch, cfg):
+        # and the server's inline forwards fall to the damaged frames alone
+        parent, calls = os.getpid(), []
+        real = SplitModel.forward_server
+        monkeypatch.setattr(SplitModel, "forward_server", lambda self, *a: (
+            calls.append(os.getpid() == parent) or real(self, *a)))
+        corpus_stats(model, cfg.cut, cfg.stats_images)
+        cores(1)
+        one = _report_bytes(cfg, model)
+        inline = calls.count(True)
+        calls.clear()
+        cores(2)
+        assert _report_bytes(cfg, model) == one
+        assert _report_bytes(cfg, model) == one     # with the kept helper
+        report = json.loads(one)
+        intact = [f for f in report["frames"]
+                  if f["status"] == "ok" and not f["concealedRanges"]]
+        assert calls.count(True) <= 2 * (inline - 2 * len(intact))
+        if cfg is CLEAN:
+            assert calls.count(True) == 0
+
+    def test_a_failing_fork_gives_the_same_report(self, model, cores,
+                                                  monkeypatch):
+        cores(1)
+        one = _report_bytes(LOSSY, model)
+        cores(2)
+
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _report_bytes(LOSSY, model) == one
+
+    @pytest.mark.parametrize("cfg", [
+        PipelineConfig(target_bytes=1, frames=3),
+        PipelineConfig(frames=5, frame_interval_us=50_000,
+                       invert_drop_rule=True, link=LinkScenario(seed=3)),
+    ], ids=["infeasible_target", "all_dropped"])
+    def test_a_session_with_no_kept_frame_forks_nothing(self, model, cores,
+                                                        monkeypatch, cfg):
+        corpus_stats(model, cfg.cut, cfg.stats_images)
+        cores(2)
+        forks = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        report = run_session(cfg, model)
+        assert report["summary"]["frames_completed"] == 0
+        assert forks == []
+
+    def test_one_helper_per_model(self, model, cores, monkeypatch):
+        # kept between the model's sessions, and forked again once ended
+        corpus_stats(model, LOSSY.cut, LOSSY.stats_images)
+        cores(2)
+        forks = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        run_session(LOSSY, model)
+        run_session(dataclasses.replace(LOSSY, cut="stage3"), model)
+        assert forks == [1]
+        sm.end_helpers()
+        no_child_left()
+        run_session(LOSSY, model)
+        assert forks == [1, 1]
+
+    def test_scores_only_for_their_session_and_stats(self, model, cores):
+        # the server's own session and stats, parsed from MODEL_SWITCH,
+        # must be those the helper scored the stream under
+        cfg = LOSSY
+        session = pl._parse_session(pl._switch_body(cfg))
+        stats = corpus_stats(model, cfg.cut, cfg.stats_images)
+        other = pl._parse_session(pl._switch_body(
+            dataclasses.replace(cfg, top_k=3)))
+        t = model.forward_client(model.generate_input(0), cfg.cut)
+        bits = codec.pack(t, session.spec, stats, cfg.quality)[0]
+        cores(2)
+        for session_seen, stats_seen in [(other, stats),
+                                         (session, copy.copy(stats))]:
+            offpath = pl._OffPath(model, session, stats)
+            offpath.submit(0, t, bits)
+            assert offpath.helper is not None
+            assert offpath.scores(0, bits, (), session_seen, stats_seen) is None
+            assert offpath.argmaxes() == {0: model.argmax(t, cfg.cut)}
+        offpath = pl._OffPath(model, session, stats)
+        offpath.submit(0, t, bits)
+        assert np.array_equal(offpath.scores(0, bits, (), session, stats),
+                              pl._server_scores(model, session, stats, bits))
+        offpath.argmaxes()
+
+    @pytest.mark.parametrize("act, error, match", [
+        (lambda: _raise(ValueError("broke in the helper")), ValueError,
+         "broke in the helper"),
+        (lambda: _raise(UnpicklableError("odd", "state")), RuntimeError,
+         "a forked helper raised"),
+        (lambda: os._exit(3), RuntimeError, "exited with code 3 "),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), RuntimeError,
+         "exited with code -9 "),
+    ], ids=["raises", "raises_unpicklable", "exits", "killed"])
+    def test_a_failing_helper_fails_the_session(self, model, cores,
+                                                monkeypatch, act, error,
+                                                match):
+        cores(2)
+        monkeypatch.setattr(pl, "_server_scores", _in_helper(os.getpid(), act))
+        # the simulator names the event whose callback read the failure
+        with pytest.raises(SimulationError) as info:
+            run_session(LOSSY, model)
+        assert type(info.value.__cause__) is error
+        assert re.search(match, str(info.value.__cause__))
+        no_child_left()
+
+    def test_an_interrupted_session_ends_its_helper(self, model, cores,
+                                                    monkeypatch):
+        # an interrupt while the helper runs, here at the third kept frame
+        cores(2)
+        captures = []
+        real = pl.side_channel_means
+
+        def interrupted(t):
+            captures.append(1)
+            if len(captures) == 3:
+                raise KeyboardInterrupt
+            return real(t)
+
+        monkeypatch.setattr(pl, "side_channel_means", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_session(LOSSY, model)
+        no_child_left()

@@ -287,6 +287,11 @@ class TestBandwidthEstimator:
         with pytest.raises(ValueError, match="rtt"):
             BandwidthEstimator(rtt_us=-1)
 
+    @pytest.mark.parametrize("rtt", [math.nan, math.inf, -math.inf])
+    def test_rtt_must_be_finite(self, rtt):
+        with pytest.raises(ValueError, match="rtt"):
+            BandwidthEstimator(rtt_us=rtt)
+
     def test_initial_state(self):
         est = BandwidthEstimator(rtt_us=10_000)
         assert est.loss_ewma == 1.0

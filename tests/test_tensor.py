@@ -241,7 +241,7 @@ class TestStatsMatchReference:
 def _packed(tensors) -> PackedCorpus:
     corpus = PackedCorpus(tensors[0].shape)
     for t in tensors:
-        corpus.append(t)
+        corpus.append(corpus.pack(t))
     return corpus
 
 
@@ -292,7 +292,7 @@ class TestPackedCorpus:
     def test_rejects_a_tensor_of_another_shape(self):
         packed = PackedCorpus((2, 2, 1))
         with pytest.raises(ValueError, match="does not match"):
-            packed.append(_ft(np.zeros((2, 1, 2))))
+            packed.pack(_ft(np.zeros((2, 1, 2))))
 
     def test_needs_two_tensors(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -28,6 +28,12 @@ class TestLayout:
         assert (lay.grid_cols, lay.grid_rows) == (8, 8)
         assert (lay.plane_w, lay.plane_h) == (64, 64)
 
+    @pytest.mark.parametrize("dims", [(2.5, 2, 2), (2, 2.0, 2), (True, 2, 2),
+                                      (float("nan"), 2, 2)])
+    def test_dimensions_must_be_integers(self, dims):
+        with pytest.raises(ValueError, match="integers"):
+            layout_for(*dims)
+
     def test_grid_must_cover_channels(self):
         with pytest.raises(ValueError):
             TileLayout(grid_cols=2, grid_rows=2, tile_w=2, tile_h=2, channels=5)
